@@ -8,6 +8,14 @@ oracle for the counting module and for the classifier.
 Monic originals of degree p are indexed by the base-q little-endian
 encoding of their inner coefficients (c_1, ..., c_{p-1}); a pair (g, h) is
 packed as g_index * q^(p-1) + h_index.
+
+A composition f is keyed by the bytes of its inner coefficients
+(f_1, ..., f_{p^2-1}), one little-endian slot per coefficient holding its
+encoding: one byte each for q <= 256, so the key of f is
+``bytes(f.poly.encodings[1:p*p])``, and two bytes each above.  The raw
+table built while enumerating maps a key to its bare packed pair while f
+has one decomposition, as most f do, and to a list of packed pairs from
+the second on.
 """
 
 from __future__ import annotations
@@ -23,7 +31,10 @@ from .gf import FieldSpec, NotPrime, _is_prime, field_new
 from .identify import CollisionTag, classify
 from .polyring import Poly, _mul_raw, format_poly
 
-# Runs enumerate more pairs than this are refused outright.
+# Runs that enumerate more pairs than this are refused outright.  The census
+# keys need (2p-1)^d <= 256 for odd p, q = p^d, so that the sum of two
+# radix-(2p-1) coefficients fits its byte slot; every odd (p, q) with
+# q^(2p-2) <= PAIR_LIMIT meets it.
 PAIR_LIMIT = 1 << 24
 
 
@@ -51,8 +62,16 @@ def unpack_pair(spec: FieldSpec, packed: int, p: int) -> Decomposition:
                          mo_index_to_poly(spec, hidx, p))
 
 
-def poly_of_key(spec: FieldSpec, key, p: int) -> MonicOriginal:
-    return MonicOriginal(Poly(spec, (0,) + tuple(key) + (1,)))
+def _slot_bytes(q: int) -> int:
+    """Bytes per coefficient slot in a census key."""
+    return 1 if q <= 256 else 2
+
+
+def poly_of_key(spec: FieldSpec, key: bytes, p: int) -> MonicOriginal:
+    w = _slot_bytes(spec.q)
+    inner = tuple(int.from_bytes(key[i:i + w], "little")
+                  for i in range(0, len(key), w))
+    return MonicOriginal(Poly(spec, (0,) + inner + (1,)))
 
 
 @dataclass
@@ -108,61 +127,96 @@ class CensusReport:
         }
 
 
+def _radix_tables(p: int, d: int) -> tuple[list[int], bytes, bytes]:
+    """Digit maps for adding F_{p^d} encodings as plain integers, p odd.
+
+    ``e2r[e]`` rewrites the base-p digits of encoding e in radix 2p-1, so
+    the sum of two rewritten values has every digit below 2p-1 and no
+    carries.  ``r2e`` and ``r2r`` map such a byte, digit by digit mod p,
+    back to an encoding and to its reduced radix-(2p-1) form.
+    """
+    r = 2 * p - 1
+    q = p ** d
+
+    def rebase(v: int, src: int, dst: int) -> int:
+        out, scale = 0, 1
+        for _ in range(d):
+            v, c = divmod(v, src)
+            out += (c % p) * scale
+            scale *= dst
+        return out
+
+    e2r = [rebase(e, p, r) for e in range(q)]
+    r2e = bytearray(256)
+    r2r = bytearray(256)
+    for b in range(r ** d):
+        r2e[b] = rebase(b, r, p)
+        r2r[b] = e2r[r2e[b]]
+    return e2r, bytes(r2e), bytes(r2r)
+
+
 def _tabulate_range(spec: FieldSpec, lo: int, hi: int) -> dict:
-    """Compose every g against h for h indices in [lo, hi); group by f."""
+    """Compose every g against h for h indices in [lo, hi); group by f.
+
+    Maps each f key to its packed pair, or to the list of its packed pairs
+    once a second pair composes to it.  The inner coefficients
+    f_1..f_{p^2-1} are held as one integer with a fixed-width slot each, so
+    adding a scaled piece g_i*h^i is one integer operation: XOR for p = 2,
+    and for odd p an add of radix-(2p-1) digits reduced mod p bytewise by
+    ``bytes.translate``.
+    """
     p, q = spec.p, spec.q
     n = p * p
     big_q = q ** (p - 1)
-    addt = spec._addt
-    as_key = bytes if q <= 255 else tuple
-    if addt is not None:
-        def vacc(acc: list[int], piece: list[int]) -> list[int]:
-            out = acc[:]
-            for i, v in enumerate(piece):
-                if v:
-                    out[i] = addt[out[i] * q + v]
-            return out
-    else:
-        add_i = spec.add_i
+    shift = 8 * _slot_bytes(q)
+    nbytes = (n - 1) * shift // 8
+    enc: Any = range(q)
+    if p != 2:
+        enc, r2e, r2r = _radix_tables(p, spec.d)
+    mul_i = spec.mul_i
 
-        def vacc(acc: list[int], piece: list[int]) -> list[int]:
-            out = acc[:]
-            for i, v in enumerate(piece):
-                if v:
-                    out[i] = add_i(out[i], v)
-            return out
+    def scaled(pw: list[int]) -> list[int]:
+        """The packed c*pw for every c in F_q, indexed by c."""
+        out = [0] * q
+        for j, v in enumerate(pw[1:n]):
+            if v:
+                s = shift * j
+                out = [acc | enc[mul_i(v, c)] << s for c, acc in enumerate(out)]
+        return out
 
     table: dict = {}
-    mul_i = spec.mul_i
+    setdefault = table.setdefault
     for hidx in range(lo, hi):
         h = [0, *mo_index_to_inner(hidx, q, p), 1]
         pows: list[list[int]] = [[], h]
         for _ in range(p - 1):
             pows.append(_mul_raw(spec, pows[-1], h))
-        scaled = [None]
-        for level in range(1, p):
-            pw = pows[level]
-            scaled.append([[mul_i(v, c) if v else 0 for v in pw]
-                           for c in range(q)])
+        pieces_at = [None] + [scaled(pows[level]) for level in range(1, p)]
 
-        def rec(level: int, acc: list[int], gpart: int) -> None:
-            pieces = scaled[level]
-            if level == 1:
-                base_pair = gpart * q
-                for c in range(q):
-                    out = vacc(acc, pieces[c])
-                    key = as_key(out[1:n])
-                    pair = (base_pair + c) * big_q + hidx
-                    lst = table.get(key)
-                    if lst is None:
-                        table[key] = [pair]
-                    else:
-                        lst.append(pair)
+        def rec(level: int, acc: int, gpart: int) -> None:
+            pieces = pieces_at[level]
+            if level > 1:
+                for c, piece in enumerate(pieces):
+                    nxt = (acc + piece).to_bytes(nbytes, "little").translate(r2r)
+                    rec(level - 1, int.from_bytes(nxt, "little"), gpart * q + c)
+                return
+            if p == 2:
+                keys = [(acc ^ piece).to_bytes(nbytes, "little")
+                        for piece in pieces]
             else:
-                for c in range(q):
-                    rec(level - 1, vacc(acc, pieces[c]), gpart * q + c)
+                keys = [(acc + piece).to_bytes(nbytes, "little").translate(r2e)
+                        for piece in pieces]
+            first = gpart * q * big_q + hidx
+            for key, pair in zip(keys, range(first, first + q * big_q, big_q)):
+                old = setdefault(key, pair)
+                if old is not pair:
+                    if type(old) is int:
+                        table[key] = [old, pair]
+                    else:
+                        old.append(pair)
 
-        rec(p - 1, pows[p], 0)
+        hp = sum(enc[v] << (shift * j) for j, v in enumerate(pows[p][1:n]))
+        rec(p - 1, hp, 0)
     return table
 
 
@@ -191,24 +245,27 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_census_worker, shards):
                 for key, pairs in part.items():
-                    lst = table.get(key)
-                    if lst is None:
-                        table[key] = pairs
-                    else:
-                        lst.extend(pairs)
+                    old = table.setdefault(key, pairs)
+                    if old is not pairs:
+                        if type(old) is int:
+                            old = table[key] = [old]
+                        if type(pairs) is int:
+                            old.append(pairs)
+                        else:
+                            old.extend(pairs)
     else:
         table = _tabulate_range(spec, 0, big_q)
 
-    pair_counts: dict = {}
-    colliding: dict = {}
-    spectrum_observed: dict[int, int] = {}
-    for key, pairs in table.items():
-        k = len(pairs)
-        pair_counts[key] = k
-        spectrum_observed[k] = spectrum_observed.get(k, 0) + 1
-        if k >= 2:
-            colliding[key] = tuple(pairs)
+    colliding = {key: tuple(pairs) for key, pairs in table.items()
+                 if type(pairs) is list}
+    pair_counts = dict.fromkeys(table, 1)
     table.clear()
+    spectrum_observed: dict[int, int] = {}
+    if len(pair_counts) > len(colliding):
+        spectrum_observed[1] = len(pair_counts) - len(colliding)
+    for key, pairs in colliding.items():
+        k = pair_counts[key] = len(pairs)
+        spectrum_observed[k] = spectrum_observed.get(k, 0) + 1
 
     predicted = counting.spectrum(p, q)
     mismatches: list[Mismatch] = []

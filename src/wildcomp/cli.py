@@ -1,6 +1,8 @@
 """Command-line frontend.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on mathematically valid
+Exit codes: 0 on success, 1 on usage errors and on requests beyond the
+exhaustive-search limits (a census above PAIR_LIMIT, a decomposition left
+unenumerated by the brute-force fallback), 2 on mathematically valid
 "no"/failure answers (no parameters recovered, no collision, census
 mismatch), so scripts can tell the two apart.  All numeric output is
 exact: integers in decimal, rationals as "num/den", field elements as
@@ -20,7 +22,8 @@ from .constructions import (MultiplyParams, SimplyParams, build_M,
 from .counting import count_decomposable, nu, spectrum
 from .decomp_core import Collision, MonicOriginal, original_shift
 from .gf import FieldSpec, parse_field
-from .identify import (CollisionTag, classify, enumerate_decompositions,
+from .identify import (BRUTE_FORCE_FIELD_LIMIT, BRUTE_FORCE_SPACE_LIMIT,
+                       CollisionTag, classify, enumerate_decompositions,
                        identify_multiply, identify_simply)
 from .polyring import format_poly, parse_poly
 
@@ -146,6 +149,12 @@ def _cmd_decompose(args) -> int:
              + ("" if res.complete else " (brute-force fallback skipped)")]
     lines += [f"g={g} h={h}" for g, h in pairs]
     _emit(args, payload, lines)
+    if not res.complete:
+        print("error: decompositions not enumerated: f is unclassified and "
+              "the brute-force fallback is limited to q <= "
+              f"{BRUTE_FORCE_FIELD_LIMIT} and q^(p-1) <= "
+              f"{BRUTE_FORCE_SPACE_LIMIT}", file=sys.stderr)
+        return USAGE_ERROR
     return 0 if pairs else FAILURE
 
 
@@ -194,6 +203,12 @@ def _build_parser() -> _Parser:
                                  "degree p^2 over finite fields")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
+    # --json is accepted after the subcommand too; SUPPRESS keeps a flag
+    # given before it from being reset by the subcommand's default.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true",
+                        default=argparse.SUPPRESS,
+                        help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_field_poly(sp, poly_required=True):
@@ -202,7 +217,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--poly", required=poly_required,
                         help="polynomial in the term grammar, e.g. x^9+x^5+x")
 
-    sp = sub.add_parser("construct", help="build a collision family member")
+    sp = sub.add_parser("construct", parents=[common],
+                        help="build a collision family member")
     sp.add_argument("family", choices=["S", "M", "frobenius"])
     sp.add_argument("--field", required=True)
     sp.add_argument("--poly", help="right component h (frobenius only)")
@@ -216,26 +232,31 @@ def _build_parser() -> _Parser:
     sp.add_argument("--w", type=int, help="original shift (encoding)")
     sp.set_defaults(func=_cmd_construct)
 
-    sp = sub.add_parser("identify", help="recover construction parameters")
+    sp = sub.add_parser("identify", parents=[common],
+                        help="recover construction parameters")
     add_field_poly(sp)
     sp.add_argument("--r", type=int, help="degree parameter r (default: p)")
     sp.set_defaults(func=_cmd_identify)
 
-    sp = sub.add_parser("classify", help="collision class at degree p^2")
+    sp = sub.add_parser("classify", parents=[common],
+                        help="collision class at degree p^2")
     add_field_poly(sp)
     sp.set_defaults(func=_cmd_classify)
 
-    sp = sub.add_parser("decompose", help="list all degree-p decompositions")
+    sp = sub.add_parser("decompose", parents=[common],
+                        help="list all degree-p decompositions")
     add_field_poly(sp)
     sp.set_defaults(func=_cmd_decompose)
 
     for name, fn in (("count", _cmd_count), ("nu", _cmd_nu)):
-        sp = sub.add_parser(name, help=f"exact {name} at degree p^2")
+        sp = sub.add_parser(name, parents=[common],
+                            help=f"exact {name} at degree p^2")
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--q", type=int, required=True)
         sp.set_defaults(func=fn)
 
-    sp = sub.add_parser("census", help="exhaustive composition census")
+    sp = sub.add_parser("census", parents=[common],
+                        help="exhaustive composition census")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--out", help="write the JSON report to this path")

@@ -1,11 +1,31 @@
 import copy
+import itertools
 
 import pytest
 
 from wildcomp import run_census, verify, class_partition_check
-from wildcomp.census import TooLarge, mo_index_to_poly, poly_of_key, unpack_pair
+from wildcomp.census import (PAIR_LIMIT, TooLarge, _slot_bytes,
+                             _tabulate_range, mo_index_to_poly, poly_of_key,
+                             unpack_pair)
+from wildcomp.gf import _is_prime
+from wildcomp.polyring import Poly, compose
 
 from conftest import F
+
+
+def reference_table(spec) -> dict[bytes, set[int]]:
+    """Every packed pair (g, h), grouped by the key of compose(g, h)."""
+    p, q = spec.p, spec.q
+    monics = {sum(c * q ** i for i, c in enumerate(inner)):
+              Poly(spec, (0, *inner, 1))
+              for inner in itertools.product(range(q), repeat=p - 1)}
+    big_q = len(monics)
+    table: dict[bytes, set[int]] = {}
+    for gidx, g in monics.items():
+        for hidx, h in monics.items():
+            key = bytes(compose(g, h).encodings[1:p * p])
+            table.setdefault(key, set()).add(gidx * big_q + hidx)
+    return table
 
 
 class TestRunCensus:
@@ -50,11 +70,61 @@ class TestRunCensus:
                 assert d.compose() == f
 
     def test_threads_match_sequential(self, census_reports):
-        seq = census_reports[(2, 4)]
-        par = run_census(2, 4, threads=2)
-        assert par.spectrum_observed == seq.spectrum_observed
-        assert par.class_spectrum == seq.class_spectrum
-        assert sorted(par.pair_counts.items()) == sorted(seq.pair_counts.items())
+        # (3, 9) splits colliding f across the two shards, so the merge
+        # joins bare singleton pairs with pair lists.
+        for p, q in [(2, 4), (3, 9)]:
+            seq = census_reports[(p, q)]
+            par = run_census(p, q, threads=2)
+            assert par.spectrum_observed == seq.spectrum_observed
+            assert par.class_spectrum == seq.class_spectrum
+            assert par.pair_counts == seq.pair_counts
+            assert par.colliding_pairs.keys() == seq.colliding_pairs.keys()
+            for key, pairs in seq.colliding_pairs.items():
+                assert set(par.colliding_pairs[key]) == set(pairs)
+
+
+class TestTabulation:
+    @pytest.mark.parametrize("p,q", [(2, 4), (2, 8), (2, 64), (3, 3), (3, 9)])
+    def test_matches_compose(self, census_reports, p, q):
+        r = census_reports.get((p, q)) or run_census(p, q)
+        ref = reference_table(r.field_spec)
+        assert r.pair_counts == {key: len(prs) for key, prs in ref.items()}
+        assert r.colliding_pairs.keys() == {key for key, prs in ref.items()
+                                            if len(prs) >= 2}
+        for key, pairs in r.colliding_pairs.items():
+            assert set(pairs) == ref[key]
+
+    def test_byte_keys_at_q_256(self):
+        r = run_census(2, 256)
+        assert all(type(key) is bytes for key in r.pair_counts)
+        spec = r.field_spec
+        for g1, h1 in [(0, 0), (1, 255), (66, 7), (200, 13)]:
+            f = compose(Poly(spec, (0, g1, 1)), Poly(spec, (0, h1, 1)))
+            assert bytes(f.encodings[1:4]) in r.pair_counts
+
+    def test_two_byte_slots_above_256(self):
+        spec = F(2, 9)
+        table = _tabulate_range(spec, 300, 304)
+        assert len(next(iter(table))) == 3 * 2
+        for key, pairs in table.items():
+            f = poly_of_key(spec, key, 2)
+            for pr in [pairs] if type(pairs) is int else pairs:
+                assert unpack_pair(spec, pr, 2).compose() == f
+
+    def test_slot_precondition_under_pair_limit(self):
+        """Every (p, q) that PAIR_LIMIT admits fits the fixed-width key slots."""
+        admitted = []
+        for p in filter(_is_prime, range(2, PAIR_LIMIT.bit_length() // 2 + 2)):
+            d = 1
+            while (p ** d) ** (2 * p - 2) <= PAIR_LIMIT:
+                admitted.append((p, d))
+                d += 1
+        for p, d in admitted:
+            q = p ** d
+            assert q <= 256 ** _slot_bytes(q), (p, q)
+            if p > 2:
+                assert (2 * p - 1) ** d <= 256, (p, q)
+        assert (3, 3) in admitted and (5, 1) in admitted
 
 
 class TestVerify:

@@ -106,6 +106,15 @@ class TestDecompose:
                            "--poly", "x^4+x^2+x")
         assert code == 2
 
+    def test_incomplete_exits_1(self, capsys):
+        # (x^2+7x)(x^2+11x) over F_256: unclassified, and q is above the
+        # brute-force limit, so the enumeration is not a valid "no".
+        code, out, err = run(capsys, "--json", "decompose", "--field", "2^8",
+                             "--poly", "x^4+66*x^2+49*x")
+        assert code == 1
+        assert json.loads(out) == {"count": 0, "pairs": [], "complete": False}
+        assert "brute-force" in err and "81" in err
+
 
 class TestNu:
     def test_exact_rational(self, capsys):
@@ -130,6 +139,18 @@ class TestCensus:
         assert code == 0
         payload = json.loads(out)
         assert payload["decomposable_observed"] == 3
+
+
+class TestJsonFlag:
+    @pytest.mark.parametrize("argv", [
+        ["--json", "decompose", "--field", "3^1", "--poly", "x^9+x^5+x"],
+        ["decompose", "--field", "3^1", "--poly", "x^9+x^5+x", "--json"],
+    ])
+    def test_before_or_after_subcommand(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == 2 and payload["complete"] is True
 
 
 class TestUsageErrors:
