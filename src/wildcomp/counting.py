@@ -77,7 +77,9 @@ def gamma(r: int, q: int) -> int:
         expected = 2
     else:
         expected = 1
-    assert g == expected, (g, expected)
+    if g != expected:
+        raise ArithmeticError(
+            f"gcd({r + 1}, {q - 1}) = {g} disagrees with its case value {expected}")
     return g
 
 
@@ -152,11 +154,12 @@ def spectrum(p: int, q: int) -> Spectrum:
     cp1 = count_simply(q, p, p + 1)
     c1 = (total - 2 * q ** (p - 1) + 2
           - _exact(a * (q - 1) * (q * p - q - p), p) - 2 * m_part)
-    assert c1 == total - 2 * c2 - (p + 1) * cp1, "spectrum mass check failed"
+    if c1 != total - 2 * c2 - (p + 1) * cp1:
+        raise ArithmeticError("spectrum mass check failed")
     d_total = (total - q ** (p - 1) + 1
                - _exact(a * (q - 1) * (q * p - p - 2), 2 * (p + 1)) - m_part)
-    assert d_total == total - c2 - p * cp1, "decomposable totals disagree"
-    assert d_total == c1 + c2 + cp1
+    if d_total != total - c2 - p * cp1 or d_total != c1 + c2 + cp1:
+        raise ArithmeticError("decomposable totals disagree")
     return Spectrum(p, q, {1: c1, 2: c2, p + 1: cp1}, d_total)
 
 

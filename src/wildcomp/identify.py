@@ -295,7 +295,8 @@ def enumerate_decompositions(
     cls = classify(f)
     if cls.tag is CollisionTag.FROBENIUS:
         h = poly_pth_root(f.poly, 1)
-        assert h is not None
+        if h is None:
+            raise RuntimeError("Frobenius-tagged polynomial has no p-th root")
         hm = MonicOriginal(h)
         xp = MonicOriginal(Poly.monomial(spec, p))
         pairs = {Decomposition(xp, hm),

@@ -301,3 +301,22 @@ def test_criterion_7_root_count_dual_path():
     assert checked == total
     print(f"\nACCEPTANCE 7 PASS: gcd-based root counting agrees with "
           f"exhaustive evaluation on {checked} random polynomials (q <= 81)")
+
+
+def test_criterion_7_census_root_counts(census_reports, classifications):
+    # k from the gcd-based count in identify_simply, #T by exhaustive
+    # evaluation, and the pairs the census found for f all agree
+    checked = 0
+    for (p, q) in CENSUS_FIELDS:
+        report = census_reports[(p, q)]
+        for key, cls in classifications[(p, q)].items():
+            if cls.tag is not CollisionTag.SIMPLY:
+                continue
+            sm = cls.simply
+            roots = root_set_T(SimplyParams(sm.u, sm.s, sm.eps, sm.m, p))
+            assert sm.k == len(roots) == len(report.colliding_pairs[key]), \
+                (p, q, key)
+            checked += 1
+    assert checked
+    print(f"\nACCEPTANCE 7 PASS: root counts of {checked} S-classified census "
+          f"polynomials agree with exhaustive evaluation and the census")

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from wildcomp.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -167,3 +173,27 @@ class TestUsageErrors:
         code, _, err = run(capsys, "classify", "--field", "2^1",
                            "--poly", "x^4+junk")
         assert code == 1
+
+    def test_huge_exponent_exits_1(self, capsys):
+        code, _, err = run(capsys, "classify", "--field", "2^1",
+                           "--poly", "x^1000000000000000")
+        assert code == 1
+        assert "parse limit" in err and "Traceback" not in err
+
+
+class TestOptimizeFlag:
+    @pytest.mark.parametrize("argv", [
+        ["--json", "census", "--p", "3", "--q", "9"],
+        ["classify", "--field", "3^1", "--poly", "x^9+x^5+x"],
+    ])
+    def test_same_output_under_dash_O(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        plain, optimized = [
+            subprocess.run([sys.executable, *flags, "-m", "wildcomp.cli", *argv],
+                           env=env, capture_output=True, timeout=120)
+            for flags in ([], ["-O"])]
+        assert plain.returncode == optimized.returncode == 0, \
+            (plain.stderr, optimized.stderr)
+        assert plain.stdout == optimized.stdout

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from wildcomp import (NotAPower, NotPrime, c2_pairs,
                       count_decomposable, count_multiply, count_simply,
                       gamma, nu, spectrum, tau)
+
+from conftest import F
 
 PRIME_POWERS_UP_TO = 3 ** 8
 
@@ -35,7 +38,7 @@ class TestGamma:
         assert gamma(5, 5) == 2
 
     def test_case_formula_sweep(self):
-        # the assert inside gamma cross-checks the parity case evaluation
+        # gamma raises when gcd(r+1, q-1) disagrees with its parity case
         for r in (2, 3, 4, 5, 7, 8, 9):
             q = r
             while q <= 3 ** 8:
@@ -60,6 +63,23 @@ class TestC2Pairs:
                 for k in (2, r + 1):
                     assert c2_pairs(q, r, k) >= 0
                 q *= r
+
+    @pytest.mark.parametrize("r, p, d", [
+        (2, 2, 2), (2, 2, 3), (2, 2, 8), (4, 2, 4), (4, 2, 8), (3, 3, 3),
+        (3, 3, 5), (9, 3, 4), (5, 5, 3), (7, 7, 2), (13, 13, 1)])
+    def test_against_root_histograms(self, r, p, d):
+        # y^(r+1) + a*y + b has as many roots as y -> y^(r+1) + a*y hits -b
+        spec = F(p, d)
+        q = spec.q
+        powers = [spec.pow_i(y, r + 1) for y in range(q)]
+        pairs_with = Counter()
+        for a in range(1, q):
+            hits = Counter(spec.add_i(py, spec.mul_i(a, y))
+                           for y, py in enumerate(powers))
+            pairs_with.update(hits[spec.neg_i(b)] for b in range(1, q))
+        assert pairs_with[2] == c2_pairs(q, r, 2)
+        assert pairs_with[r + 1] == c2_pairs(q, r, r + 1)
+        assert set(pairs_with) <= {0, 1, 2, r + 1}, (q, r, pairs_with)
 
 
 class TestCountSimply:

@@ -10,7 +10,8 @@ from wildcomp import (ConstantBase, DivisionByZero, NEG_INFINITY, NotMonic,
                       gcd, is_squarefree, max_power_dividing, modexp_x_to_q,
                       parse_poly, poly_pth_root, second_degree,
                       taylor_expansion)
-from wildcomp.polyring import KARATSUBA_THRESHOLD, _mul_raw, _mul_school
+from wildcomp.polyring import (KARATSUBA_THRESHOLD, MAX_PARSE_EXPONENT,
+                               _mul_raw, _mul_school)
 
 from conftest import F, P
 
@@ -209,6 +210,32 @@ class TestCompose:
             power = power * lin
         assert compose(f, lin) == acc
 
+    @pytest.mark.parametrize("spec", [F(2, 4), F(3, 3), F(13), F(2, 10)],
+                             ids=str)
+    def test_linear_shift_by_evaluation_and_taylor(self, spec):
+        # g(ux + w) at every point (64 sampled ones for the untabled
+        # F_1024), and for u = 1 the constant Taylor digits of g in x - w
+        rng = random.Random(spec.q)
+        cases = [(1, 0), (1, rng.randrange(1, spec.q)),
+                 (rng.randrange(2, spec.q), 0)]
+        cases += [(rng.randrange(1, spec.q), rng.randrange(spec.q))
+                  for _ in range(9)]
+        for i, (u, w) in enumerate(cases):
+            deg = 40 if i % 2 else rng.randrange(1, 41)
+            g = Poly(spec, [rng.randrange(spec.q) for _ in range(deg)]
+                     + [rng.randrange(1, spec.q)])
+            got = compose(g, Poly(spec, (w, u)))
+            assert got.degree == deg
+            points = (range(spec.q) if spec.q <= 256
+                      else rng.sample(range(spec.q), 64))
+            for a in points:
+                ua_w = spec.add_i(spec.mul_i(u, a), w)
+                assert evaluate(got, spec.elem(a)) == evaluate(g, spec.elem(ua_w))
+            if u == 1:
+                digits = taylor_expansion(g, Poly(spec, (spec.neg_i(w), 1)))
+                assert got == Poly(spec, [d.coefficient_encoding(0)
+                                          for d in digits])
+
 
 class TestModExp:
     def test_examples(self):
@@ -242,6 +269,22 @@ class TestCountRoots:
                     continue
                 brute = sum(1 for a in spec if evaluate(f, a).val == 0)
                 assert count_roots_in_field(f) == brute
+
+    @pytest.mark.parametrize("spec", [F(2, 8), F(3, 5), F(5, 3), F(7, 2),
+                                      F(13)], ids=str)
+    def test_t_polynomials_against_evaluation(self, spec):
+        # y^(r+1) - eps*u*y + u with r = p, every u != 0: the root counts
+        # behind each S classification, over fields up to q = 256
+        r = spec.p
+        for eps in (0, 1):
+            for u in range(1, spec.q):
+                enc = [0] * (r + 2)
+                enc[0], enc[-1] = u, 1
+                if eps:
+                    enc[1] = spec.neg_i(u)
+                f = Poly(spec, enc)
+                brute = sum(1 for a in spec if evaluate(f, a).val == 0)
+                assert count_roots_in_field(f) == brute, (spec, eps, u)
 
 
 class TestTaylor:
@@ -344,6 +387,15 @@ class TestTextForm:
             parse_poly(F(3), "x^-1")
         with pytest.raises(ValueError):
             parse_poly(F(3), "7*x")  # encoding out of range
+
+    def test_parse_bounds_exponents(self):
+        spec = F(2)
+        assert parse_poly(spec, f"x^{MAX_PARSE_EXPONENT}").degree \
+            == MAX_PARSE_EXPONENT
+        for text in (f"x^{MAX_PARSE_EXPONENT + 1}", "x^1000000000000000",
+                     "x+x^400000000"):
+            with pytest.raises(ValueError, match="parse limit"):
+                parse_poly(spec, text)
 
     @given(polys())
     def test_round_trip(self, f):
