@@ -12,16 +12,25 @@ packed as g_index * q^(p-1) + h_index.
 A composition f is keyed by the bytes of its inner coefficients
 (f_1, ..., f_{p^2-1}), one little-endian slot per coefficient holding its
 encoding: one byte each for q <= 256, so the key of f is
-``bytes(f.poly.encodings[1:p*p])``, and two bytes each above.  The raw
-table built while enumerating maps a key to its bare packed pair while f
-has one decomposition, as most f do, and to a list of packed pairs from
-the second on.
+``bytes(f.poly.encodings[1:p*p])``, and two bytes each above.
+
+The pairs are enumerated in q shards keyed by f_{p^2-p}, which equals
+h_{p-1}^p + g_{p-1}: shard s takes g_{p-1} = s - h_{p-1}^p for every h, so
+the shards are disjoint in f and equal in size.  A shard's table maps a key
+to its bare packed pair while f has one decomposition, as most f do, and to
+a list of packed pairs from the second on.  Only the number of distinct f
+and the colliding f with their pairs leave a shard; no table of the
+non-colliding f is kept.  ``threads > 1`` runs contiguous ranges of shards
+in worker processes, whose results add up without a merge.
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from . import counting
@@ -96,9 +105,9 @@ class CensusReport:
     class_spectrum: dict[str, dict[int, int]]
     decomposable_observed: int
     mismatches: list[Mismatch]
-    # raw tables, kept for cross-checks; not part of the serialized report
+    # colliding f and their packed pairs, kept for cross-checks; not part
+    # of the serialized report
     field_spec: FieldSpec = field(repr=False)
-    pair_counts: dict = field(repr=False)
     colliding_pairs: dict = field(repr=False)
 
     def poly_of_key(self, key) -> MonicOriginal:
@@ -155,25 +164,41 @@ def _radix_tables(p: int, d: int) -> tuple[list[int], bytes, bytes]:
     return e2r, bytes(r2e), bytes(r2r)
 
 
-def _tabulate_range(spec: FieldSpec, lo: int, hi: int) -> dict:
-    """Compose every g against h for h indices in [lo, hi); group by f.
+def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict]]:
+    """Yield ``(s, table)`` for each shard s in [lo, hi), in order.
 
-    Maps each f key to its packed pair, or to the list of its packed pairs
-    once a second pair composes to it.  The inner coefficients
-    f_1..f_{p^2-1} are held as one integer with a fixed-width slot each, so
-    adding a scaled piece g_i*h^i is one integer operation: XOR for p = 2,
-    and for odd p an add of radix-(2p-1) digits reduced mod p bytewise by
-    ``bytes.translate``.
+    Shard s holds the pairs (g, h) with h_{p-1}^p + g_{p-1} = s, which is
+    the coefficient f_{p^2-p} of f = g o h, so the shards are key-disjoint
+    and each holds q^(2p-3) pairs.  Its table maps each f key to its packed
+    pair, or to the list of its packed pairs once a second pair composes to
+    it; within a key, pairs come in (h, g) index order.  The inner
+    coefficients f_1..f_{p^2-1} are held as one integer with a fixed-width
+    slot each, so adding a scaled piece g_i*h^i is one integer operation:
+    XOR for p = 2, and for odd p an add of radix-(2p-1) digits reduced mod p
+    bytewise by ``bytes.translate``.
     """
     p, q = spec.p, spec.q
     n = p * p
     big_q = q ** (p - 1)
     shift = 8 * _slot_bytes(q)
     nbytes = (n - 1) * shift // 8
-    enc: Any = range(q)
-    if p != 2:
-        enc, r2e, r2r = _radix_tables(p, spec.d)
     mul_i = spec.mul_i
+
+    if p == 2:
+        # g_1 = s - h_1^2 (an XOR of encodings) and f = x^4 + s*x^2 + g_1*h_1*x.
+        squares = [mul_i(h, h) for h in range(q)]
+        for s in range(lo, hi):
+            top = s << shift
+            gs = [s ^ sq for sq in squares]
+            keys = [(mul_i(g, h) | top).to_bytes(nbytes, "little")
+                    for h, g in enumerate(gs)]
+            table: dict = {}
+            _group(table, keys, [g * q + h for h, g in enumerate(gs)])
+            yield s, table
+        return
+
+    enc, r2e, r2r = _radix_tables(p, spec.d)
+    sub_i = spec.sub_i
 
     def scaled(pw: list[int]) -> list[int]:
         """The packed c*pw for every c in F_q, indexed by c."""
@@ -184,45 +209,72 @@ def _tabulate_range(spec: FieldSpec, lo: int, hi: int) -> dict:
                 out = [acc | enc[mul_i(v, c)] << s for c, acc in enumerate(out)]
         return out
 
-    table: dict = {}
-    setdefault = table.setdefault
-    for hidx in range(lo, hi):
+    # Per h, once for all the shards of this call: h^p packed, its
+    # coefficient h_{p-1}^p at x^(p^2-p), the nonzero coefficients of
+    # h^(p-1) with their slot shifts, and the scaled pieces c*h^i of the
+    # levels 1 <= i < p-1 below the top.
+    per_h = []
+    for hidx in range(big_q):
         h = [0, *mo_index_to_inner(hidx, q, p), 1]
         pows: list[list[int]] = [[], h]
         for _ in range(p - 1):
             pows.append(_mul_raw(spec, pows[-1], h))
-        pieces_at = [None] + [scaled(pows[level]) for level in range(1, p)]
-
-        def rec(level: int, acc: int, gpart: int) -> None:
-            pieces = pieces_at[level]
-            if level > 1:
-                for c, piece in enumerate(pieces):
-                    nxt = (acc + piece).to_bytes(nbytes, "little").translate(r2r)
-                    rec(level - 1, int.from_bytes(nxt, "little"), gpart * q + c)
-                return
-            if p == 2:
-                keys = [(acc ^ piece).to_bytes(nbytes, "little")
-                        for piece in pieces]
-            else:
-                keys = [(acc + piece).to_bytes(nbytes, "little").translate(r2e)
-                        for piece in pieces]
-            first = gpart * q * big_q + hidx
-            for key, pair in zip(keys, range(first, first + q * big_q, big_q)):
-                old = setdefault(key, pair)
-                if old is not pair:
-                    if type(old) is int:
-                        table[key] = [old, pair]
-                    else:
-                        old.append(pair)
-
         hp = sum(enc[v] << (shift * j) for j, v in enumerate(pows[p][1:n]))
-        rec(p - 1, hp, 0)
-    return table
+        top = [(shift * j, v) for j, v in enumerate(pows[p - 1][1:n]) if v]
+        pieces_at = [None] + [scaled(pows[level]) for level in range(1, p - 1)]
+        per_h.append((hp, pows[p][n - p], top, pieces_at))
+
+    def rec(table: dict, pieces_at: list, hidx: int, level: int, acc: int,
+            gpart: int) -> None:
+        pieces = pieces_at[level]
+        if level > 1:
+            for c, piece in enumerate(pieces):
+                nxt = (acc + piece).to_bytes(nbytes, "little").translate(r2r)
+                rec(table, pieces_at, hidx, level - 1,
+                    int.from_bytes(nxt, "little"), gpart * q + c)
+            return
+        keys = [(acc + piece).to_bytes(nbytes, "little").translate(r2e)
+                for piece in pieces]
+        first = gpart * q * big_q + hidx
+        _group(table, keys, range(first, first + q * big_q, big_q))
+
+    for s in range(lo, hi):
+        table = {}
+        for hidx, (hp, lead, top, pieces_at) in enumerate(per_h):
+            c = sub_i(s, lead)
+            acc = hp + sum(enc[mul_i(v, c)] << sh for sh, v in top)
+            acc = int.from_bytes(acc.to_bytes(nbytes, "little").translate(r2r),
+                                 "little")
+            rec(table, pieces_at, hidx, p - 2, acc, c)
+        yield s, table
 
 
-def _census_worker(args: tuple[int, int, int, int]) -> dict:
-    p, d, lo, hi = args
-    return _tabulate_range(field_new(p, d), lo, hi)
+def _group(table: dict, keys: list, pairs) -> None:
+    """Add each pair under its key: bare on the first hit, a list after."""
+    setdefault = table.setdefault
+    for key, pair in zip(keys, pairs):
+        old = setdefault(key, pair)
+        if old is not pair:
+            if type(old) is int:
+                table[key] = [old, pair]
+            else:
+                old.append(pair)
+
+
+def _tabulate_shards(p: int, d: int, lo: int, hi: int) -> tuple[int, dict]:
+    """Distinct f count and colliding f, with their pairs, over shards [lo, hi).
+
+    A shard's table is dropped once counted, so nothing of a non-colliding
+    f outlives its shard.
+    """
+    distinct = 0
+    colliding: dict = {}
+    for _, table in _shard_tables(field_new(p, d), lo, hi):
+        distinct += len(table)
+        colliding.update({key: tuple(pairs) for key, pairs in table.items()
+                          if type(pairs) is list})
+        del table
+    return distinct, colliding
 
 
 def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
@@ -234,37 +286,27 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
     if total_pairs > PAIR_LIMIT:
         raise TooLarge(f"{total_pairs} composition pairs exceed {PAIR_LIMIT}")
     spec = field_new(p, d)
-    big_q = q ** (p - 1)
 
-    if threads > 1:
-        shards = []
-        step = -(-big_q // threads)
-        for lo in range(0, big_q, step):
-            shards.append((p, d, lo, min(lo + step, big_q)))
-        table: dict = {}
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_census_worker, shards):
-                for key, pairs in part.items():
-                    old = table.setdefault(key, pairs)
-                    if old is not pairs:
-                        if type(old) is int:
-                            old = table[key] = [old]
-                        if type(pairs) is int:
-                            old.append(pairs)
-                        else:
-                            old.extend(pairs)
+    workers = min(threads, q, os.cpu_count() or 1)
+    if workers > 1:
+        step = -(-q // workers)
+        los = range(0, q, step)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(partial(_tabulate_shards, p, d), los,
+                                  [min(lo + step, q) for lo in los]))
     else:
-        table = _tabulate_range(spec, 0, big_q)
+        parts = [_tabulate_shards(p, d, 0, q)]
+    # Shards are key-disjoint: their counts add and their colliding f join.
+    distinct = sum(count for count, _ in parts)
+    colliding: dict = {}
+    for _, part in parts:
+        colliding.update(part)
 
-    colliding = {key: tuple(pairs) for key, pairs in table.items()
-                 if type(pairs) is list}
-    pair_counts = dict.fromkeys(table, 1)
-    table.clear()
     spectrum_observed: dict[int, int] = {}
-    if len(pair_counts) > len(colliding):
-        spectrum_observed[1] = len(pair_counts) - len(colliding)
-    for key, pairs in colliding.items():
-        k = pair_counts[key] = len(pairs)
+    if distinct > len(colliding):
+        spectrum_observed[1] = distinct - len(colliding)
+    for pairs in colliding.values():
+        k = len(pairs)
         spectrum_observed[k] = spectrum_observed.get(k, 0) + 1
 
     predicted = counting.spectrum(p, q)
@@ -297,10 +339,9 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
         spectrum_predicted=predicted,
         class_counts={t: sum(ks.values()) for t, ks in class_spectrum.items()},
         class_spectrum=class_spectrum,
-        decomposable_observed=len(pair_counts),
+        decomposable_observed=distinct,
         mismatches=mismatches,
         field_spec=spec,
-        pair_counts=pair_counts,
         colliding_pairs=colliding,
     )
 

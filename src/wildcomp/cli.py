@@ -260,7 +260,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--out", help="write the JSON report to this path")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes over contiguous ranges of the q "
+                         "shards, capped at q and at the CPU count; 1 or less "
+                         "runs in this process")
     sp.set_defaults(func=_cmd_census)
     return parser
 

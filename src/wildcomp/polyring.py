@@ -590,6 +590,19 @@ def format_poly(f: Poly) -> str:
     return "+".join(terms)
 
 
+def _bounded_int(digits: str, limit: int, message: str) -> int:
+    """The decimal ``digits`` as an int in [0, limit], else ValueError(message).
+
+    A string with more digits than ``limit`` is rejected by its length,
+    before int() would meet CPython's cap on the digits it converts.
+    """
+    digits = digits.lstrip("0") or "0"
+    if len(digits) <= len(str(limit)) and int(digits) <= limit:
+        return int(digits)
+    raise ValueError(message.format(
+        digits if len(digits) <= 20 else f"of {len(digits)} digits"))
+
+
 def parse_poly(spec: FieldSpec, text: str) -> Poly:
     """Parse the term grammar; any term order is accepted, duplicates add."""
     s = text.replace(" ", "")
@@ -601,15 +614,13 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
         if not m:
             raise ValueError(f"bad polynomial term {term!r}")
         if m.group(3) is not None:
-            c, i = int(m.group(3)), 0
+            c_text, i_text = m.group(3), "0"
         else:
-            c = int(m.group(1)) if m.group(1) else 1
-            i = int(m.group(2)) if m.group(2) else 1
-        if i > MAX_PARSE_EXPONENT:
-            raise ValueError(
-                f"exponent {i} above the parse limit {MAX_PARSE_EXPONENT}")
-        if c >= spec.q:
-            raise ValueError(f"coefficient encoding {c} out of range for {spec}")
+            c_text, i_text = m.group(1) or "1", m.group(2) or "1"
+        i = _bounded_int(i_text, MAX_PARSE_EXPONENT,
+                         f"exponent {{}} above the parse limit {MAX_PARSE_EXPONENT}")
+        c = _bounded_int(c_text, spec.q - 1,
+                         f"coefficient encoding {{}} out of range for {spec}")
         acc[i] = spec.add_i(acc.get(i, 0), c)
     out = [0] * (max(acc) + 1)
     for i, c in acc.items():

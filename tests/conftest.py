@@ -27,6 +27,23 @@ def random_monic_original(rng: random.Random, spec, degree: int) -> MonicOrigina
     return MonicOriginal(Poly(spec, (0, *inner, 1)))
 
 
+def shard_union(spec) -> dict:
+    """The whole raw census table: every shard's table, checked disjoint, joined.
+
+    Maps each f key to its bare packed pair or to the list of its pairs.
+    """
+    table: dict = {}
+    for _, part in census._shard_tables(spec, 0, spec.q):
+        assert table.keys().isdisjoint(part)
+        table.update(part)
+    return table
+
+
+def pair_count(pairs) -> int:
+    """Number of packed pairs in a raw table value."""
+    return 1 if type(pairs) is int else len(pairs)
+
+
 @pytest.fixture(scope="session")
 def census_reports():
     """One census run per feasible (p, q), shared by every test that needs it."""

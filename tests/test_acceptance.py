@@ -18,7 +18,7 @@ from wildcomp.constructions import M_derivative_factored
 from wildcomp.decomp_core import MonicOriginal
 from wildcomp.identify import enumerate_decompositions
 
-from conftest import CENSUS_FIELDS, F, random_monic_original
+from conftest import CENSUS_FIELDS, F, random_monic_original, shard_union
 
 ANCHORS = {
     (2, 4): {"c": {2: 3, 3: 1}, "D": 11},
@@ -93,14 +93,18 @@ def test_criterion_3_classification_trichotomy(census_reports, classifications):
             for inner in itertools.product(range(q), repeat=p * p - 1):
                 f = MonicOriginal(Poly(spec, (0, *inner, 1)))
                 key = bytes(inner)
-                observed_k = report.pair_counts.get(key, 0)
+                colliding = key in report.colliding_pairs
                 tag = classify(f).tag
-                assert (tag is not CollisionTag.NONE) == (observed_k >= 2), \
-                    (p, q, str(f), tag, observed_k)
+                assert (tag is not CollisionTag.NONE) == colliding, \
+                    (p, q, str(f), tag, colliding)
                 checked_exhaustive += 1
         else:
-            # f with exactly one decomposition must classify as none
-            singles = [key for key, k in report.pair_counts.items() if k == 1]
+            # f with exactly one decomposition must classify as none; taken
+            # in order of first enumeration, h index then g index
+            big_q = q ** (p - 1)
+            table = shard_union(spec)
+            singles = sorted((key for key, pr in table.items() if type(pr) is int),
+                             key=lambda key: (table[key] % big_q, table[key]))
             if len(singles) > 2000:
                 singles = rng.sample(singles, 500)
             for key in singles:
@@ -110,10 +114,10 @@ def test_criterion_3_classification_trichotomy(census_reports, classifications):
             for _ in range(1000):
                 f = random_monic_original(rng, spec, p * p)
                 key = bytes(f.poly.encodings[1:p * p])
-                observed_k = report.pair_counts.get(key, 0)
+                colliding = key in report.colliding_pairs
                 tag = classify(f).tag
-                assert (tag is not CollisionTag.NONE) == (observed_k >= 2), \
-                    (p, q, str(f), tag, observed_k)
+                assert (tag is not CollisionTag.NONE) == colliding, \
+                    (p, q, str(f), tag, colliding)
                 checked_random += 1
     print(f"\nACCEPTANCE 3 PASS: trichotomy exact on {checked_collisions} "
           f"colliding polynomials, {checked_exhaustive} exhaustively "

@@ -2,15 +2,19 @@ import copy
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wildcomp import run_census, verify, class_partition_check
-from wildcomp.census import (PAIR_LIMIT, TooLarge, _slot_bytes,
-                             _tabulate_range, mo_index_to_poly, poly_of_key,
-                             unpack_pair)
+from wildcomp import census, run_census, verify, class_partition_check
+from wildcomp.census import (PAIR_LIMIT, TooLarge, _shard_tables, _slot_bytes,
+                             mo_index_to_poly, poly_of_key, unpack_pair)
 from wildcomp.gf import _is_prime
 from wildcomp.polyring import Poly, compose
 
-from conftest import F
+from conftest import F, pair_count, shard_union
+
+# Fields for the shard properties, F_2^9 with two-byte key slots among them.
+SHARD_FIELDS = [F(2, 3), F(3, 2), F(5), F(2, 9)]
 
 
 def reference_table(spec) -> dict[bytes, set[int]]:
@@ -70,17 +74,50 @@ class TestRunCensus:
                 assert d.compose() == f
 
     def test_threads_match_sequential(self, census_reports):
-        # (3, 9) splits colliding f across the two shards, so the merge
-        # joins bare singleton pairs with pair lists.
+        # On two or more CPUs, two workers take the shard ranges [0, 2), [2, 4)
+        # and [0, 5), [5, 9).
         for p, q in [(2, 4), (3, 9)]:
             seq = census_reports[(p, q)]
             par = run_census(p, q, threads=2)
             assert par.spectrum_observed == seq.spectrum_observed
             assert par.class_spectrum == seq.class_spectrum
-            assert par.pair_counts == seq.pair_counts
-            assert par.colliding_pairs.keys() == seq.colliding_pairs.keys()
-            for key, pairs in seq.colliding_pairs.items():
-                assert set(par.colliding_pairs[key]) == set(pairs)
+            assert par.decomposable_observed == seq.decomposable_observed
+            assert par.colliding_pairs == seq.colliding_pairs
+
+    def test_pool_capped_at_q_and_cpus(self, census_reports, monkeypatch):
+        """Workers are min(threads, q, CPUs); no pool when that is at most 1.
+
+        The pool is an in-process fake that records its size and maps
+        serially, so no process is started.
+        """
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+        cases = [(64, 100000, 2, 4, [4]), (64, 3, 3, 9, [3]),
+                 (2, 100000, 3, 9, [2]), (None, 8, 2, 4, []),
+                 (64, 1, 2, 4, []), (64, 0, 2, 4, []), (64, -5, 2, 4, [])]
+        for cpus, threads, p, q, want in cases:
+            monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            got = run_census(p, q, threads=threads)
+            assert sizes == want, (cpus, threads, p, q)
+            seq = census_reports[(p, q)]
+            assert got.spectrum_observed == seq.spectrum_observed
+            assert got.decomposable_observed == seq.decomposable_observed
+            assert got.colliding_pairs == seq.colliding_pairs
 
 
 class TestTabulation:
@@ -88,28 +125,37 @@ class TestTabulation:
     def test_matches_compose(self, census_reports, p, q):
         r = census_reports.get((p, q)) or run_census(p, q)
         ref = reference_table(r.field_spec)
-        assert r.pair_counts == {key: len(prs) for key, prs in ref.items()}
+        table = shard_union(r.field_spec)
+        assert {key: pair_count(prs) for key, prs in table.items()} == \
+            {key: len(prs) for key, prs in ref.items()}
+        assert r.decomposable_observed == len(ref)
         assert r.colliding_pairs.keys() == {key for key, prs in ref.items()
                                             if len(prs) >= 2}
+        big_q = q ** (p - 1)
         for key, pairs in r.colliding_pairs.items():
-            assert set(pairs) == ref[key]
+            # in (h, g) index order, the order of enumeration within a shard
+            assert list(pairs) == sorted(ref[key], key=lambda pr: (pr % big_q, pr))
 
     def test_byte_keys_at_q_256(self):
-        r = run_census(2, 256)
-        assert all(type(key) is bytes for key in r.pair_counts)
-        spec = r.field_spec
+        spec = F(2, 8)
+        table = shard_union(spec)
+        assert all(type(key) is bytes for key in table)
         for g1, h1 in [(0, 0), (1, 255), (66, 7), (200, 13)]:
             f = compose(Poly(spec, (0, g1, 1)), Poly(spec, (0, h1, 1)))
-            assert bytes(f.encodings[1:4]) in r.pair_counts
+            assert bytes(f.encodings[1:4]) in table
+        r = run_census(2, 256)
+        assert verify(r)
+        assert all(type(key) is bytes for key in r.colliding_pairs)
 
     def test_two_byte_slots_above_256(self):
         spec = F(2, 9)
-        table = _tabulate_range(spec, 300, 304)
-        assert len(next(iter(table))) == 3 * 2
-        for key, pairs in table.items():
-            f = poly_of_key(spec, key, 2)
-            for pr in [pairs] if type(pairs) is int else pairs:
-                assert unpack_pair(spec, pr, 2).compose() == f
+        for s, table in _shard_tables(spec, 300, 304):
+            assert len(next(iter(table))) == 3 * 2
+            for key, pairs in table.items():
+                f = poly_of_key(spec, key, 2)
+                assert f.poly.encodings[2] == s
+                for pr in [pairs] if type(pairs) is int else pairs:
+                    assert unpack_pair(spec, pr, 2).compose() == f
 
     def test_slot_precondition_under_pair_limit(self):
         """Every (p, q) that PAIR_LIMIT admits fits the fixed-width key slots."""
@@ -125,6 +171,42 @@ class TestTabulation:
             if p > 2:
                 assert (2 * p - 1) ** d <= 256, (p, q)
         assert (3, 3) in admitted and (5, 1) in admitted
+
+
+class TestShards:
+    """f_{p^2-p} = h_{p-1}^p + g_{p-1} splits the pairs into q key-disjoint shards."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_top_coefficients_of_compose(self, data):
+        spec = data.draw(st.sampled_from(SHARD_FIELDS))
+        p, n = spec.p, spec.p ** 2
+        inner = st.lists(st.integers(0, spec.q - 1), min_size=p - 1, max_size=p - 1)
+        g, h = data.draw(inner), data.draw(inner)
+        f = compose(Poly(spec, (0, *g, 1)), Poly(spec, (0, *h, 1))).encodings
+        assert len(f) == n + 1
+        assert all(c == 0 for c in f[n - p + 1:n])
+        assert f[n - p] == spec.add_i(spec.pow_i(h[-1], p), g[-1])
+
+    @settings(max_examples=16, deadline=None)
+    @given(st.sampled_from(SHARD_FIELDS).flatmap(
+        lambda spec: st.tuples(st.just(spec), st.integers(0, spec.q - 1))))
+    def test_shard_keys_hold_s(self, spec_and_s):
+        spec, s = spec_and_s
+        p, q = spec.p, spec.q
+        w = _slot_bytes(q)
+        slot = (p * p - p - 1) * w
+        big_q = q ** (p - 1)
+        ((got, table),) = _shard_tables(spec, s, s + 1)
+        assert got == s
+        assert sum(map(pair_count, table.values())) == q ** (2 * p - 3)
+        for i, (key, pairs) in enumerate(table.items()):
+            assert int.from_bytes(key[slot:slot + w], "little") == s
+            for pr in [pairs] if type(pairs) is int else pairs:
+                g_top, h_top = (idx // q ** (p - 2) for idx in divmod(pr, big_q))
+                assert spec.add_i(spec.pow_i(h_top, p), g_top) == s
+                if i < 64:
+                    assert unpack_pair(spec, pr, p).compose() == poly_of_key(spec, key, p)
 
 
 class TestVerify:

@@ -180,6 +180,16 @@ class TestUsageErrors:
         assert code == 1
         assert "parse limit" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("poly,message", [
+        ("x^" + "9" * 5000, "above the parse limit 65536"),
+        ("9" * 5000 + "*x^4", "out of range"),
+    ])
+    def test_overlong_digit_strings_exit_1(self, capsys, poly, message):
+        code, out, err = run(capsys, "classify", "--field", "2^1", "--poly", poly)
+        assert code == 1 and not out
+        assert message in err
+        assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
 
 class TestOptimizeFlag:
     @pytest.mark.parametrize("argv", [

@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildcomp import (CollisionTag, DegreeMismatch, MultiplyParams,
                       SimplyParams, brute_force_decompositions, build_M,
                       build_S, classify, count_roots_in_field,
                       decompositions_S, enumerate_decompositions,
                       identify_multiply, identify_simply, original_shift)
+from wildcomp.decomp_core import MonicOriginal
 from wildcomp.identify import _t_poly
+from wildcomp.polyring import Poly
 
-from conftest import F, MO, random_monic_original
+from conftest import CENSUS_FIELDS, F, MO, random_monic_original
 
 
 def random_simply_params(rng, spec, r):
@@ -97,7 +101,7 @@ class TestIdentifySimply:
             got = identify_simply(f, 3)
             if got is not None and got.k >= 2:
                 key = bytes(f.poly.encodings[1:9])
-                assert report.pair_counts.get(key, 0) >= 2
+                assert key in report.colliding_pairs
 
 
 class TestIdentifyMultiply:
@@ -178,7 +182,7 @@ class TestIdentifyMultiply:
             got = identify_multiply(f, 5)
             if got is not None:
                 key = bytes(f.poly.encodings[1:25])
-                assert report.pair_counts.get(key, 0) >= 2
+                assert key in report.colliding_pairs
 
 
 class TestClassify:
@@ -238,3 +242,82 @@ class TestEnumerateDecompositions:
         f = MO(spec, "x^25")
         res = enumerate_decompositions(f, brute_force_limit=3)
         assert not res.complete and res.collision.k == 0
+
+
+# Every field with q <= 81; multiply members need p >= 5.
+INVARIANCE_FIELDS = [F(2), F(2, 3), F(2, 6), F(3), F(3, 2), F(3, 4), F(5),
+                     F(5, 2), F(7), F(7, 2)]
+
+
+def _elems(spec, low=0):
+    return st.integers(low, spec.q - 1).map(spec.elem)
+
+
+@st.composite
+def s_members(draw):
+    spec = draw(st.sampled_from(INVARIANCE_FIELDS))
+    r = spec.p
+    m = draw(st.sampled_from([d for d in range(1, r) if (r - 1) % d == 0]))
+    return build_S(SimplyParams(draw(_elems(spec, 1)), draw(_elems(spec, 1)),
+                                draw(st.integers(0, 1)), m, r))
+
+
+@st.composite
+def m_members(draw):
+    spec = draw(st.sampled_from([s for s in INVARIANCE_FIELDS if s.p >= 5]))
+    r = spec.p
+    b = draw(_elems(spec, 1))
+    a = draw(_elems(spec, 1).filter(lambda a: a != b ** r))
+    m = draw(st.sampled_from([m for m in range(2, r - 1) if m % r]))
+    return build_M(MultiplyParams(a, b, m, r))[0]
+
+
+def scale(f: MonicOriginal, a) -> MonicOriginal:
+    """a^(-n) f(a x) for n = deg f, coefficient by coefficient."""
+    spec, n = f.spec, f.degree
+    return MonicOriginal(Poly(spec, [spec.mul_i(c, spec.pow_i(a.val, i - n))
+                                     for i, c in enumerate(f.poly.encodings)]))
+
+
+def tag_and_k(f: MonicOriginal):
+    cls = classify(f)
+    return cls.tag, cls.simply.k if cls.simply else None
+
+
+class TestClassifyInvariance:
+    """Tag and k are invariant under f -> f(x + w) - f(w) and f -> a^(-p^2) f(a x).
+
+    The scaling acts on decompositions as a^(-p^2) g(a^p y) o a^(-p) h(a x).
+    """
+
+    def check(self, data, f):
+        spec = f.spec
+        w, a = data.draw(_elems(spec)), data.draw(_elems(spec, 1))
+        moved = (original_shift(f, w), scale(f, a))
+        want = tag_and_k(f)
+        for g in moved:
+            assert tag_and_k(g) == want, (str(f), str(g))
+        return moved
+
+    @settings(max_examples=80, deadline=None)
+    @given(s_members(), st.data())
+    def test_simply_members(self, f, data):
+        self.check(data, f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m_members(), st.data())
+    def test_multiply_members(self, f, data):
+        assert tag_and_k(f)[0] is CollisionTag.MULTIPLY
+        self.check(data, f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_census_colliding(self, census_reports, data):
+        report = census_reports[data.draw(st.sampled_from(CENSUS_FIELDS))]
+        keys = list(report.colliding_pairs)
+        key = keys[data.draw(st.integers(0, len(keys) - 1))]
+        n = report.p ** 2
+        for g in self.check(data, report.poly_of_key(key)):
+            moved = bytes(g.poly.encodings[1:n])
+            assert len(report.colliding_pairs[moved]) == \
+                len(report.colliding_pairs[key])

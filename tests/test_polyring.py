@@ -397,6 +397,26 @@ class TestTextForm:
             with pytest.raises(ValueError, match="parse limit"):
                 parse_poly(spec, text)
 
+    def test_parse_bounds_digit_strings(self):
+        """Over-long digit strings are refused by length, before int() sees them."""
+        spec = F(2, 3)
+        x4 = parse_poly(spec, "x^4")
+        assert parse_poly(spec, "x^0000000000000000000004") == x4
+        assert parse_poly(spec, "x^" + "0" * 5000 + "4") == x4
+        assert parse_poly(spec, "0" * 5000 + "7*x^4") == parse_poly(spec, "7*x^4")
+        long = "9" * 5000
+        cases = [(f"x^{long}", f"exponent of 5000 digits above the parse limit "
+                               f"{MAX_PARSE_EXPONENT}"),
+                 (f"x^{'1' * 6}", "exponent 111111 above the parse limit"),
+                 (f"{long}*x^4", "coefficient encoding of 5000 digits out of range"),
+                 (f"x+{long}", "coefficient encoding of 5000 digits out of range"),
+                 ("10*x", "coefficient encoding 10 out of range")]
+        for text, message in cases:
+            with pytest.raises(ValueError) as exc:
+                parse_poly(spec, text)
+            assert message in str(exc.value)
+            assert "set_int_max_str_digits" not in str(exc.value)
+
     @given(polys())
     def test_round_trip(self, f):
         assert parse_poly(f.spec, format_poly(f)) == f
