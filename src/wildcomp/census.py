@@ -1,9 +1,10 @@
 """Exhaustive composition census at degree p^2 over F_q.
 
-Enumerates all q^(2p-2) pairs (g, h) of degree-p monic originals, groups
-the compositions, and compares the observed maximal-collision spectrum and
-class breakdown against the exact closed forms.  This is the ground-truth
-oracle for the counting module and for the classifier.
+Counts, through two enumerated shards, all q^(2p-2) pairs (g, h) of
+degree-p monic originals, groups the compositions, and compares the
+observed maximal-collision spectrum and class breakdown against the exact
+closed forms.  This is the ground-truth oracle for the counting module and
+for the classifier.
 
 Monic originals of degree p are indexed by the base-q little-endian
 encoding of their inner coefficients (c_1, ..., c_{p-1}); a pair (g, h) is
@@ -14,14 +15,21 @@ A composition f is keyed by the bytes of its inner coefficients
 encoding: one byte each for q <= 256, so the key of f is
 ``bytes(f.poly.encodings[1:p*p])``, and two bytes each above.
 
-The pairs are enumerated in q shards keyed by f_{p^2-p}, which equals
+The pairs fall into q shards keyed by f_{p^2-p}, which equals
 h_{p-1}^p + g_{p-1}: shard s takes g_{p-1} = s - h_{p-1}^p for every h, so
 the shards are disjoint in f and equal in size.  A shard's table maps a key
 to its bare packed pair while f has one decomposition, as most f do, and to
 a list of packed pairs from the second on.  Only the number of distinct f
 and the colliding f with their pairs leave a shard; no table of the
-non-colliding f is kept.  ``threads > 1`` runs contiguous ranges of shards
-in worker processes, whose results add up without a merge.
+non-colliding f is kept.
+
+Only shards 0 and 1 are enumerated.  For a != 0 the scaling
+(g, h) -> (a^(-p^2) g(a^p y), a^(-p) h(a x)) is a bijection of pairs that
+sends f to a^(-p^2) f(a x), so it moves shard s onto shard a^(-p) s and
+keeps each f's number of decompositions and its collision class.  Every
+s != 0 is a^p for one a, so each shard s != 0 is a copy of shard 1, and
+every census total is shard 0 plus (q - 1) times shard 1.  ``threads > 1``
+runs the two shards in two worker processes.
 """
 
 from __future__ import annotations
@@ -40,10 +48,8 @@ from .gf import FieldSpec, NotPrime, _is_prime, field_new
 from .identify import CollisionTag, classify
 from .polyring import Poly, _mul_raw, format_poly
 
-# Runs that enumerate more pairs than this are refused outright.  The census
-# keys need (2p-1)^d <= 256 for odd p, q = p^d, so that the sum of two
-# radix-(2p-1) coefficients fits its byte slot; every odd (p, q) with
-# q^(2p-2) <= PAIR_LIMIT meets it.
+# Runs that would enumerate more pairs than this, in shards 0 and 1, are
+# refused outright.
 PAIR_LIMIT = 1 << 24
 
 
@@ -76,6 +82,21 @@ def _slot_bytes(q: int) -> int:
     return 1 if q <= 256 else 2
 
 
+def _check_key_slots(p: int, d: int) -> None:
+    """Raise TooLarge unless every key coefficient fits its fixed-width slot.
+
+    For p = 2 a slot holds an encoding, so q <= 2^16 in two bytes.  For odd
+    p it holds the sum of two radix-(2p-1) encodings, which carries into the
+    next slot unless (2p-1)^d <= 256.
+    """
+    if p == 2 and d > 16:
+        raise TooLarge(f"q = 2^{d} is above the key-slot limit q <= 2^16 "
+                       "for p = 2")
+    if p > 2 and (2 * p - 1) ** d > 256:
+        raise TooLarge(f"(2p-1)^d = {(2 * p - 1) ** d} for q = {p}^{d} is "
+                       "above the key-slot limit (2p-1)^d <= 256 for odd p")
+
+
 def poly_of_key(spec: FieldSpec, key: bytes, p: int) -> MonicOriginal:
     w = _slot_bytes(spec.q)
     inner = tuple(int.from_bytes(key[i:i + w], "little")
@@ -105,6 +126,9 @@ class CensusReport:
     class_spectrum: dict[str, dict[int, int]]
     decomposable_observed: int
     mismatches: list[Mismatch]
+    # shard s enumerated -> number of shards it stands for
+    shard_weights: dict[int, int]
+    pairs_enumerated: int
     # colliding f and their packed pairs, kept for cross-checks; not part
     # of the serialized report
     field_spec: FieldSpec = field(repr=False)
@@ -130,6 +154,9 @@ class CensusReport:
                                for t, ks in self.class_spectrum.items()},
             "decomposable_observed": self.decomposable_observed,
             "decomposable_predicted": self.spectrum_predicted.d_total,
+            "shards": [{"s": s, "weight": w}
+                       for s, w in self.shard_weights.items()],
+            "pairs_enumerated": self.pairs_enumerated,
             "mismatches": [m.to_json() for m in self.mismatches],
             "verified": verify(self),
             "class_partition_ok": class_partition_check(self),
@@ -261,72 +288,80 @@ def _group(table: dict, keys: list, pairs) -> None:
                 old.append(pair)
 
 
-def _tabulate_shards(p: int, d: int, lo: int, hi: int) -> tuple[int, dict]:
-    """Distinct f count and colliding f, with their pairs, over shards [lo, hi).
+def _tabulate_shards(p: int, d: int, lo: int, hi: int) -> list[tuple[int, dict]]:
+    """Per shard in [lo, hi): its distinct f count and its colliding f.
 
     A shard's table is dropped once counted, so nothing of a non-colliding
     f outlives its shard.
     """
-    distinct = 0
-    colliding: dict = {}
+    out = []
     for _, table in _shard_tables(field_new(p, d), lo, hi):
-        distinct += len(table)
-        colliding.update({key: tuple(pairs) for key, pairs in table.items()
-                          if type(pairs) is list})
-        del table
-    return distinct, colliding
+        out.append((len(table), {key: tuple(pairs) for key, pairs in table.items()
+                                 if type(pairs) is list}))
+        del table  # before the next shard's table is built
+    return out
 
 
 def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
-    """Enumerate all degree-p compositions over F_q and tabulate collisions."""
+    """Tabulate the degree-p compositions over F_q and check them.
+
+    Shards 0 and 1 are enumerated and weighted 1 and q - 1, which by the
+    scaling symmetry (module docstring) gives the totals over all q^(2p-2)
+    pairs.
+    """
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     d = _log_base(q, p)
     total_pairs = q ** (2 * p - 2)
-    if total_pairs > PAIR_LIMIT:
-        raise TooLarge(f"{total_pairs} composition pairs exceed {PAIR_LIMIT}")
+    weights = {0: 1, 1: q - 1}
+    enumerated = len(weights) * q ** (2 * p - 3)
+    if enumerated > PAIR_LIMIT:
+        raise TooLarge(f"{enumerated} composition pairs in shards 0 and 1 "
+                       f"exceed {PAIR_LIMIT}")
+    _check_key_slots(p, d)
     spec = field_new(p, d)
 
-    workers = min(threads, q, os.cpu_count() or 1)
+    workers = min(threads, len(weights), os.cpu_count() or 1)
     if workers > 1:
-        step = -(-q // workers)
-        los = range(0, q, step)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(partial(_tabulate_shards, p, d), los,
-                                  [min(lo + step, q) for lo in los]))
+            parts = [part for one in pool.map(partial(_tabulate_shards, p, d),
+                                              (0, 1), (1, 2))
+                     for part in one]
     else:
-        parts = [_tabulate_shards(p, d, 0, q)]
-    # Shards are key-disjoint: their counts add and their colliding f join.
-    distinct = sum(count for count, _ in parts)
-    colliding: dict = {}
-    for _, part in parts:
-        colliding.update(part)
+        parts = _tabulate_shards(p, d, 0, 2)
 
+    # Shards are key-disjoint; each enumerated f counts for its shard's weight.
     spectrum_observed: dict[int, int] = {}
-    if distinct > len(colliding):
-        spectrum_observed[1] = distinct - len(colliding)
-    for pairs in colliding.values():
-        k = len(pairs)
-        spectrum_observed[k] = spectrum_observed.get(k, 0) + 1
+    class_spectrum: dict[str, dict[int, int]] = {"F": {}, "S": {}, "M": {}}
+    mismatches: list[Mismatch] = []
+    colliding: dict = {}
+    distinct = pairs_enumerated = 0
+    for (count, shard_colliding), w in zip(parts, weights.values()):
+        distinct += w * count
+        singles = count - len(shard_colliding)
+        pairs_enumerated += singles
+        if singles:
+            spectrum_observed[1] = spectrum_observed.get(1, 0) + w * singles
+        for key, pairs in shard_colliding.items():
+            k = len(pairs)
+            pairs_enumerated += k
+            spectrum_observed[k] = spectrum_observed.get(k, 0) + w
+            f = poly_of_key(spec, key, p)
+            cls = classify(f)
+            if cls.tag is CollisionTag.NONE:
+                mismatches.append(Mismatch("classification", format_poly(f.poly),
+                                           "none", "a collision class"))
+                continue
+            per_k = class_spectrum[cls.tag.value]
+            per_k[k] = per_k.get(k, 0) + w
+        colliding.update(shard_colliding)
 
     predicted = counting.spectrum(p, q)
-    mismatches: list[Mismatch] = []
     for k in sorted(set(spectrum_observed) | set(predicted.counts)):
         obs = spectrum_observed.get(k, 0)
         pred = predicted.c(k)
         if obs != pred:
             mismatches.append(Mismatch("spectrum", f"k={k}", obs, pred))
-
-    class_spectrum: dict[str, dict[int, int]] = {"F": {}, "S": {}, "M": {}}
-    for key, pairs in colliding.items():
-        f = poly_of_key(spec, key, p)
-        cls = classify(f)
-        if cls.tag is CollisionTag.NONE:
-            mismatches.append(Mismatch("classification", format_poly(f.poly),
-                                       "none", "a collision class"))
-            continue
-        per_k = class_spectrum[cls.tag.value]
-        per_k[len(pairs)] = per_k.get(len(pairs), 0) + 1
 
     mass = sum(k * c for k, c in spectrum_observed.items())
     if mass != total_pairs:
@@ -341,6 +376,8 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
         class_spectrum=class_spectrum,
         decomposable_observed=distinct,
         mismatches=mismatches,
+        shard_weights=weights,
+        pairs_enumerated=pairs_enumerated,
         field_spec=spec,
         colliding_pairs=colliding,
     )

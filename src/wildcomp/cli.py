@@ -1,12 +1,12 @@
 """Command-line frontend.
 
 Exit codes: 0 on success, 1 on usage errors and on requests beyond the
-exhaustive-search limits (a census above PAIR_LIMIT, a decomposition left
-unenumerated by the brute-force fallback), 2 on mathematically valid
-"no"/failure answers (no parameters recovered, no collision, census
-mismatch), so scripts can tell the two apart.  All numeric output is
-exact: integers in decimal, rationals as "num/den", field elements as
-their integer encodings.
+exhaustive-search limits (a census above PAIR_LIMIT or its key-slot limit,
+a decomposition left unenumerated by the brute-force fallback), 2 on
+mathematically valid "no"/failure answers (no parameters recovered, no
+collision, census mismatch), so scripts can tell the two apart.  All
+numeric output is exact: integers in decimal, rationals as "num/den",
+field elements as their integer encodings.
 """
 
 from __future__ import annotations
@@ -261,8 +261,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--out", help="write the JSON report to this path")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker processes over contiguous ranges of the q "
-                         "shards, capped at q and at the CPU count; 1 or less "
+                    help="worker processes, one per enumerated shard, so at "
+                         "most two and capped at the CPU count; 1 or less "
                          "runs in this process")
     sp.set_defaults(func=_cmd_census)
     return parser

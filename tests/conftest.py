@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wildcomp import census, field_new, parse_poly
+from wildcomp import census, classify, field_new, parse_poly
 from wildcomp.decomp_core import MonicOriginal
 
 # the eight feasible census fields from the verification plan
@@ -48,3 +48,23 @@ def pair_count(pairs) -> int:
 def census_reports():
     """One census run per feasible (p, q), shared by every test that needs it."""
     return {(p, q): census.run_census(p, q) for p, q in CENSUS_FIELDS}
+
+
+@pytest.fixture(scope="session")
+def full_colliding(census_reports):
+    """The colliding f of every shard per census field, not only of shards 0 and 1.
+
+    ``run_census`` enumerates two shards; tests that walk every colliding f
+    take them from here.
+    """
+    return {pq: {key: tuple(pairs) for key, pairs in shard_union(r.field_spec).items()
+                 if type(pairs) is list}
+            for pq, r in census_reports.items()}
+
+
+@pytest.fixture(scope="session")
+def classifications(census_reports, full_colliding):
+    """classify() on every polynomial with >= 2 decompositions, all shards."""
+    return {pq: {key: classify(report.poly_of_key(key))
+                 for key in full_colliding[pq]}
+            for pq, report in census_reports.items()}

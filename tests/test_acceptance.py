@@ -14,6 +14,7 @@ from wildcomp import (CollisionTag, MultiplyParams, Poly, SimplyParams,
                       decompositions_S, derivative, evaluate, field_new,
                       identify_multiply, identify_simply, left_divide,
                       original_shift, root_set_T, verify)
+from wildcomp.census import unpack_pair
 from wildcomp.constructions import M_derivative_factored
 from wildcomp.decomp_core import MonicOriginal
 from wildcomp.identify import enumerate_decompositions
@@ -27,17 +28,6 @@ ANCHORS = {
     (3, 9): {"c": {2: 240, 4: 20}, "D": 6261},
     (5, 5): {"c": {2: 720, 6: 0}, "D": 389905},
 }
-
-
-@pytest.fixture(scope="session")
-def classifications(census_reports):
-    """classify() on every censused polynomial with >= 2 decompositions."""
-    out = {}
-    for (p, q), report in census_reports.items():
-        spec = report.field_spec
-        out[(p, q)] = {key: classify(report.poly_of_key(key))
-                       for key in report.colliding_pairs}
-    return out
 
 
 def test_criterion_1_census_formula_agreement(census_reports):
@@ -67,7 +57,8 @@ def test_criterion_2_degree_four_count(census_reports):
           "by formula and by census")
 
 
-def test_criterion_3_classification_trichotomy(census_reports, classifications):
+def test_criterion_3_classification_trichotomy(census_reports, full_colliding,
+                                               classifications):
     import itertools
     checked_collisions = 0
     checked_exhaustive = 0
@@ -76,10 +67,11 @@ def test_criterion_3_classification_trichotomy(census_reports, classifications):
     rng = random.Random(1234)
     for (p, q) in CENSUS_FIELDS:
         report = census_reports[(p, q)]
+        every_colliding = full_colliding[(p, q)]
         spec = report.field_spec
         xpp = Poly.monomial(spec, p * p)
         # every f with >= 2 decompositions: exactly one of the three cases
-        for key in report.colliding_pairs:
+        for key in every_colliding:
             f = report.poly_of_key(key)
             is_frob = derivative(f.poly).is_zero and f.poly != xpp
             sm = identify_simply(f, p)
@@ -93,7 +85,7 @@ def test_criterion_3_classification_trichotomy(census_reports, classifications):
             for inner in itertools.product(range(q), repeat=p * p - 1):
                 f = MonicOriginal(Poly(spec, (0, *inner, 1)))
                 key = bytes(inner)
-                colliding = key in report.colliding_pairs
+                colliding = key in every_colliding
                 tag = classify(f).tag
                 assert (tag is not CollisionTag.NONE) == colliding, \
                     (p, q, str(f), tag, colliding)
@@ -114,7 +106,7 @@ def test_criterion_3_classification_trichotomy(census_reports, classifications):
             for _ in range(1000):
                 f = random_monic_original(rng, spec, p * p)
                 key = bytes(f.poly.encodings[1:p * p])
-                colliding = key in report.colliding_pairs
+                colliding = key in every_colliding
                 tag = classify(f).tag
                 assert (tag is not CollisionTag.NONE) == colliding, \
                     (p, q, str(f), tag, colliding)
@@ -126,13 +118,13 @@ def test_criterion_3_classification_trichotomy(census_reports, classifications):
           f"zero exceptions")
 
 
-def test_criterion_4_maximality(census_reports, classifications):
+def test_criterion_4_maximality(census_reports, full_colliding, classifications):
     checked = 0
     for (p, q) in CENSUS_FIELDS:
         report = census_reports[(p, q)]
-        for key, packed in report.colliding_pairs.items():
+        for key, packed in full_colliding[(p, q)].items():
             cls = classifications[(p, q)][key]
-            observed = report.decompositions_of_key(key)
+            observed = {unpack_pair(report.field_spec, pr, p) for pr in packed}
             if cls.tag is CollisionTag.SIMPLY:
                 expected = cls.simply.k
             else:
@@ -307,18 +299,17 @@ def test_criterion_7_root_count_dual_path():
           f"exhaustive evaluation on {checked} random polynomials (q <= 81)")
 
 
-def test_criterion_7_census_root_counts(census_reports, classifications):
+def test_criterion_7_census_root_counts(full_colliding, classifications):
     # k from the gcd-based count in identify_simply, #T by exhaustive
-    # evaluation, and the pairs the census found for f all agree
+    # evaluation, and the pairs the census tabulation found for f all agree
     checked = 0
     for (p, q) in CENSUS_FIELDS:
-        report = census_reports[(p, q)]
         for key, cls in classifications[(p, q)].items():
             if cls.tag is not CollisionTag.SIMPLY:
                 continue
             sm = cls.simply
             roots = root_set_T(SimplyParams(sm.u, sm.s, sm.eps, sm.m, p))
-            assert sm.k == len(roots) == len(report.colliding_pairs[key]), \
+            assert sm.k == len(roots) == len(full_colliding[(p, q)][key]), \
                 (p, q, key)
             checked += 1
     assert checked

@@ -1,17 +1,19 @@
 import copy
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildcomp import census, run_census, verify, class_partition_check
+from wildcomp import census, classify, run_census, verify, class_partition_check
 from wildcomp.census import (PAIR_LIMIT, TooLarge, _shard_tables, _slot_bytes,
                              mo_index_to_poly, poly_of_key, unpack_pair)
 from wildcomp.gf import _is_prime
+from wildcomp.identify import CollisionTag
 from wildcomp.polyring import Poly, compose
 
-from conftest import F, pair_count, shard_union
+from conftest import CENSUS_FIELDS, F, pair_count, shard_union
 
 # Fields for the shard properties, F_2^9 with two-byte key slots among them.
 SHARD_FIELDS = [F(2, 3), F(3, 2), F(5), F(2, 9)]
@@ -74,8 +76,7 @@ class TestRunCensus:
                 assert d.compose() == f
 
     def test_threads_match_sequential(self, census_reports):
-        # On two or more CPUs, two workers take the shard ranges [0, 2), [2, 4)
-        # and [0, 5), [5, 9).
+        # On two or more CPUs, two workers take shard 0 and shard 1.
         for p, q in [(2, 4), (3, 9)]:
             seq = census_reports[(p, q)]
             par = run_census(p, q, threads=2)
@@ -85,7 +86,9 @@ class TestRunCensus:
             assert par.colliding_pairs == seq.colliding_pairs
 
     def test_pool_capped_at_q_and_cpus(self, census_reports, monkeypatch):
-        """Workers are min(threads, q, CPUs); no pool when that is at most 1.
+        """Workers are min(threads, 2, CPUs), one per enumerated shard.
+
+        No pool is made when that is at most 1.
 
         The pool is an in-process fake that records its size and maps
         serially, so no process is started.
@@ -106,9 +109,10 @@ class TestRunCensus:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
-        cases = [(64, 100000, 2, 4, [4]), (64, 3, 3, 9, [3]),
-                 (2, 100000, 3, 9, [2]), (None, 8, 2, 4, []),
-                 (64, 1, 2, 4, []), (64, 0, 2, 4, []), (64, -5, 2, 4, [])]
+        cases = [(64, 100000, 2, 4, [2]), (64, 3, 3, 9, [2]),
+                 (2, 100000, 3, 9, [2]), (64, 2, 2, 2, [2]), (None, 8, 2, 4, []),
+                 (1, 8, 3, 9, []), (64, 1, 2, 4, []), (64, 0, 2, 4, []),
+                 (64, -5, 2, 4, [])]
         for cpus, threads, p, q, want in cases:
             monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
             sizes.clear()
@@ -129,12 +133,17 @@ class TestTabulation:
         assert {key: pair_count(prs) for key, prs in table.items()} == \
             {key: len(prs) for key, prs in ref.items()}
         assert r.decomposable_observed == len(ref)
-        assert r.colliding_pairs.keys() == {key for key, prs in ref.items()
-                                            if len(prs) >= 2}
+        colliding = {key: prs for key, prs in table.items() if type(prs) is list}
+        assert colliding.keys() == {key for key, prs in ref.items()
+                                    if len(prs) >= 2}
         big_q = q ** (p - 1)
-        for key, pairs in r.colliding_pairs.items():
+        for key, pairs in colliding.items():
             # in (h, g) index order, the order of enumeration within a shard
-            assert list(pairs) == sorted(ref[key], key=lambda pr: (pr % big_q, pr))
+            assert pairs == sorted(ref[key], key=lambda pr: (pr % big_q, pr))
+        # the report keeps the colliding f of shards 0 and 1, in shard order
+        slot = (p * p - p - 1) * _slot_bytes(q)
+        assert list(r.colliding_pairs.items()) == \
+            [(key, tuple(prs)) for key, prs in colliding.items() if key[slot] < 2]
 
     def test_byte_keys_at_q_256(self):
         spec = F(2, 8)
@@ -157,20 +166,34 @@ class TestTabulation:
                 for pr in [pairs] if type(pairs) is int else pairs:
                     assert unpack_pair(spec, pr, 2).compose() == f
 
-    def test_slot_precondition_under_pair_limit(self):
-        """Every (p, q) that PAIR_LIMIT admits fits the fixed-width key slots."""
+    def test_slot_precondition_under_pair_limit(self, monkeypatch):
+        """PAIR_LIMIT on shards 0 and 1 admits fields whose keys overflow
+        their slots; the key-slot guard refuses each of them before any
+        field is built, and passes every other admitted field."""
         admitted = []
         for p in filter(_is_prime, range(2, PAIR_LIMIT.bit_length() // 2 + 2)):
             d = 1
-            while (p ** d) ** (2 * p - 2) <= PAIR_LIMIT:
+            while 2 * (p ** d) ** (2 * p - 3) <= PAIR_LIMIT:
                 admitted.append((p, d))
                 d += 1
+
+        def no_field(*args):
+            raise AssertionError("a field was built for a refused census")
+
+        monkeypatch.setattr(census, "field_new", no_field)
+        refused = []
         for p, d in admitted:
             q = p ** d
-            assert q <= 256 ** _slot_bytes(q), (p, q)
-            if p > 2:
-                assert (2 * p - 1) ** d <= 256, (p, q)
-        assert (3, 3) in admitted and (5, 1) in admitted
+            if q <= 256 ** _slot_bytes(q) and (p == 2 or (2 * p - 1) ** d <= 256):
+                census._check_key_slots(p, d)
+                continue
+            with pytest.raises(TooLarge, match="key-slot limit"):
+                run_census(p, q)
+            refused.append((p, q))
+        assert [(p, q) for p, q in refused if p > 2] == [(3, 81)]
+        assert [q for p, q in refused if p == 2] == [2 ** d for d in range(17, 24)]
+        # (p, d): F_27, F_81, F_5 and F_2^16 among the admitted
+        assert {(3, 3), (3, 4), (5, 1), (2, 16)} <= set(admitted)
 
 
 class TestShards:
@@ -209,6 +232,44 @@ class TestShards:
                     assert unpack_pair(spec, pr, p).compose() == poly_of_key(spec, key, p)
 
 
+class TestScaling:
+    """Shard s != 0 is a copy of shard 1 under f -> a^(-p^2) f(a x), a^p = s."""
+
+    @pytest.mark.parametrize("p,q", [(2, 4), (2, 8), (3, 9), (5, 5)])
+    def test_nonzero_shards_copy_shard_1(self, census_reports, classifications, p, q):
+        pq = (p, q)
+        spec = census_reports[pq].field_spec
+        classes = classifications[pq]
+
+        def profile(table):
+            spectrum = Counter(map(pair_count, table.values()))
+            cells = Counter((classes[key].tag, len(prs))
+                            for key, prs in table.items() if type(prs) is list)
+            return spectrum, cells
+
+        profiles = [profile(table) for _, table in _shard_tables(spec, 0, spec.q)]
+        assert profiles[1][1], pq
+        for s in range(2, spec.q):
+            assert profiles[s] == profiles[1], (pq, s)
+
+    @pytest.mark.parametrize("p,q", CENSUS_FIELDS + [(2, 64), (2, 256), (2, 512)])
+    def test_reduced_equals_shard_union(self, census_reports, classifications, p, q):
+        pq = (p, q)
+        r = census_reports.get(pq) or run_census(p, q)
+        classes = classifications.get(pq, {})
+        table = shard_union(r.field_spec)
+        class_spectrum = {"F": Counter(), "S": Counter(), "M": Counter()}
+        for key, prs in table.items():
+            if type(prs) is list:
+                cls = classes[key] if key in classes else classify(r.poly_of_key(key))
+                assert cls.tag is not CollisionTag.NONE, (pq, key)
+                class_spectrum[cls.tag.value][len(prs)] += 1
+        assert r.spectrum_observed == Counter(map(pair_count, table.values()))
+        assert r.class_spectrum == class_spectrum
+        assert r.decomposable_observed == len(table)
+        assert r.pairs_enumerated == 2 * q ** (2 * p - 3)
+
+
 class TestVerify:
     def test_all_fields_verify(self, census_reports):
         for r in census_reports.values():
@@ -218,6 +279,13 @@ class TestVerify:
         r = copy.deepcopy(census_reports[(2, 2)])
         r.spectrum_observed[2] += 1
         assert not verify(r)
+
+    @pytest.mark.parametrize("q", [256, 512, 1024])
+    def test_larger_p2_fields(self, q):
+        r = run_census(2, q)
+        assert verify(r), r.mismatches
+        assert class_partition_check(r)
+        assert r.decomposable_observed == (2 * q * q + 1) // 3
 
     def test_5_5_anchor(self, census_reports):
         r = census_reports[(5, 5)]
@@ -268,3 +336,9 @@ class TestHelpers:
         assert js["class_partition_ok"] is True
         assert js["spectrum_observed"] == js["spectrum_predicted"]
         assert js["decomposable_observed"] == js["decomposable_predicted"] == 11
+
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 9)])
+    def test_report_json_shards(self, census_reports, p, q):
+        js = census_reports[(p, q)].to_json()
+        assert js["shards"] == [{"s": 0, "weight": 1}, {"s": 1, "weight": q - 1}]
+        assert js["pairs_enumerated"] == 2 * q ** (2 * p - 3)

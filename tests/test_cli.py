@@ -146,6 +146,25 @@ class TestCensus:
         payload = json.loads(out)
         assert payload["decomposable_observed"] == 3
 
+    @pytest.mark.parametrize("p,q,lines", [
+        (2, 4, ["census p=2 q=4: c1=7 c2=3 c3=1",
+                "classes F=3 S=1 M=0",
+                "decomposable=11"]),
+        (3, 9, ["census p=3 q=9: c1=6001 c2=240 c4=20",
+                "classes F=80 S=180 M=0",
+                "decomposable=6261"]),
+    ])
+    def test_human_lines(self, capsys, p, q, lines):
+        code = main(["census", "--p", str(p), "--q", str(q)])
+        assert code == 0
+        assert capsys.readouterr().out == "\n".join(
+            lines + ["verify: ok", "class partition: ok", ""])
+
+    def test_key_slot_limit_exits_1(self, capsys):
+        code, out, err = run(capsys, "census", "--p", "3", "--q", "81")
+        assert code == 1 and not out
+        assert "key-slot limit" in err and "Traceback" not in err
+
 
 class TestJsonFlag:
     @pytest.mark.parametrize("argv", [
