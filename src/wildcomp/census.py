@@ -10,10 +10,10 @@ Monic originals of degree p are indexed by the base-q little-endian
 encoding of their inner coefficients (c_1, ..., c_{p-1}); a pair (g, h) is
 packed as g_index * q^(p-1) + h_index.
 
-A composition f is keyed by the bytes of its inner coefficients
-(f_1, ..., f_{p^2-1}), one little-endian slot per coefficient holding its
-encoding: one byte each for q <= 256, so the key of f is
-``bytes(f.poly.encodings[1:p*p])``, and two bytes each above.
+A composition f is keyed by the F_p digits of its inner coefficients
+(f_1, ..., f_{p^2-1}), one byte per digit: d = log_p q bytes per
+coefficient, lowest digit first, so f_j takes bytes [(j-1)d, jd) of the
+key.  The same layout serves every p and q.
 
 The pairs fall into q shards keyed by f_{p^2-p}, which equals
 h_{p-1}^p + g_{p-1}: shard s takes g_{p-1} = s - h_{p-1}^p for every h, so
@@ -77,30 +77,10 @@ def unpack_pair(spec: FieldSpec, packed: int, p: int) -> Decomposition:
                          mo_index_to_poly(spec, hidx, p))
 
 
-def _slot_bytes(q: int) -> int:
-    """Bytes per coefficient slot in a census key."""
-    return 1 if q <= 256 else 2
-
-
-def _check_key_slots(p: int, d: int) -> None:
-    """Raise TooLarge unless every key coefficient fits its fixed-width slot.
-
-    For p = 2 a slot holds an encoding, so q <= 2^16 in two bytes.  For odd
-    p it holds the sum of two radix-(2p-1) encodings, which carries into the
-    next slot unless (2p-1)^d <= 256.
-    """
-    if p == 2 and d > 16:
-        raise TooLarge(f"q = 2^{d} is above the key-slot limit q <= 2^16 "
-                       "for p = 2")
-    if p > 2 and (2 * p - 1) ** d > 256:
-        raise TooLarge(f"(2p-1)^d = {(2 * p - 1) ** d} for q = {p}^{d} is "
-                       "above the key-slot limit (2p-1)^d <= 256 for odd p")
-
-
 def poly_of_key(spec: FieldSpec, key: bytes, p: int) -> MonicOriginal:
-    w = _slot_bytes(spec.q)
-    inner = tuple(int.from_bytes(key[i:i + w], "little")
-                  for i in range(0, len(key), w))
+    """The monic original of degree p^2 whose census key is ``key``."""
+    d = spec.d
+    inner = tuple(spec.encode_coeffs(key[i:i + d]) for i in range(0, len(key), d))
     return MonicOriginal(Poly(spec, (0,) + inner + (1,)))
 
 
@@ -163,32 +143,13 @@ class CensusReport:
         }
 
 
-def _radix_tables(p: int, d: int) -> tuple[list[int], bytes, bytes]:
-    """Digit maps for adding F_{p^d} encodings as plain integers, p odd.
-
-    ``e2r[e]`` rewrites the base-p digits of encoding e in radix 2p-1, so
-    the sum of two rewritten values has every digit below 2p-1 and no
-    carries.  ``r2e`` and ``r2r`` map such a byte, digit by digit mod p,
-    back to an encoding and to its reduced radix-(2p-1) form.
-    """
-    r = 2 * p - 1
-    q = p ** d
-
-    def rebase(v: int, src: int, dst: int) -> int:
-        out, scale = 0, 1
-        for _ in range(d):
-            v, c = divmod(v, src)
-            out += (c % p) * scale
-            scale *= dst
-        return out
-
-    e2r = [rebase(e, p, r) for e in range(q)]
-    r2e = bytearray(256)
-    r2r = bytearray(256)
-    for b in range(r ** d):
-        r2e[b] = rebase(b, r, p)
-        r2r[b] = e2r[r2e[b]]
-    return e2r, bytes(r2e), bytes(r2r)
+def _digit_table(spec: FieldSpec) -> list[int]:
+    """``digits[e]`` packs the F_p digits of encoding e one per byte,
+    lowest first, as a little-endian integer."""
+    digits = [0]
+    for k in range(spec.d):
+        digits = [v | c << 8 * k for c in range(spec.p) for v in digits]
+    return digits
 
 
 def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict]]:
@@ -199,32 +160,33 @@ def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict
     and each holds q^(2p-3) pairs.  Its table maps each f key to its packed
     pair, or to the list of its packed pairs once a second pair composes to
     it; within a key, pairs come in (h, g) index order.  The inner
-    coefficients f_1..f_{p^2-1} are held as one integer with a fixed-width
-    slot each, so adding a scaled piece g_i*h^i is one integer operation:
-    XOR for p = 2, and for odd p an add of radix-(2p-1) digits reduced mod p
-    bytewise by ``bytes.translate``.
+    coefficients f_1..f_{p^2-1} are held as one integer in the key layout,
+    one F_p digit per byte, so adding a scaled piece g_i*h^i is one integer
+    add.  Two digits sum to at most 2p - 2 <= 255, so no byte carries, and
+    ``bytes.translate`` reduces every byte mod p.
     """
     p, q = spec.p, spec.q
     n = p * p
     big_q = q ** (p - 1)
-    shift = 8 * _slot_bytes(q)
-    nbytes = (n - 1) * shift // 8
+    shift = 8 * spec.d
+    nbytes = (n - 1) * spec.d
     mul_i = spec.mul_i
+    digits = _digit_table(spec)
 
     if p == 2:
         # g_1 = s - h_1^2 (an XOR of encodings) and f = x^4 + s*x^2 + g_1*h_1*x.
         squares = [mul_i(h, h) for h in range(q)]
         for s in range(lo, hi):
-            top = s << shift
+            top = digits[s] << shift
             gs = [s ^ sq for sq in squares]
-            keys = [(mul_i(g, h) | top).to_bytes(nbytes, "little")
+            keys = [(digits[mul_i(g, h)] | top).to_bytes(nbytes, "little")
                     for h, g in enumerate(gs)]
             table: dict = {}
             _group(table, keys, [g * q + h for h, g in enumerate(gs)])
             yield s, table
         return
 
-    enc, r2e, r2r = _radix_tables(p, spec.d)
+    mod_p = bytes(b % p for b in range(256))
     sub_i = spec.sub_i
 
     def scaled(pw: list[int]) -> list[int]:
@@ -233,12 +195,12 @@ def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict
         for j, v in enumerate(pw[1:n]):
             if v:
                 s = shift * j
-                out = [acc | enc[mul_i(v, c)] << s for c, acc in enumerate(out)]
+                out = [acc | digits[mul_i(v, c)] << s for c, acc in enumerate(out)]
         return out
 
     # Per h, once for all the shards of this call: h^p packed, its
     # coefficient h_{p-1}^p at x^(p^2-p), the nonzero coefficients of
-    # h^(p-1) with their slot shifts, and the scaled pieces c*h^i of the
+    # h^(p-1) with their shifts, and the scaled pieces c*h^i of the
     # levels 1 <= i < p-1 below the top.
     per_h = []
     for hidx in range(big_q):
@@ -246,7 +208,7 @@ def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict
         pows: list[list[int]] = [[], h]
         for _ in range(p - 1):
             pows.append(_mul_raw(spec, pows[-1], h))
-        hp = sum(enc[v] << (shift * j) for j, v in enumerate(pows[p][1:n]))
+        hp = sum(digits[v] << (shift * j) for j, v in enumerate(pows[p][1:n]))
         top = [(shift * j, v) for j, v in enumerate(pows[p - 1][1:n]) if v]
         pieces_at = [None] + [scaled(pows[level]) for level in range(1, p - 1)]
         per_h.append((hp, pows[p][n - p], top, pieces_at))
@@ -256,11 +218,11 @@ def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict
         pieces = pieces_at[level]
         if level > 1:
             for c, piece in enumerate(pieces):
-                nxt = (acc + piece).to_bytes(nbytes, "little").translate(r2r)
+                nxt = (acc + piece).to_bytes(nbytes, "little").translate(mod_p)
                 rec(table, pieces_at, hidx, level - 1,
                     int.from_bytes(nxt, "little"), gpart * q + c)
             return
-        keys = [(acc + piece).to_bytes(nbytes, "little").translate(r2e)
+        keys = [(acc + piece).to_bytes(nbytes, "little").translate(mod_p)
                 for piece in pieces]
         first = gpart * q * big_q + hidx
         _group(table, keys, range(first, first + q * big_q, big_q))
@@ -269,8 +231,8 @@ def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict
         table = {}
         for hidx, (hp, lead, top, pieces_at) in enumerate(per_h):
             c = sub_i(s, lead)
-            acc = hp + sum(enc[mul_i(v, c)] << sh for sh, v in top)
-            acc = int.from_bytes(acc.to_bytes(nbytes, "little").translate(r2r),
+            acc = hp + sum(digits[mul_i(v, c)] << sh for sh, v in top)
+            acc = int.from_bytes(acc.to_bytes(nbytes, "little").translate(mod_p),
                                  "little")
             rec(table, pieces_at, hidx, p - 2, acc, c)
         yield s, table
@@ -318,7 +280,6 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
     if enumerated > PAIR_LIMIT:
         raise TooLarge(f"{enumerated} composition pairs in shards 0 and 1 "
                        f"exceed {PAIR_LIMIT}")
-    _check_key_slots(p, d)
     spec = field_new(p, d)
 
     workers = min(threads, len(weights), os.cpu_count() or 1)

@@ -307,38 +307,29 @@ class FieldSpec:
 
         mult = [0] * (q * q)
         invt = [0] * q
-        g = None
-        if q > 2:
-            for cand in range(2, q):
-                x = cand
-                order = 1
-                while x != 1:
-                    x = raw_mul(x, cand)
-                    order += 1
-                if order == q - 1:
-                    g = cand
-                    break
-        if g is not None:
-            exp = [1] * (2 * (q - 1))
-            log = [0] * q
-            x = 1
-            for i in range(q - 1):
-                exp[i] = x
-                exp[i + q - 1] = x
-                log[x] = i
+        # the first generator of F_q^*: g = 1 for q = 2, where 1 has order q - 1
+        for g in range(1, q):
+            x = g
+            order = 1
+            while x != 1:
                 x = raw_mul(x, g)
-            for a in range(1, q):
-                la = log[a]
-                base = a * q
-                for b in range(1, q):
-                    mult[base + b] = exp[la + log[b]]
-                invt[a] = exp[(q - 1 - la) % (q - 1)]
-        else:
-            for a in range(1, q):
-                base = a * q
-                for b in range(1, q):
-                    mult[base + b] = raw_mul(a, b)
-                invt[a] = next(b for b in range(1, q) if raw_mul(a, b) == 1)
+                order += 1
+            if order == q - 1:
+                break
+        exp = [1] * (2 * (q - 1))
+        log = [0] * q
+        x = 1
+        for i in range(q - 1):
+            exp[i] = x
+            exp[i + q - 1] = x
+            log[x] = i
+            x = raw_mul(x, g)
+        for a in range(1, q):
+            la = log[a]
+            base = a * q
+            for b in range(1, q):
+                mult[base + b] = exp[la + log[b]]
+            invt[a] = exp[(q - 1 - la) % (q - 1)]
 
         self._addt = addt
         self._negt = negt

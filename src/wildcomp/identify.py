@@ -216,16 +216,10 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
     c1 = -br
     c0 = -(minv * minv) * b ** (r - 1) * lcf
     candidates: list[FieldElem]
-    if p > 2:
-        disc = c1 * c1 - spec.scalar(4) * c0
-        if disc.val == 0:
-            # double root b^r / 2: the two admissible a coincide (a = a*)
-            candidates = [br / spec.scalar(2)]
-        else:
-            pair = solve_quadratic(spec.one, c1, c0)
-            if pair is None:
-                return None
-            candidates = list(pair)
+    if p > 2 and c1 * c1 == spec.scalar(4) * c0:
+        # zero discriminant, double root b^r / 2: the two admissible a
+        # coincide (a = a*)
+        candidates = [br / spec.scalar(2)]
     else:
         pair = solve_quadratic(spec.one, c1, c0)
         if pair is None:

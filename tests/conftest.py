@@ -27,6 +27,13 @@ def random_monic_original(rng: random.Random, spec, degree: int) -> MonicOrigina
     return MonicOriginal(Poly(spec, (0, *inner, 1)))
 
 
+def key_of(f) -> bytes:
+    """The census key of the degree-p^2 polynomial f; inverts ``census.poly_of_key``."""
+    spec = f.spec
+    return bytes(digit for c in f.encodings[1:spec.p ** 2]
+                 for digit in spec.coeffs_of(c))
+
+
 def shard_union(spec) -> dict:
     """The whole raw census table: every shard's table, checked disjoint, joined.
 

@@ -19,7 +19,7 @@ from wildcomp.constructions import M_derivative_factored
 from wildcomp.decomp_core import MonicOriginal
 from wildcomp.identify import enumerate_decompositions
 
-from conftest import CENSUS_FIELDS, F, random_monic_original, shard_union
+from conftest import CENSUS_FIELDS, F, key_of, random_monic_original, shard_union
 
 ANCHORS = {
     (2, 4): {"c": {2: 3, 3: 1}, "D": 11},
@@ -84,7 +84,7 @@ def test_criterion_3_classification_trichotomy(census_reports, full_colliding,
             # whole space enumerable: classify every f in P_{p^2}(F_q)
             for inner in itertools.product(range(q), repeat=p * p - 1):
                 f = MonicOriginal(Poly(spec, (0, *inner, 1)))
-                key = bytes(inner)
+                key = key_of(f.poly)
                 colliding = key in every_colliding
                 tag = classify(f).tag
                 assert (tag is not CollisionTag.NONE) == colliding, \
@@ -105,7 +105,7 @@ def test_criterion_3_classification_trichotomy(census_reports, full_colliding,
             # random polynomials, membership checked against the census table
             for _ in range(1000):
                 f = random_monic_original(rng, spec, p * p)
-                key = bytes(f.poly.encodings[1:p * p])
+                key = key_of(f.poly)
                 colliding = key in every_colliding
                 tag = classify(f).tag
                 assert (tag is not CollisionTag.NONE) == colliding, \

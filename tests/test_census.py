@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildcomp import census, classify, run_census, verify, class_partition_check
-from wildcomp.census import (PAIR_LIMIT, TooLarge, _shard_tables, _slot_bytes,
+from wildcomp.census import (PAIR_LIMIT, TooLarge, _shard_tables,
                              mo_index_to_poly, poly_of_key, unpack_pair)
 from wildcomp.gf import _is_prime
 from wildcomp.identify import CollisionTag
 from wildcomp.polyring import Poly, compose
 
-from conftest import CENSUS_FIELDS, F, pair_count, shard_union
+from conftest import CENSUS_FIELDS, F, key_of, pair_count, shard_union
 
-# Fields for the shard properties, F_2^9 with two-byte key slots among them.
+# Fields for the shard properties, F_2^9 with nine key bytes per coefficient
+# among them.
 SHARD_FIELDS = [F(2, 3), F(3, 2), F(5), F(2, 9)]
 
 
@@ -29,7 +30,7 @@ def reference_table(spec) -> dict[bytes, set[int]]:
     table: dict[bytes, set[int]] = {}
     for gidx, g in monics.items():
         for hidx, h in monics.items():
-            key = bytes(compose(g, h).encodings[1:p * p])
+            key = key_of(compose(g, h))
             table.setdefault(key, set()).add(gidx * big_q + hidx)
     return table
 
@@ -141,9 +142,11 @@ class TestTabulation:
             # in (h, g) index order, the order of enumeration within a shard
             assert pairs == sorted(ref[key], key=lambda pr: (pr % big_q, pr))
         # the report keeps the colliding f of shards 0 and 1, in shard order
-        slot = (p * p - p - 1) * _slot_bytes(q)
+        def shard(key):
+            return poly_of_key(r.field_spec, key, p).poly.encodings[p * p - p]
+
         assert list(r.colliding_pairs.items()) == \
-            [(key, tuple(prs)) for key, prs in colliding.items() if key[slot] < 2]
+            [(key, tuple(prs)) for key, prs in colliding.items() if shard(key) < 2]
 
     def test_byte_keys_at_q_256(self):
         spec = F(2, 8)
@@ -151,47 +154,32 @@ class TestTabulation:
         assert all(type(key) is bytes for key in table)
         for g1, h1 in [(0, 0), (1, 255), (66, 7), (200, 13)]:
             f = compose(Poly(spec, (0, g1, 1)), Poly(spec, (0, h1, 1)))
-            assert bytes(f.encodings[1:4]) in table
+            assert key_of(f) in table
         r = run_census(2, 256)
         assert verify(r)
         assert all(type(key) is bytes for key in r.colliding_pairs)
 
-    def test_two_byte_slots_above_256(self):
+    def test_keys_decode_at_q_512(self):
         spec = F(2, 9)
         for s, table in _shard_tables(spec, 300, 304):
-            assert len(next(iter(table))) == 3 * 2
             for key, pairs in table.items():
+                assert len(key) == 3 * 9
                 f = poly_of_key(spec, key, 2)
+                assert key_of(f.poly) == key
                 assert f.poly.encodings[2] == s
                 for pr in [pairs] if type(pairs) is int else pairs:
                     assert unpack_pair(spec, pr, 2).compose() == f
 
-    def test_slot_precondition_under_pair_limit(self, monkeypatch):
-        """PAIR_LIMIT on shards 0 and 1 admits fields whose keys overflow
-        their slots; the key-slot guard refuses each of them before any
-        field is built, and passes every other admitted field."""
+    def test_digit_sums_fit_a_byte_under_pair_limit(self):
+        """Every field PAIR_LIMIT admits adds two F_p digits in one byte
+        without a carry, so PAIR_LIMIT is the only bound on a census."""
         admitted = []
         for p in filter(_is_prime, range(2, PAIR_LIMIT.bit_length() // 2 + 2)):
             d = 1
             while 2 * (p ** d) ** (2 * p - 3) <= PAIR_LIMIT:
                 admitted.append((p, d))
                 d += 1
-
-        def no_field(*args):
-            raise AssertionError("a field was built for a refused census")
-
-        monkeypatch.setattr(census, "field_new", no_field)
-        refused = []
-        for p, d in admitted:
-            q = p ** d
-            if q <= 256 ** _slot_bytes(q) and (p == 2 or (2 * p - 1) ** d <= 256):
-                census._check_key_slots(p, d)
-                continue
-            with pytest.raises(TooLarge, match="key-slot limit"):
-                run_census(p, q)
-            refused.append((p, q))
-        assert [(p, q) for p, q in refused if p > 2] == [(3, 81)]
-        assert [q for p, q in refused if p == 2] == [2 ** d for d in range(17, 24)]
+        assert all(2 * p - 2 <= 255 for p, _ in admitted)
         # (p, d): F_27, F_81, F_5 and F_2^16 among the admitted
         assert {(3, 3), (3, 4), (5, 1), (2, 16)} <= set(admitted)
 
@@ -216,20 +204,26 @@ class TestShards:
         lambda spec: st.tuples(st.just(spec), st.integers(0, spec.q - 1))))
     def test_shard_keys_hold_s(self, spec_and_s):
         spec, s = spec_and_s
-        p, q = spec.p, spec.q
-        w = _slot_bytes(q)
-        slot = (p * p - p - 1) * w
+        p, q, d = spec.p, spec.q, spec.d
+        n = p * p
         big_q = q ** (p - 1)
         ((got, table),) = _shard_tables(spec, s, s + 1)
         assert got == s
         assert sum(map(pair_count, table.values())) == q ** (2 * p - 3)
+        # f_{p^2-p} = s in the key layout; decoding all 78k keys of an F_5
+        # shard through poly_of_key would take seconds, so the first 64 are
+        # decoded and every key's digits are compared directly
+        s_digits = bytes(spec.coeffs_of(s))
         for i, (key, pairs) in enumerate(table.items()):
-            assert int.from_bytes(key[slot:slot + w], "little") == s
+            assert key[(n - p - 1) * d:(n - p) * d] == s_digits
+            if i < 64:
+                f = poly_of_key(spec, key, p)
+                assert f.poly.encodings[n - p] == s
             for pr in [pairs] if type(pairs) is int else pairs:
                 g_top, h_top = (idx // q ** (p - 2) for idx in divmod(pr, big_q))
                 assert spec.add_i(spec.pow_i(h_top, p), g_top) == s
                 if i < 64:
-                    assert unpack_pair(spec, pr, p).compose() == poly_of_key(spec, key, p)
+                    assert unpack_pair(spec, pr, p).compose() == f
 
 
 class TestScaling:

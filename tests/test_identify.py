@@ -13,7 +13,7 @@ from wildcomp.decomp_core import MonicOriginal
 from wildcomp.identify import _t_poly
 from wildcomp.polyring import Poly
 
-from conftest import CENSUS_FIELDS, F, MO, random_monic_original
+from conftest import CENSUS_FIELDS, F, MO, key_of, random_monic_original
 
 
 def random_simply_params(rng, spec, r):
@@ -100,7 +100,7 @@ class TestIdentifySimply:
             f = random_monic_original(rng, F(3), 9)
             got = identify_simply(f, 3)
             if got is not None and got.k >= 2:
-                key = bytes(f.poly.encodings[1:9])
+                key = key_of(f.poly)
                 assert key in colliding
 
 
@@ -181,7 +181,7 @@ class TestIdentifyMultiply:
             f = random_monic_original(rng, F(5), 25)
             got = identify_multiply(f, 5)
             if got is not None:
-                key = bytes(f.poly.encodings[1:25])
+                key = key_of(f.poly)
                 assert key in colliding
 
 
@@ -318,7 +318,6 @@ class TestClassifyInvariance:
         report, colliding = census_reports[pq], full_colliding[pq]
         keys = list(colliding)
         key = keys[data.draw(st.integers(0, len(keys) - 1))]
-        n = report.p ** 2
         for g in self.check(data, report.poly_of_key(key)):
-            moved = bytes(g.poly.encodings[1:n])
+            moved = key_of(g.poly)
             assert len(colliding[moved]) == len(colliding[key])
