@@ -13,7 +13,9 @@ packed as g_index * q^(p-1) + h_index.
 A composition f is keyed by the F_p digits of its inner coefficients
 (f_1, ..., f_{p^2-1}), one byte per digit: d = log_p q bytes per
 coefficient, lowest digit first, so f_j takes bytes [(j-1)d, jd) of the
-key.  The same layout serves every p and q.
+key.  The same layout serves every p and q.  For odd p, the keys of each
+h in a shard are built from multiples m z^k h^i over an F_p basis z^k of
+F_q, and each key is reduced mod p once (``_shard_tables``).
 
 The pairs fall into q shards keyed by f_{p^2-p}, which equals
 h_{p-1}^p + g_{p-1}: shard s takes g_{p-1} = s - h_{p-1}^p for every h, so
@@ -49,7 +51,8 @@ from .identify import CollisionTag, classify
 from .polyring import Poly, _mul_raw, format_poly
 
 # Runs that would enumerate more pairs than this, in shards 0 and 1, are
-# refused outright.
+# refused outright.  Every field it admits has (p-1)(d(p-2)+2) <= 255, so
+# the digit sums of a key byte never carry (see ``_shard_tables``).
 PAIR_LIMIT = 1 << 24
 
 
@@ -161,9 +164,14 @@ def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict
     pair, or to the list of its packed pairs once a second pair composes to
     it; within a key, pairs come in (h, g) index order.  The inner
     coefficients f_1..f_{p^2-1} are held as one integer in the key layout,
-    one F_p digit per byte, so adding a scaled piece g_i*h^i is one integer
-    add.  Two digits sum to at most 2p - 2 <= 255, so no byte carries, and
-    ``bytes.translate`` reduces every byte mod p.
+    one F_p digit per byte, so adding a piece is one integer add.
+
+    For odd p, the q^(p-2) keys of one (s, h) come from h^p + g_{p-1} h^(p-1)
+    by adding, for each level 1 <= i <= p-2 and each F_p basis element z^k
+    of F_q, one of the p reduced multiples m z^k h^i.  A key byte then sums
+    at most d(p-2) + 2 digits of at most p - 1 each, so it needs
+    (p-1)(d(p-2)+2) <= 255, which holds for every field ``PAIR_LIMIT``
+    admits; one ``bytes.translate`` per key reduces every byte mod p.
     """
     p, q = spec.p, spec.q
     n = p * p
@@ -187,54 +195,48 @@ def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict
         return
 
     mod_p = bytes(b % p for b in range(256))
-    sub_i = spec.sub_i
+    sub_i, pow_i = spec.sub_i, spec.pow_i
+    span = q ** (p - 2) * big_q
 
-    def scaled(pw: list[int]) -> list[int]:
-        """The packed c*pw for every c in F_q, indexed by c."""
-        out = [0] * q
-        for j, v in enumerate(pw[1:n]):
-            if v:
-                s = shift * j
-                out = [acc | digits[mul_i(v, c)] << s for c, acc in enumerate(out)]
-        return out
+    def multiples(pw: list[int], c: int) -> tuple[int, ...]:
+        """m*c*pw for m in F_p, in the key layout with each byte reduced;
+        m times a digit is at most (p-1)^2 <= 255, so nothing carries."""
+        base = sum(digits[mul_i(v, c)] << shift * j
+                   for j, v in enumerate(pw[1:n]) if v)
+        return tuple(int.from_bytes((m * base).to_bytes(nbytes, "little")
+                                    .translate(mod_p), "little")
+                     for m in range(p))
 
-    # Per h, once for all the shards of this call: h^p packed, its
-    # coefficient h_{p-1}^p at x^(p^2-p), the nonzero coefficients of
-    # h^(p-1) with their shifts, and the scaled pieces c*h^i of the
-    # levels 1 <= i < p-1 below the top.
+    # Per h, once for all the shards of this call: h^p packed, by Frobenius
+    # h^p = sum h_i^p x^(ip); its coefficient h_{p-1}^p at x^(p^2-p); the
+    # nonzero coefficients of h^(p-1) with their shifts; and for each level
+    # 1 <= i < p-1 below the top and each F_p basis element z^k of F_q, the
+    # p multiples m*z^k*h^i, m in F_p.
     per_h = []
     for hidx in range(big_q):
-        h = [0, *mo_index_to_inner(hidx, q, p), 1]
-        pows: list[list[int]] = [[], h]
-        for _ in range(p - 1):
-            pows.append(_mul_raw(spec, pows[-1], h))
-        hp = sum(digits[v] << (shift * j) for j, v in enumerate(pows[p][1:n]))
-        top = [(shift * j, v) for j, v in enumerate(pows[p - 1][1:n]) if v]
-        pieces_at = [None] + [scaled(pows[level]) for level in range(1, p - 1)]
-        per_h.append((hp, pows[p][n - p], top, pieces_at))
+        inner = mo_index_to_inner(hidx, q, p)
+        hp = sum(digits[pow_i(v, p)] << shift * (p * i - 1)
+                 for i, v in enumerate(inner, 1))
+        pows = [[0, *inner, 1]]
+        for _ in range(p - 2):
+            pows.append(_mul_raw(spec, pows[-1], pows[0]))
+        top = tuple((shift * j, v) for j, v in enumerate(pows[-1][1:n]) if v)
+        basis = tuple(multiples(pw, p ** k) for pw in pows[:-1] for k in range(spec.d))
+        per_h.append((hp, pow_i(inner[-1], p), top, basis))
 
-    def rec(table: dict, pieces_at: list, hidx: int, level: int, acc: int,
-            gpart: int) -> None:
-        pieces = pieces_at[level]
-        if level > 1:
-            for c, piece in enumerate(pieces):
-                nxt = (acc + piece).to_bytes(nbytes, "little").translate(mod_p)
-                rec(table, pieces_at, hidx, level - 1,
-                    int.from_bytes(nxt, "little"), gpart * q + c)
-            return
-        keys = [(acc + piece).to_bytes(nbytes, "little").translate(mod_p)
-                for piece in pieces]
-        first = gpart * q * big_q + hidx
-        _group(table, keys, range(first, first + q * big_q, big_q))
-
+    # Per (s, h), g_{p-1} = s - h_{p-1}^p is fixed and g_1..g_{p-2} run over
+    # F_q digit by digit, g_1's lowest digit fastest, so the sums come in g
+    # index order.
     for s in range(lo, hi):
         table = {}
-        for hidx, (hp, lead, top, pieces_at) in enumerate(per_h):
+        for hidx, (hp, lead, top, basis) in enumerate(per_h):
             c = sub_i(s, lead)
-            acc = hp + sum(digits[mul_i(v, c)] << sh for sh, v in top)
-            acc = int.from_bytes(acc.to_bytes(nbytes, "little").translate(mod_p),
-                                 "little")
-            rec(table, pieces_at, hidx, p - 2, acc, c)
+            lows = [hp + sum(digits[mul_i(v, c)] << sh for sh, v in top)]
+            for mults in basis:
+                lows = [a + m for m in mults for a in lows]
+            keys = [v.to_bytes(nbytes, "little").translate(mod_p) for v in lows]
+            first = c * span + hidx
+            _group(table, keys, range(first, first + span, big_q))
         yield s, table
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .counting import NotAPower, _log_base
 from .decomp_core import Collision, Decomposition, DegreeMismatch, MonicOriginal
 from .gf import FieldElem, FieldSpec
 from .polyring import Poly
@@ -31,15 +32,10 @@ class HEqualsXr(Exception):
 
 def prime_power_exponent(r: int, p: int) -> int:
     """e with r = p^e, e >= 1; raises InvalidParams otherwise."""
-    if r < p:
-        raise InvalidParams(f"{r} is not a positive power of {p}")
-    e = 0
-    while r > 1:
-        r, rem = divmod(r, p)
-        if rem:
-            raise InvalidParams(f"degree parameter is not a power of {p}")
-        e += 1
-    return e
+    try:
+        return _log_base(r, p)
+    except NotAPower as exc:
+        raise InvalidParams(str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,9 @@ def _log_base(q: int, r: int) -> int:
     """d >= 1 with q = r^d."""
     if r < 2 or q < r:
         raise NotAPower(f"{q} is not a positive power of {r}")
-    d = 0
-    while q > 1:
-        q, rem = divmod(q, r)
+    d, rest = 0, q
+    while rest > 1:
+        rest, rem = divmod(rest, r)
         if rem:
             raise NotAPower(f"{q} is not a power of {r}")
         d += 1

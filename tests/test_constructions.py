@@ -94,7 +94,7 @@ class TestBuildS:
             SimplyParams(F(3).one, F(3).one, 0, 3, 3)  # m must divide r-1
         with pytest.raises(InvalidParams):
             SimplyParams(F(3).one, F(3).one, 2, 2, 3)  # eps not in {0,1}
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^4 is not a power of 3$"):
             SimplyParams(F(3).one, F(3).one, 0, 2, 4)  # r not a power of p
 
 

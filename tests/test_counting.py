@@ -46,7 +46,7 @@ class TestGamma:
                 q *= r
 
     def test_not_a_power(self):
-        with pytest.raises(NotAPower):
+        with pytest.raises(NotAPower, match="^8 is not a power of 3$"):
             gamma(3, 8)
 
 

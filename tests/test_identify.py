@@ -321,3 +321,29 @@ class TestClassifyInvariance:
         for g in self.check(data, report.poly_of_key(key)):
             moved = key_of(g.poly)
             assert len(colliding[moved]) == len(colliding[key])
+
+
+# (field, r): r = p over F_8, F_9, F_5 and F_7, and r = p^2 over F_4 and F_3.
+ROBUST_CASES = [(F(2, 3), 2), (F(3, 2), 3), (F(5), 5), (F(7), 7), (F(2, 2), 4), (F(3), 9)]
+
+
+@st.composite
+def originals_of_degree_r2(draw):
+    spec, r = draw(st.sampled_from(ROBUST_CASES))
+    inner = draw(st.lists(st.integers(0, spec.q - 1),
+                          min_size=r * r - 1, max_size=r * r - 1))
+    return MonicOriginal(Poly(spec, (0, *inner, 1))), r
+
+
+class TestNeverRaises:
+    """Identification and classification answer, never raise, on any monic
+    original of degree r^2."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(originals_of_degree_r2())
+    def test_arbitrary_originals(self, f_and_r):
+        f, r = f_and_r
+        identify_simply(f, r)
+        identify_multiply(f, r)
+        if r == f.spec.p:
+            classify(f)
