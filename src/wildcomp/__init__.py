@@ -16,10 +16,10 @@ from .counting import (NonIntegerResult, NotAPower, Spectrum,
                        c2_pairs, gamma, nu, spectrum, tau)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
                           MonicOriginal, NotOriginal, left_divide,
-                          make_monic_original, original_shift,
-                          shift_decomposition)
-from .gf import (DegenerateLeadingCoefficient, DivisionByZero, FieldElem,
-                 FieldSpec, MixedFields, NoModulusFound, NotPrime,
+                          original_shift, shift_decomposition)
+from .gf import (FIELD_LIMIT, DegenerateLeadingCoefficient, DivisionByZero,
+                 FieldElem, FieldSpec, FieldTooLarge, MixedFields,
+                 NoModulusFound, NotPrime,
                  ReducibleModulus, enumerate_elements, field_new,
                  format_field, frobenius, parse_field, pth_root,
                  solve_quadratic, sqrt)
@@ -31,7 +31,7 @@ from .polyring import (ConstantBase, NEG_INFINITY, NotMonic, Poly,
                        ZeroPolynomial, compose, count_roots_in_field,
                        derivative, divrem, evaluate, exact_div, format_poly,
                        gcd, is_squarefree, max_power_dividing,
-                       modexp_x_to_q, mul, parse_poly, poly_pth_root,
+                       modexp_x_to_q, parse_poly, poly_pth_root,
                        second_degree, taylor_expansion)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

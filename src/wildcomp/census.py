@@ -45,7 +45,8 @@ from typing import Any
 
 from . import counting
 from .counting import Spectrum, _log_base
-from .decomp_core import Decomposition, MonicOriginal
+from .decomp_core import (Decomposition, MonicOriginal, mo_index_to_inner,
+                          mo_index_to_poly)
 from .gf import FieldSpec, NotPrime, _is_prime, field_new
 from .identify import CollisionTag, classify
 from .polyring import Poly, _mul_raw, format_poly
@@ -58,19 +59,6 @@ PAIR_LIMIT = 1 << 24
 
 class TooLarge(Exception):
     pass
-
-
-def mo_index_to_inner(idx: int, q: int, p: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(p - 1):
-        idx, c = divmod(idx, q)
-        out.append(c)
-    return tuple(out)
-
-
-def mo_index_to_poly(spec: FieldSpec, idx: int, degree: int) -> MonicOriginal:
-    inner = mo_index_to_inner(idx, spec.q, degree)
-    return MonicOriginal(Poly(spec, (0,) + inner + (1,)))
 
 
 def unpack_pair(spec: FieldSpec, packed: int, p: int) -> Decomposition:

@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 on success, 1 on usage errors and on requests beyond the
-exhaustive-search limits (a census above PAIR_LIMIT, a decomposition
-left unenumerated by the brute-force fallback), 2 on
+exhaustive-search limits (a census above PAIR_LIMIT, a field above
+FIELD_LIMIT, a decomposition left unenumerated by the brute-force
+fallback), 2 on
 mathematically valid "no"/failure answers (no parameters recovered, no
 collision, census mismatch), so scripts can tell the two apart.  All
 numeric output is exact: integers in decimal, rationals as "num/den",

@@ -50,9 +50,21 @@ class MonicOriginal:
         return original_shift(self, w)
 
 
-def make_monic_original(f: Poly) -> MonicOriginal:
-    """Wrap f, validating the monic original discipline."""
-    return MonicOriginal(f)
+def mo_index_to_inner(idx: int, q: int, degree: int) -> tuple[int, ...]:
+    """Inner coefficients (c_1, ..., c_{degree-1}) of the monic original with
+    base-q little-endian index ``idx``."""
+    out = []
+    for _ in range(degree - 1):
+        idx, c = divmod(idx, q)
+        out.append(c)
+    return tuple(out)
+
+
+def mo_index_to_poly(spec: FieldSpec, idx: int, degree: int) -> MonicOriginal:
+    """The monic original of the given degree with index ``idx``; the indices
+    0 .. q^(degree-1) - 1 enumerate every such polynomial once."""
+    inner = mo_index_to_inner(idx, spec.q, degree)
+    return MonicOriginal(Poly(spec, (0,) + inner + (1,)))
 
 
 @dataclass(frozen=True)

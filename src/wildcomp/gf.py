@@ -1,4 +1,4 @@
-"""Exact arithmetic in small finite fields F_{p^d}.
+"""Exact arithmetic in finite fields F_{p^d} with at most FIELD_LIMIT elements.
 
 An element of F_{p^d} is identified by its integer encoding
 ``sum(c_i * p**i)`` of the little-endian coefficient vector
@@ -6,10 +6,20 @@ An element of F_{p^d} is identified by its integer encoding
 encodings are the only representation used in hot paths; ``FieldElem``
 is a thin value wrapper around them.
 
-Fields small enough for the exhaustive searches done elsewhere in this
-package get full addition/multiplication lookup tables at construction
-time.  Larger fields fall back to direct modular polynomial arithmetic,
-which is correct but slower.
+Every field carries the same three tables, built in O(q d) at
+construction, for a fixed generator g of the multiplicative group
+(n = q - 1):
+
+* ``_exp[i] = g^i`` for 0 <= i < 2n, so a sum of two logs indexes it;
+* ``_log[a]`` with g^_log[a] = a for a != 0;
+* ``_zech[i] = log(1 + g^i)``, the Zech logarithm, for 0 <= i < 2n, and
+  None where 1 + g^i = 0.  A log below 2n minus a log below n indexes it,
+  a negative difference through Python's wrap-around.
+
+A product is ``_exp[log a + log b]`` and a sum is
+``_exp[log a + _zech[log b - log a]]`` (Huber, IEEE Trans. IT 1990).
+Since -1 is encoded as p - 1, negation adds ``_log[p - 1]``.  The kernels
+in :mod:`wildcomp.polyring` run on these tables directly.
 """
 
 from __future__ import annotations
@@ -17,8 +27,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-# Largest field order for which q-by-q operation tables are precomputed.
-_TABLE_LIMIT = 512
+# field_new refuses larger fields: the tables hold O(q) entries and the
+# modulus search and the generator test are only cheap up to here.
+FIELD_LIMIT = 1 << 16
 
 
 class GFError(Exception):
@@ -26,6 +37,10 @@ class GFError(Exception):
 
 
 class NotPrime(GFError):
+    pass
+
+
+class FieldTooLarge(GFError):
     pass
 
 
@@ -64,7 +79,7 @@ def _is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # F_p[z] helpers on little-endian coefficient lists.  Used for modulus
-# validation and for element arithmetic in fields without lookup tables.
+# validation and for building the field tables.
 # ---------------------------------------------------------------------------
 
 def _zp_trim(c: list[int]) -> list[int]:
@@ -100,7 +115,7 @@ def _zp_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
 
 
 def _zp_is_irreducible(m: Sequence[int], p: int) -> bool:
-    """Trial division by all lower-degree monic polynomials; fine for d <= 8."""
+    """Trial division by all monic polynomials of degree up to d/2."""
     d = len(m) - 1
     if d < 1:
         return False
@@ -118,12 +133,12 @@ class FieldSpec:
     """A concrete finite field F_{p^d} with a fixed monic irreducible modulus.
 
     Construct through :func:`field_new`, which validates arguments and caches
-    specs so equal fields share element tables.  Immutable after construction;
+    specs so equal fields share their tables.  Immutable after construction;
     safe to share between workers.
     """
 
-    __slots__ = ("p", "d", "q", "modulus", "_elems", "_addt", "_mult",
-                 "_negt", "_invt", "_sqrt_map", "_artin_map", "_hashv")
+    __slots__ = ("p", "d", "q", "modulus", "_exp", "_log", "_zech",
+                 "_artin_map", "_hashv")
 
     def __init__(self, p: int, d: int, modulus: tuple[int, ...]):
         self.p = p
@@ -131,17 +146,8 @@ class FieldSpec:
         self.q = p ** d
         self.modulus = modulus
         self._hashv = hash((p, d, modulus))
-        self._elems: Optional[tuple["FieldElem", ...]] = None
-        self._addt: Optional[list[int]] = None
-        self._mult: Optional[list[int]] = None
-        self._negt: Optional[list[int]] = None
-        self._invt: Optional[list[int]] = None
-        self._sqrt_map: Optional[dict[int, int]] = None
         self._artin_map: Optional[dict[int, int]] = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        self._elems = tuple(FieldElem(self, v) for v in range(self.q)) \
-            if self.q <= _TABLE_LIMIT else None
+        self._build_tables()
 
     # -- identity ----------------------------------------------------------
 
@@ -180,8 +186,7 @@ class FieldSpec:
     def elem(self, v: int) -> "FieldElem":
         if not 0 <= v < self.q:
             raise ValueError(f"encoding {v} out of range for {self}")
-        es = self._elems
-        return es[v] if es is not None else FieldElem(self, v)
+        return FieldElem(self, v)
 
     def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElem":
         if len(coeffs) > self.d:
@@ -209,71 +214,45 @@ class FieldSpec:
     # -- integer-encoding arithmetic ----------------------------------------
 
     def add_i(self, a: int, b: int) -> int:
-        t = self._addt
-        if t is not None:
-            return t[a * self.q + b]
-        p = self.p
-        if self.d == 1:
-            return (a + b) % p
-        out = 0
-        mult = 1
-        for _ in range(self.d):
-            out += ((a % p) + (b % p)) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if a and b:
+            log = self._log
+            la = log[a]
+            z = self._zech[log[b] - la]
+            return 0 if z is None else self._exp[la + z]
+        return a or b
 
     def neg_i(self, a: int) -> int:
-        t = self._negt
-        if t is not None:
-            return t[a]
-        p = self.p
-        if self.d == 1:
-            return (-a) % p
-        out = 0
-        mult = 1
-        for _ in range(self.d):
-            out += ((-(a % p)) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        log = self._log
+        return self._exp[log[a] + log[self.p - 1]] if a else 0
 
     def sub_i(self, a: int, b: int) -> int:
-        t = self._addt
-        if t is not None:
-            return t[a * self.q + self._negt[b]]
-        return self.add_i(a, self.neg_i(b))
+        if not b:
+            return a
+        log = self._log
+        lb = log[b] + log[self.p - 1]
+        if not a:
+            return self._exp[lb]
+        la = log[a]
+        z = self._zech[lb - la]
+        return 0 if z is None else self._exp[la + z]
 
     def mul_i(self, a: int, b: int) -> int:
-        t = self._mult
-        if t is not None:
-            return t[a * self.q + b]
-        if self.d == 1:
-            return (a * b) % self.p
-        prod = _zp_mul(self.coeffs_of(a), self.coeffs_of(b), self.p)
-        return self.encode_coeffs(_zp_mod(prod, self.modulus, self.p))
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
 
     def inv_i(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inversion of zero in {self}")
-        t = self._invt
-        if t is not None:
-            return t[a]
-        return self.pow_i(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow_i(self, a: int, e: int) -> int:
+        if a:
+            return self._exp[self._log[a] * e % (self.q - 1)]
         if e < 0:
-            a = self.inv_i(a)
-            e = -e
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul_i(out, base)
-            base = self.mul_i(base, base)
-            e >>= 1
-        return out
+            raise DivisionByZero(f"inversion of zero in {self}")
+        return 0 if e else 1
 
     def pth_root_i(self, a: int, l: int) -> int:
         """Unique p^l-th root, computed as a^(q^c / p^l) for minimal c >= 1."""
@@ -286,66 +265,62 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         p, d, q = self.p, self.d, self.q
+        n = q - 1
         mod = self.modulus
 
-        def raw_mul(a: int, b: int) -> int:
-            if d == 1:
-                return (a * b) % p
-            pr = _zp_mul(self.coeffs_of(a), self.coeffs_of(b), p)
-            return self.encode_coeffs(_zp_mod(pr, mod, p))
+        def zp_pow(a: list[int], e: int) -> list[int]:
+            out = [1]
+            while e:
+                if e & 1:
+                    out = _zp_mod(_zp_mul(out, a, p), mod, p)
+                a = _zp_mod(_zp_mul(a, a, p), mod, p)
+                e >>= 1
+            return out
 
-        # self._addt and friends are still None here, so add_i/neg_i take
-        # their direct digitwise paths.
-        addt = [0] * (q * q)
-        negt = [self.neg_i(a) for a in range(q)]
-        for a in range(q):
-            base = a * q
-            for b in range(a, q):
-                s = self.add_i(a, b)
-                addt[base + b] = s
-                addt[b * q + a] = s
-
-        mult = [0] * (q * q)
-        invt = [0] * q
-        # the first generator of F_q^*: g = 1 for q = 2, where 1 has order q - 1
+        # the first g whose order is q - 1, tested by g^(n/r) != 1 for each
+        # prime r | n; g = 1 for q = 2
+        orders = [n // r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
         for g in range(1, q):
-            x = g
-            order = 1
-            while x != 1:
-                x = raw_mul(x, g)
-                order += 1
-            if order == q - 1:
+            gc = list(self.coeffs_of(g))
+            if all(zp_pow(gc, e) != [1] for e in orders):
                 break
-        exp = [1] * (2 * (q - 1))
+
+        # x -> x*g is F_p-linear.  images[k][m] holds m*z^k*g with one F_p
+        # digit per 16 bits; the d images of x's digits sum to at most
+        # d(p-1) < 2^16 per digit, so one reduction per step suffices.
+        shifts = [16 * k for k in range(d)]
+        images = []
+        for k in range(d):
+            zg = _zp_mod(_zp_mul([0] * k + [1], gc, p), mod, p)
+            images.append([sum(m * c % p << s for c, s in zip(zg, shifts))
+                           for m in range(p)])
+        top = shifts[::-1]
+        exp = [0] * (2 * n)
         log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            exp[i + q - 1] = x
-            log[x] = i
-            x = raw_mul(x, g)
-        for a in range(1, q):
-            la = log[a]
-            base = a * q
-            for b in range(1, q):
-                mult[base + b] = exp[la + log[b]]
-            invt[a] = exp[(q - 1 - la) % (q - 1)]
+        x = e = 1  # g^i, packed and encoded
+        for i in range(n):
+            exp[i] = exp[i + n] = e
+            log[e] = i
+            v = 0
+            for im, s in zip(images, shifts):
+                v += im[x >> s & 0xFFFF]
+            x = e = 0
+            for s in top:
+                c = (v >> s & 0xFFFF) % p
+                x = x << 16 | c
+                e = e * p + c
 
-        self._addt = addt
-        self._negt = negt
-        self._mult = mult
-        self._invt = invt
+        # 1 + v only changes v's lowest digit
+        zech: list = [None] * (2 * n)
+        for i in range(n):
+            v = exp[i]
+            w = v - v % p + (v + 1) % p
+            if w:
+                zech[i] = zech[i + n] = log[w]
 
-    def _sqrt_table(self) -> dict[int, int]:
-        m = self._sqrt_map
-        if m is None:
-            m = {}
-            for v in range(self.q):
-                s = self.mul_i(v, v)
-                if s not in m:
-                    m[s] = v
-            self._sqrt_map = m
-        return m
+        self._exp = exp
+        self._log = log
+        self._zech = zech
 
     def _artin_table(self) -> dict[int, int]:
         """Preimages of z -> z^2 + z; only meaningful in characteristic 2."""
@@ -446,14 +421,22 @@ def field_new(p: int, d: int = 1,
               modulus: Optional[Sequence[int]] = None) -> FieldSpec:
     """Build (or fetch from cache) the field F_{p^d}.
 
-    Without an explicit modulus the lexicographically smallest monic
-    irreducible of degree d is used, comparing coefficients from the
-    constant term upward; this keeps test vectors reproducible.
+    Fields with more than FIELD_LIMIT elements are refused before any
+    primality test or modulus search.  Without an explicit modulus the
+    lexicographically smallest monic irreducible of degree d is used,
+    comparing coefficients from the constant term upward; this keeps test
+    vectors reproducible.
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise NotPrime(f"{p} is not prime")
     if d < 1:
         raise ValueError("extension degree must be at least 1")
+    # p >= 2, so d alone bounds p^d before the power is formed
+    if d >= FIELD_LIMIT.bit_length() or p ** d > FIELD_LIMIT:
+        raise FieldTooLarge(f"F_{p}^{d} is larger than the field limit of "
+                            f"{FIELD_LIMIT} elements")
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if modulus is not None:
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != d + 1 or mod[-1] != 1:
@@ -489,8 +472,10 @@ def sqrt(a: FieldElem) -> Optional[FieldElem]:
     spec = a.spec
     if spec.p == 2:
         return spec.elem(spec.pow_i(a.val, spec.q // 2))
-    v = spec._sqrt_table().get(a.val)
-    return spec.elem(v) if v is not None else None
+    if not a.val:
+        return a
+    la = spec._log[a.val]
+    return None if la % 2 else spec.elem(spec._exp[la // 2])
 
 
 def solve_quadratic(c2: FieldElem, c1: FieldElem,

@@ -10,7 +10,6 @@ every degree-p right component of a classified polynomial.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -19,8 +18,8 @@ from .constructions import (MultiplyParams, SimplyParams, build_M, build_S,
                             decompositions_S, frobenius_map,
                             prime_power_exponent)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
-                          MonicOriginal, left_divide, original_shift,
-                          shift_decomposition)
+                          MonicOriginal, left_divide, mo_index_to_poly,
+                          original_shift, shift_decomposition)
 from .gf import FieldElem, solve_quadratic
 from .polyring import (NEG_INFINITY, Poly, count_roots_in_field, derivative,
                        exact_div, gcd, max_power_dividing, poly_pth_root,
@@ -256,17 +255,13 @@ def classify(f: MonicOriginal) -> CollisionClass:
     return CollisionClass(CollisionTag.NONE)
 
 
-def _all_monic_originals(spec, degree: int):
-    for inner in itertools.product(range(spec.q), repeat=degree - 1):
-        yield MonicOriginal(Poly(spec, (0,) + inner + (1,)))
-
-
 def brute_force_decompositions(f: MonicOriginal) -> list[Decomposition]:
     """All (g, h) with f = g(h) and deg h = p, by scanning right components."""
     spec = f.spec
     p = spec.p
     out = []
-    for h in _all_monic_originals(spec, p):
+    for idx in range(spec.q ** (p - 1)):
+        h = mo_index_to_poly(spec, idx, p)
         g = left_divide(f, h)
         if g is not None and g.degree >= 2:
             out.append(Decomposition(g, h))

@@ -15,8 +15,9 @@ from .gf import DivisionByZero, FieldElem, FieldSpec, MixedFields
 NEG_INFINITY = float("-inf")
 
 # Multiplications with both operands of at least this degree split via
-# Karatsuba; below it schoolbook wins at desk scale.
-KARATSUBA_THRESHOLD = 32
+# Karatsuba; below it schoolbook wins (measured crossover over F_3^5,
+# F_2^9 and F_13).
+KARATSUBA_THRESHOLD = 48
 
 # Shifts g(x + t) longer than this many coefficients split g by exponent
 # residue mod p; up to it plain synthetic division wins.
@@ -231,26 +232,23 @@ def _scale_raw(spec: FieldSpec, a: Sequence[int], cv: int) -> list[int]:
 
 
 def _mul_school(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # products and sums on the field's log, antilog and Zech tables
+    exp, log, zech = spec._exp, spec._log, spec._zech
+    logs_b = [(j, log[bj]) for j, bj in enumerate(b) if bj]
     out = [0] * (len(a) + len(b) - 1)
-    mult = spec._mult
-    addt = spec._addt
-    q = spec.q
-    if mult is not None:
-        for i, ai in enumerate(a):
-            if ai:
-                base = ai * q
-                for j, bj in enumerate(b):
-                    if bj:
-                        k = i + j
-                        out[k] = addt[out[k] * q + mult[base + bj]]
-    else:
-        mul = spec.mul_i
-        add = spec.add_i
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
+    for i, ai in enumerate(a):
+        if ai:
+            la = log[ai]
+            for j, lb in logs_b:
+                k = i + j
+                t = la + lb
+                o = out[k]
+                if o:
+                    lo = log[o]
+                    z = zech[t - lo]
+                    out[k] = 0 if z is None else exp[lo + z]
+                else:
+                    out[k] = exp[t]
     return _trim(out)
 
 
@@ -293,21 +291,28 @@ def _divrem_raw(spec: FieldSpec, a: Sequence[int],
     db = len(b) - 1
     r = list(a)
     qout = [0] * (len(a) - db)
-    mul = spec.mul_i
-    sub = spec.sub_i
-    monic = b[-1] == 1
-    inv_lc = 1 if monic else spec.inv_i(b[-1])
+    exp, log, zech = spec._exp, spec._log, spec._zech
+    n = spec.q - 1
+    # subtracting f*b_j adds f*(-b_j); -1 is encoded as p - 1
+    neg = log[spec.p - 1]
+    logs_nb = [(j, (log[bj] + neg) % n) for j, bj in enumerate(b[:db]) if bj]
+    log_lc = log[b[-1]]
     for i in range(len(a) - 1, db - 1, -1):
         c = r[i]
         if c:
-            f = c if monic else mul(c, inv_lc)
-            qout[i - db] = f
+            lf = (log[c] - log_lc) % n
             off = i - db
-            for j in range(db):
-                bj = b[j]
-                if bj:
-                    r[off + j] = sub(r[off + j], mul(f, bj))
-            r[i] = 0
+            qout[off] = exp[lf]
+            for j, lb in logs_nb:
+                k = off + j
+                t = lf + lb
+                o = r[k]
+                if o:
+                    lo = log[o]
+                    z = zech[t - lo]
+                    r[k] = 0 if z is None else exp[lo + z]
+                else:
+                    r[k] = exp[t]
     return qout, _trim(r[:db])
 
 
@@ -344,10 +349,6 @@ def _taylor_raw(spec: FieldSpec, f: Sequence[int],
 # ---------------------------------------------------------------------------
 # Public operations.
 # ---------------------------------------------------------------------------
-
-def mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
 
 def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with deg r < deg b."""

@@ -278,7 +278,7 @@ class TestVerify:
         r.spectrum_observed[2] += 1
         assert not verify(r)
 
-    @pytest.mark.parametrize("q", [256, 512, 1024])
+    @pytest.mark.parametrize("q", [256, 512, 1024, 4096])
     def test_larger_p2_fields(self, q):
         r = run_census(2, q)
         assert verify(r), r.mismatches

@@ -210,19 +210,35 @@ class TestUsageErrors:
         assert "Traceback" not in err and "set_int_max_str_digits" not in err
 
 
+def run_child(argv, flags=(), timeout=120):
+    """The CLI in a child process, with this checkout's sources first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *flags, "-m", "wildcomp.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+class TestFieldLimit:
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--field", "2^48", "--poly", "x^4+x"],
+        ["classify", "--field", "1000000000000000003^1", "--poly", "x^4+x"],
+        ["census", "--p", "2", "--q", "8388608"],
+    ])
+    def test_oversized_field_exits_1_at_once(self, argv):
+        res = run_child(argv, timeout=10)
+        assert res.returncode == 1 and not res.stdout
+        assert "field limit of 65536" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestOptimizeFlag:
     @pytest.mark.parametrize("argv", [
         ["--json", "census", "--p", "3", "--q", "9"],
         ["classify", "--field", "3^1", "--poly", "x^9+x^5+x"],
     ])
     def test_same_output_under_dash_O(self, argv):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        plain, optimized = [
-            subprocess.run([sys.executable, *flags, "-m", "wildcomp.cli", *argv],
-                           env=env, capture_output=True, timeout=120)
-            for flags in ([], ["-O"])]
+        plain, optimized = [run_child(argv, flags) for flags in ([], ["-O"])]
         assert plain.returncode == optimized.returncode == 0, \
             (plain.stderr, optimized.stderr)
         assert plain.stdout == optimized.stdout

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from wildcomp import (Collision, Decomposition, DegreeMismatch, MixedFields,
                       MonicOriginal, NotMonic, NotOriginal, Poly, compose,
-                      derivative, left_divide, make_monic_original,
-                      original_shift, shift_decomposition)
+                      derivative, left_divide, original_shift,
+                      shift_decomposition)
 
 from conftest import F, MO, P
 
@@ -32,21 +32,21 @@ def mo_with_two_shifts():
 
 class TestMonicOriginal:
     def test_accepts(self):
-        make_monic_original(P(F(2), "x^2+x"))
+        MonicOriginal(P(F(2), "x^2+x"))
 
     def test_not_original(self):
         with pytest.raises(NotOriginal):
-            make_monic_original(P(F(2), "x^2+1"))
+            MonicOriginal(P(F(2), "x^2+1"))
 
     def test_not_monic(self):
         with pytest.raises(NotMonic):
-            make_monic_original(P(F(3), "2*x^2"))
+            MonicOriginal(P(F(3), "2*x^2"))
 
     def test_rejects_constant_and_zero(self):
         with pytest.raises(NotOriginal):
-            make_monic_original(Poly.one(F(3)))
+            MonicOriginal(Poly.one(F(3)))
         with pytest.raises(NotMonic):
-            make_monic_original(Poly.zero(F(3)))
+            MonicOriginal(Poly.zero(F(3)))
 
 
 class TestDecompositionAndCollision:

@@ -1,23 +1,30 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wildcomp import (DegenerateLeadingCoefficient, DivisionByZero,
-                      MixedFields, NotPrime, ReducibleModulus,
-                      enumerate_elements, field_new, format_field, frobenius,
-                      parse_field, pth_root, solve_quadratic, sqrt)
+from wildcomp import (FIELD_LIMIT, DegenerateLeadingCoefficient,
+                      DivisionByZero, FieldTooLarge, MixedFields, NotPrime,
+                      ReducibleModulus, enumerate_elements, field_new,
+                      format_field, frobenius, gf, parse_field, pth_root,
+                      solve_quadratic, sqrt)
+from wildcomp.gf import _zp_mod, _zp_mul
 
 from conftest import F
 
 SMALL_FIELDS = [F(2), F(3), F(5), F(7), F(2, 2), F(2, 3), F(3, 2), F(5, 2)]
+# the properties also run on two larger fields; the q^3 loop of
+# TestSolveQuadratic keeps to SMALL_FIELDS
+PROPERTY_FIELDS = SMALL_FIELDS + [F(2, 10), F(3, 7)]
 
 elems = st.builds(
     lambda spec, k: spec.elem(k % spec.q),
-    st.sampled_from(SMALL_FIELDS), st.integers(min_value=0))
+    st.sampled_from(PROPERTY_FIELDS), st.integers(min_value=0))
 
 
 def same_field_pairs():
-    return st.sampled_from(SMALL_FIELDS).flatmap(
+    return st.sampled_from(PROPERTY_FIELDS).flatmap(
         lambda spec: st.tuples(
             st.integers(0, spec.q - 1), st.integers(0, spec.q - 1)
         ).map(lambda t: (spec.elem(t[0]), spec.elem(t[1]))))
@@ -48,6 +55,92 @@ class TestFieldNew:
 
     def test_cached(self):
         assert field_new(3, 2) is field_new(3, 2)
+
+    def test_largest_fields_build(self):
+        assert field_new(2, 16).q == FIELD_LIMIT
+        assert field_new(65521).q == 65521
+
+    @pytest.mark.parametrize("p,d", [(2, 17), (3, 11), (65537, 1),
+                                     (2, 48), (10 ** 18 + 3, 1), (5, 10 ** 30)])
+    def test_too_large_refused_before_any_search(self, monkeypatch, p, d):
+        def fail(*args):
+            raise AssertionError("searched a field above the limit")
+
+        for name in ("_is_prime", "_default_modulus", "_zp_is_irreducible"):
+            monkeypatch.setattr(gf, name, fail)
+        with pytest.raises(FieldTooLarge, match=f"field limit of {FIELD_LIMIT}"):
+            field_new(p, d)
+
+
+class Reference:
+    """Digit-wise arithmetic of spec's field, independent of its tables:
+    digits added mod p, products reduced by the modulus."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def add(self, a, b):
+        spec = self.spec
+        return spec.encode_coeffs([x + y for x, y in
+                                   zip(spec.coeffs_of(a), spec.coeffs_of(b))])
+
+    def neg(self, a):
+        return self.spec.encode_coeffs([-x for x in self.spec.coeffs_of(a)])
+
+    def mul(self, a, b):
+        spec = self.spec
+        prod = _zp_mul(spec.coeffs_of(a), spec.coeffs_of(b), spec.p)
+        return spec.encode_coeffs(_zp_mod(prod, spec.modulus, spec.p))
+
+    def pow(self, a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
+
+def check_against_reference(spec, pairs, elements):
+    ref = Reference(spec)
+    p, q = spec.p, spec.q
+    for a, b in pairs:
+        assert spec.add_i(a, b) == ref.add(a, b), (a, b)
+        assert spec.sub_i(a, b) == ref.add(a, ref.neg(b)), (a, b)
+        assert spec.mul_i(a, b) == ref.mul(a, b), (a, b)
+    for a in elements:
+        neg = spec.neg_i(a)
+        assert neg == ref.neg(a)
+        assert spec.add_i(a, neg) == 0 and spec.sub_i(a, a) == 0
+        for e in (0, 1, 2, p, q - 2, q + 5):
+            assert spec.pow_i(a, e) == ref.pow(a, e), (a, e)
+        for l in (1, 2):
+            assert ref.pow(spec.pth_root_i(a, l), p ** l) == a
+        if a:
+            inv = spec.inv_i(a)
+            assert ref.mul(a, inv) == 1
+            assert spec.pow_i(a, -3) == ref.pow(inv, 3)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (13, 1), (2, 2), (2, 3),
+                                     (3, 2), (5, 2), (2, 4), (3, 3), (7, 2),
+                                     (3, 4), (3, 5), (2, 8)])
+    def test_every_pair(self, p, d):
+        spec = F(p, d)
+        q = spec.q
+        check_against_reference(spec, [(a, b) for a in range(q) for b in range(q)],
+                                range(q))
+
+    @pytest.mark.parametrize("p,d", [(2, 10), (3, 7), (5, 5), (7, 4), (2, 16),
+                                     (3, 10), (11, 4)])
+    def test_seeded_pairs(self, p, d):
+        spec = F(p, d)
+        rng = random.Random(p * 100 + d)
+        pairs = [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(2000)]
+        pairs += [(0, 0), (0, 1), (1, 0), (1, spec.p - 1)]
+        check_against_reference(spec, pairs, [a for a, _ in pairs[:400]] + [0, 1])
 
 
 class TestArith:
