@@ -47,7 +47,7 @@ from . import counting
 from .counting import Spectrum, _log_base
 from .decomp_core import (Decomposition, MonicOriginal, mo_index_to_inner,
                           mo_index_to_poly)
-from .gf import FieldSpec, NotPrime, _is_prime, field_new
+from .gf import FieldSpec, field_new
 from .identify import CollisionTag, classify
 from .polyring import Poly, _mul_raw, format_poly
 
@@ -261,16 +261,14 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
     scaling symmetry (module docstring) gives the totals over all q^(2p-2)
     pairs.
     """
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     d = _log_base(q, p)
+    spec = field_new(p, d)
     total_pairs = q ** (2 * p - 2)
     weights = {0: 1, 1: q - 1}
     enumerated = len(weights) * q ** (2 * p - 3)
     if enumerated > PAIR_LIMIT:
         raise TooLarge(f"{enumerated} composition pairs in shards 0 and 1 "
                        f"exceed {PAIR_LIMIT}")
-    spec = field_new(p, d)
 
     workers = min(threads, len(weights), os.cpu_count() or 1)
     if workers > 1:

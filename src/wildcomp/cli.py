@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on usage errors and on requests beyond the
 exhaustive-search limits (a census above PAIR_LIMIT, a field above
-FIELD_LIMIT, a decomposition left unenumerated by the brute-force
-fallback), 2 on
+FIELD_LIMIT, a count too long to print, an unclassified f whose
+decomposition search would divide by more than BRUTE_FORCE_SPACE_LIMIT
+right components), 2 on
 mathematically valid "no"/failure answers (no parameters recovered, no
 collision, census mismatch), so scripts can tell the two apart.  All
 numeric output is exact: integers in decimal, rationals as "num/den",
@@ -17,15 +18,15 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .census import class_partition_check, run_census, verify
+from .census import run_census
 from .constructions import (MultiplyParams, SimplyParams, build_M,
                             decompositions_S, frobenius_collision)
 from .counting import count_decomposable, nu, spectrum
 from .decomp_core import Collision, MonicOriginal, original_shift
 from .gf import FieldSpec, parse_field
-from .identify import (BRUTE_FORCE_FIELD_LIMIT, BRUTE_FORCE_SPACE_LIMIT,
-                       CollisionTag, classify, enumerate_decompositions,
-                       identify_multiply, identify_simply)
+from .identify import (BRUTE_FORCE_SPACE_LIMIT, CollisionTag, classify,
+                       enumerate_decompositions, identify_multiply,
+                       identify_simply)
 from .polyring import format_poly, parse_poly
 
 USAGE_ERROR = 1
@@ -147,14 +148,14 @@ def _cmd_decompose(args) -> int:
     pairs = _pairs_json(res.collision)
     payload = {"count": len(pairs), "pairs": pairs, "complete": res.complete}
     lines = [f"{len(pairs)} decomposition(s)"
-             + ("" if res.complete else " (brute-force fallback skipped)")]
+             + ("" if res.complete else " (search skipped)")]
     lines += [f"g={g} h={h}" for g, h in pairs]
     _emit(args, payload, lines)
     if not res.complete:
         print("error: decompositions not enumerated: f is unclassified and "
-              "the brute-force fallback is limited to q <= "
-              f"{BRUTE_FORCE_FIELD_LIMIT} and q^(p-1) <= "
-              f"{BRUTE_FORCE_SPACE_LIMIT}", file=sys.stderr)
+              f"the search is limited to {BRUTE_FORCE_SPACE_LIMIT} right "
+              "components, q^(p-2) per root y of y^(p+1) - f_(p^2-p)*y - "
+              "f_(p^2-p-1)", file=sys.stderr)
         return USAGE_ERROR
     return 0 if pairs else FAILURE
 
@@ -178,9 +179,8 @@ def _cmd_nu(args) -> int:
 
 def _cmd_census(args) -> int:
     report = run_census(args.p, args.q, threads=args.threads)
-    ok = verify(report)
-    partition_ok = class_partition_check(report)
     payload = report.to_json()
+    ok, partition_ok = payload["verified"], payload["class_partition_ok"]
     lines = [
         f"census p={args.p} q={args.q}: "
         + " ".join(f"c{k}={v}" for k, v in sorted(report.spectrum_observed.items())),

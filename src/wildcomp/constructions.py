@@ -154,20 +154,18 @@ def build_S(params: SimplyParams) -> MonicOriginal:
     return MonicOriginal((Poly(spec, inner) ** m).shift_up(1))
 
 
+def projective_roots(spec: FieldSpec, r: int, c1: int, c0: int) -> list[int]:
+    """Encodings of all y in F_q with y^(r+1) + c1*y + c0 = 0, by evaluation."""
+    return [y for y in range(spec.q)
+            if spec.add_i(spec.add_i(spec.pow_i(y, r + 1), spec.mul_i(c1, y)),
+                          c0) == 0]
+
+
 def root_set_T(params: SimplyParams) -> frozenset[FieldElem]:
-    """All t in F_q with t^(r+1) - eps*u*t + u = 0, by exhaustive evaluation."""
-    spec = params.spec
-    r = params.r
-    u = params.u.val
-    coef1 = spec.neg_i(u) if params.eps else 0
-    roots = []
-    for t in range(spec.q):
-        v = spec.add_i(spec.pow_i(t, r + 1), u)
-        if coef1:
-            v = spec.add_i(v, spec.mul_i(coef1, t))
-        if v == 0:
-            roots.append(spec.elem(t))
-    return frozenset(roots)
+    """All t in F_q with t^(r+1) - eps*u*t + u = 0."""
+    spec, u = params.spec, params.u
+    return frozenset(map(spec.elem, projective_roots(
+        spec, params.r, (-u).val if params.eps else 0, u.val)))
 
 
 def decompositions_S(params: SimplyParams) -> Collision:

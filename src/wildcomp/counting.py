@@ -13,6 +13,10 @@ from math import gcd as int_gcd
 
 from .gf import NotPrime, _is_prime
 
+# CPython's default limit on the digits of an int converted to text; the
+# total q^(2p-2) bounds every count, so it must stay printable.
+DIGIT_LIMIT = 4300
+
 
 class NonIntegerResult(Exception):
     pass
@@ -20,6 +24,23 @@ class NonIntegerResult(Exception):
 
 class NotAPower(Exception):
     pass
+
+
+class TooManyDigits(Exception):
+    pass
+
+
+def _check_printable(p: int, q: int) -> None:
+    """Refuse (p, q) whose q^(2p-2) has more than DIGIT_LIMIT decimal digits.
+
+    q^e has at least e(b - 1) + 1 bits, b the bit length of q, which settles
+    large inputs; the power is formed only below twice the limit's bits.
+    """
+    e, limit = 2 * p - 2, 10 ** DIGIT_LIMIT
+    if e > 0 and (e * (q.bit_length() - 1) >= limit.bit_length()
+                  or q ** e >= limit):
+        raise TooManyDigits(f"q^(2p-2) has more than {DIGIT_LIMIT} decimal "
+                            "digits, the limit for printing an integer")
 
 
 def _exact(num: int, den: int) -> int:
@@ -143,6 +164,7 @@ class Spectrum:
 
 def spectrum(p: int, q: int) -> Spectrum:
     """All maximal collision counts c_1, c_2, c_(p+1) at degree p^2 over F_q."""
+    _check_printable(p, q)
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     _log_base(q, p)

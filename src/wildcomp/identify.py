@@ -5,7 +5,9 @@ parameters (and the shift) from a raw polynomial, returning None on any
 failure path; a mandatory final reconstruction test keeps them sound on
 arbitrary input.  ``classify`` combines them with the Frobenius test into
 the full trichotomy at degree p^2, and ``enumerate_decompositions`` lists
-every degree-p right component of a classified polynomial.
+every degree-p decomposition; for an unclassified f it divides only by the
+right components whose x^(p-1) coefficient passes a root test, at most
+BRUTE_FORCE_SPACE_LIMIT of them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .constructions import (MultiplyParams, SimplyParams, build_M, build_S,
                             decompositions_S, frobenius_map,
-                            prime_power_exponent)
+                            prime_power_exponent, projective_roots)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
                           MonicOriginal, left_divide, mo_index_to_poly,
                           original_shift, shift_decomposition)
@@ -25,8 +27,7 @@ from .polyring import (NEG_INFINITY, Poly, count_roots_in_field, derivative,
                        exact_div, gcd, max_power_dividing, poly_pth_root,
                        second_degree)
 
-# Right-component spaces larger than this are not brute-forced.
-BRUTE_FORCE_FIELD_LIMIT = 81
+# The fallback divides by at most this many candidate right components.
 BRUTE_FORCE_SPACE_LIMIT = 1 << 13
 
 
@@ -67,12 +68,7 @@ class EnumeratedDecompositions(NamedTuple):
 
 def _t_poly(spec, u: int, eps: int, r: int) -> Poly:
     """y^(r+1) - eps*u*y + u as a polynomial over spec."""
-    enc = [0] * (r + 2)
-    enc[-1] = 1
-    enc[0] = u
-    if eps:
-        enc[1] = spec.neg_i(u)
-    return Poly(spec, enc)
+    return Poly(spec, [u, spec.neg_i(u) if eps else 0] + [0] * (r - 1) + [1])
 
 
 def identify_simply(f: MonicOriginal, r: int) -> Optional[SimplyMatch]:
@@ -255,29 +251,36 @@ def classify(f: MonicOriginal) -> CollisionClass:
     return CollisionClass(CollisionTag.NONE)
 
 
-def brute_force_decompositions(f: MonicOriginal) -> list[Decomposition]:
-    """All (g, h) with f = g(h) and deg h = p, by scanning right components."""
+def brute_force_decompositions(f: MonicOriginal) -> Optional[list[Decomposition]]:
+    """All (g, h) with f = g(h) and deg h = p, or None beyond the search limit.
+
+    f_(p^2-p) = y^p + g_(p-1) and f_(p^2-p-1) = -g_(p-1) y with y = h_(p-1),
+    so y is a root of P_f(y) = y^(p+1) - f_(p^2-p) y - f_(p^2-p-1); f is
+    divided by the q^(p-2) h per root, if at most BRUTE_FORCE_SPACE_LIMIT.
+    """
     spec = f.spec
     p = spec.p
-    out = []
-    for idx in range(spec.q ** (p - 1)):
-        h = mo_index_to_poly(spec, idx, p)
-        g = left_divide(f, h)
-        if g is not None and g.degree >= 2:
-            out.append(Decomposition(g, h))
-    return out
+    if f.degree != p * p:
+        raise DegreeMismatch(f"decomposition needs degree {p * p}")
+    coef = f.poly.coefficient_encoding
+    roots = projective_roots(spec, p, spec.neg_i(coef(p * p - p)),
+                             spec.neg_i(coef(p * p - p - 1)))
+    block = spec.q ** (p - 2)
+    if len(roots) * block > BRUTE_FORCE_SPACE_LIMIT:
+        return None
+    hs = (mo_index_to_poly(spec, idx, p)
+          for y in roots for idx in range(y * block, (y + 1) * block))
+    return [Decomposition(g, h) for h in hs
+            if (g := left_divide(f, h)) is not None]
 
 
-def enumerate_decompositions(
-        f: MonicOriginal, *,
-        brute_force_limit: int = BRUTE_FORCE_FIELD_LIMIT
-) -> EnumeratedDecompositions:
+def enumerate_decompositions(f: MonicOriginal) -> EnumeratedDecompositions:
     """The complete set of degree-p decompositions of f.
 
     Classified polynomials are answered from their construction (2 pairs
-    for F and M, one per root t for S); unclassified ones fall back to a
-    brute-force scan of all q^(p-1) right components.  ``complete`` is
-    False only when that scan was skipped because the field is too large.
+    for F and M, one per root t for S); unclassified ones by the root-filtered
+    ``brute_force_decompositions``.  ``complete`` is False only when it
+    declines, beyond BRUTE_FORCE_SPACE_LIMIT candidates (never for p = 2).
     """
     spec = f.spec
     p = spec.p
@@ -301,7 +304,6 @@ def enumerate_decompositions(
         _, base = build_M(MultiplyParams(mm.a, mm.b, mm.m, p))
         pairs = {shift_decomposition(d, mm.w) for d in base}
         return EnumeratedDecompositions(Collision(f, frozenset(pairs)), True)
-    if spec.q > brute_force_limit or spec.q ** (p - 1) > BRUTE_FORCE_SPACE_LIMIT:
-        return EnumeratedDecompositions(Collision(f, frozenset()), False)
     pairs = brute_force_decompositions(f)
-    return EnumeratedDecompositions(Collision(f, frozenset(pairs)), True)
+    return EnumeratedDecompositions(Collision(f, frozenset(pairs or ())),
+                                    pairs is not None)

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from wildcomp import census, classify, field_new, parse_poly
-from wildcomp.decomp_core import MonicOriginal
+from wildcomp.decomp_core import (Decomposition, MonicOriginal, left_divide,
+                                  mo_index_to_poly)
 
 # the eight feasible census fields from the verification plan
 CENSUS_FIELDS = [(2, 2), (2, 4), (2, 8), (2, 16), (3, 3), (3, 9), (3, 27), (5, 5)]
@@ -25,6 +26,15 @@ def random_monic_original(rng: random.Random, spec, degree: int) -> MonicOrigina
     from wildcomp.polyring import Poly
     inner = [rng.randrange(spec.q) for _ in range(degree - 1)]
     return MonicOriginal(Poly(spec, (0, *inner, 1)))
+
+
+def full_scan_decompositions(f: MonicOriginal) -> frozenset:
+    """Every (g, h) with f = g(h) and deg h = p, by left division of f by
+    each of the q^(p-1) monic originals h of degree p."""
+    spec, p = f.spec, f.spec.p
+    hs = (mo_index_to_poly(spec, idx, p) for idx in range(spec.q ** (p - 1)))
+    return frozenset(Decomposition(g, h) for h in hs
+                     if (g := left_divide(f, h)) is not None)
 
 
 def key_of(f) -> bytes:

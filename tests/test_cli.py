@@ -112,14 +112,22 @@ class TestDecompose:
                            "--poly", "x^4+x^2+x")
         assert code == 2
 
+    def test_unclassified_found_by_search(self, capsys):
+        # (x^2+7x)(x^2+11x) over F_256 is unclassified; for p = 2 the
+        # search divides by at most 3 right components
+        code, out, _ = run(capsys, "decompose", "--field", "2^8",
+                           "--poly", "x^4+66*x^2+49*x")
+        assert code == 0
+        assert out.splitlines() == ["1 decomposition(s)", "g=x^2+7*x h=x^2+11*x"]
+
     def test_incomplete_exits_1(self, capsys):
-        # (x^2+7x)(x^2+11x) over F_256: unclassified, and q is above the
-        # brute-force limit, so the enumeration is not a valid "no".
-        code, out, err = run(capsys, "--json", "decompose", "--field", "2^8",
-                             "--poly", "x^4+66*x^2+49*x")
+        # x^25 over F_25: unclassified, and its 25^3 candidate right
+        # components exceed the search limit, so "none" would not be valid
+        code, out, err = run(capsys, "--json", "decompose", "--field", "5^2",
+                             "--poly", "x^25")
         assert code == 1
         assert json.loads(out) == {"count": 0, "pairs": [], "complete": False}
-        assert "brute-force" in err and "81" in err
+        assert "limited to 8192 right components" in err
 
 
 class TestNu:
@@ -224,12 +232,33 @@ class TestFieldLimit:
         ["classify", "--field", "2^48", "--poly", "x^4+x"],
         ["classify", "--field", "1000000000000000003^1", "--poly", "x^4+x"],
         ["census", "--p", "2", "--q", "8388608"],
+        ["census", "--p", "1000000000000000003", "--q", "1000000000000000003"],
     ])
     def test_oversized_field_exits_1_at_once(self, argv):
         res = run_child(argv, timeout=10)
         assert res.returncode == 1 and not res.stdout
         assert "field limit of 65536" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("p,q", [
+        (1000000000000000003, 1000000000000000003),
+        (1000003, 1000003),
+        (65521, 65521),
+    ])
+    @pytest.mark.parametrize("command", ["count", "nu"])
+    def test_unprintable_count_exits_1_at_once(self, command, p, q):
+        res = run_child([command, "--p", str(p), "--q", str(q)], timeout=10)
+        assert res.returncode == 1 and not res.stdout
+        assert "more than 4300 decimal digits" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_long_count_still_prints(self, capsys):
+        q = 2 ** 100
+        code, out, _ = run(capsys, "count", "--p", "2", "--q", str(q))
+        c2, c3 = q - 1, (q - 1) * (q - 2) // 6
+        assert code == 0
+        assert out == (f"c1={q * q - 2 * c2 - 3 * c3} c2={c2} c3={c3} "
+                       f"D={q * q - c2 - 2 * c3}")
 
 
 class TestOptimizeFlag:

@@ -6,6 +6,8 @@ import pytest
 from wildcomp import (NotAPower, NotPrime, c2_pairs,
                       count_decomposable, count_multiply, count_simply,
                       gamma, nu, spectrum, tau)
+from wildcomp import counting
+from wildcomp.counting import DIGIT_LIMIT, TooManyDigits
 
 from conftest import F
 
@@ -143,6 +145,26 @@ class TestSpectrum:
     def test_not_prime(self):
         with pytest.raises(NotPrime):
             spectrum(4, 4)
+
+    # the last two are the smallest powers of p past the limit
+    @pytest.mark.parametrize("p,q", [(10 ** 18 + 3, 10 ** 18 + 3),
+                                     (1000003, 1000003), (65521, 65521),
+                                     (2, 2 ** 7143), (3, 3 ** 2254)],
+                             ids=["p=q=1e18+3", "p=q=1000003", "p=q=65521",
+                                  "2^7143", "3^2254"])
+    def test_unprintable_total_refused_before_primality(self, monkeypatch, p, q):
+        def fail(*_):
+            raise AssertionError("primality tested before the digit check")
+        monkeypatch.setattr(counting, "_is_prime", fail)
+        with pytest.raises(TooManyDigits, match=f"{DIGIT_LIMIT} decimal digits"):
+            spectrum(p, q)
+
+    @pytest.mark.parametrize("p,q", [(2, 2 ** 7142), (3, 3 ** 2253)],
+                             ids=["2^7142", "3^2253"])
+    def test_printable_total_at_the_digit_limit(self, p, q):
+        s = spectrum(p, q)
+        assert len(str(q ** (2 * p - 2))) <= DIGIT_LIMIT
+        assert sum(k * c for k, c in s.counts.items()) == q ** (2 * p - 2)
 
 
 class TestCountDecomposable:

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildcomp import (CollisionTag, DegreeMismatch, MultiplyParams,
-                      SimplyParams, brute_force_decompositions, build_M,
-                      build_S, classify, count_roots_in_field,
+from wildcomp import (CollisionTag, Decomposition, DegreeMismatch,
+                      MultiplyParams, SimplyParams, brute_force_decompositions,
+                      build_M, build_S, classify, count_roots_in_field,
                       decompositions_S, enumerate_decompositions,
                       identify_multiply, identify_simply, original_shift)
 from wildcomp.decomp_core import MonicOriginal
 from wildcomp.identify import _t_poly
 from wildcomp.polyring import Poly
 
-from conftest import CENSUS_FIELDS, F, MO, key_of, random_monic_original
+from conftest import (CENSUS_FIELDS, F, MO, full_scan_decompositions, key_of,
+                      random_monic_original)
 
 
 def random_simply_params(rng, spec, r):
@@ -227,21 +228,66 @@ class TestEnumerateDecompositions:
         assert res.complete and res.collision.k == 1
 
     def test_agrees_with_brute_force(self):
+        """enumerate_decompositions equals the full q^(p-1) scan on planted
+        g o h and on random f."""
         rng = random.Random(31)
-        for spec in (F(2), F(3), F(2, 2)):
+        for spec in (F(2), F(2, 2), F(2, 6), F(3), F(3, 3), F(5)):
             p = spec.p
-            for _ in range(40):
-                f = random_monic_original(rng, spec, p * p)
+            for planted in (True, False) * 12:
+                if planted:
+                    f = Decomposition(random_monic_original(rng, spec, p),
+                                      random_monic_original(rng, spec, p)).compose()
+                else:
+                    f = random_monic_original(rng, spec, p * p)
                 res = enumerate_decompositions(f)
                 assert res.complete
-                assert res.collision.decomps == \
-                    frozenset(brute_force_decompositions(f))
+                assert res.collision.decomps == full_scan_decompositions(f), f
+
+    def test_fallback_degree_mismatch(self):
+        with pytest.raises(DegreeMismatch):
+            brute_force_decompositions(MO(F(2), "x^8"))
 
     def test_fallback_skipped_flag(self):
-        spec = F(5)
-        f = MO(spec, "x^25")
-        res = enumerate_decompositions(f, brute_force_limit=3)
+        # y^6 has the one root 0, and 25^3 candidates exceed 2^13
+        res = enumerate_decompositions(MO(F(5, 2), "x^25"))
         assert not res.complete and res.collision.k == 0
+        assert brute_force_decompositions(MO(F(5, 2), "x^25")) is None
+
+    def test_p2_complete_at_the_field_limit(self):
+        spec = F(2, 16)
+        g, h = MO(spec, "x^2+7*x"), MO(spec, "x^2+11*x")
+        f = Decomposition(g, h).compose()
+        res = enumerate_decompositions(f)
+        assert res.complete and Decomposition(g, h) in res.collision.decomps
+
+
+@st.composite
+def planted_pairs(draw):
+    spec = draw(st.sampled_from([F(2), F(2, 2), F(2, 3), F(3), F(3, 2), F(5),
+                                 F(7)]))
+    p = spec.p
+
+    def original():
+        inner = draw(st.lists(st.integers(0, spec.q - 1),
+                              min_size=p - 1, max_size=p - 1))
+        return MonicOriginal(Poly(spec, (0, *inner, 1)))
+
+    return original(), original()
+
+
+class TestRightComponentRoot:
+    """h_(p-1) is a root of P_f(y) = y^(p+1) - f_(p^2-p) y - f_(p^2-p-1)
+    for every f = g o h of degree p^2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted_pairs())
+    def test_top_coefficient_is_root(self, gh):
+        g, h = gh
+        p = g.spec.p
+        f = Decomposition(g, h).compose().poly
+        y = h.poly.coefficient(p - 1)
+        assert (y ** (p + 1) - f.coefficient(p * p - p) * y
+                - f.coefficient(p * p - p - 1)).val == 0
 
 
 # Every field with q <= 81; multiply members need p >= 5.
