@@ -32,16 +32,39 @@ keeps each f's number of decompositions and its collision class.  Every
 s != 0 is a^p for one a, so each shard s != 0 is a copy of shard 1, and
 every census total is shard 0 plus (q - 1) times shard 1.  ``threads > 1``
 runs the two shards in two worker processes.
+
+For odd p the original shift f -> f(x + w) - f(w) cuts each of the two
+shards further, by the following lemma.  For decomposable f of degree p^2,
+f_j = 0 for p^2 - p < j < p^2, so the shift keeps s = f_{p^2-p}, since
+C(p^2, p) = 0 mod p, and keeps t = f_{p^2-p-1} = (y^p - s) y, where
+y = h_{p-1} for any decomposition (g, h) of f.  It maps the decompositions
+of f one to one onto those of the shifted f, (g, h) -> (g^(h(w)), h^(w)),
+so it keeps each f's number of decompositions and its class.  For p >= 3,
+f_{p^2-p-2} = g_{p-1} (-h_{p-2} + C(p-1, 2) y^2), and the shift moves it to
+f_{p^2-p-2} - t w.  So for t != 0 the shift group acts freely: each orbit
+holds q polynomials and exactly one f with f_{p^2-p-2} = 0.  There
+g_{p-1} = s - y^p != 0, so every decomposition of that f has
+h_{p-2} = C(p-1, 2) y^2 = y^2, as C(p-1, 2) = 1 mod p.
+
+Each shard s is therefore enumerated in two parts, which are key-disjoint
+since t = 0 in one and t != 0 in the other.  The t = 0 part takes every h
+with y = 0 or y^p = s, with all other coefficients free, and has weight 1.
+The t != 0 part takes every other y with h_{p-2} = y^2, leaving h_1..h_{p-3}
+and g_1..g_{p-2} free, and has weight q: it holds one f per orbit, with all
+of that f's pairs.  Each part's weight is then multiplied by its shard's
+weight.  Shard 0 enumerates q^(2p-4) + (q-1) q^(2p-5) pairs and shard 1
+2 q^(2p-4) + (q-2) q^(2p-5).  For p = 2, where p^2 - p - 2 = 0, there is no
+such normalization, and each shard is enumerated whole.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, NamedTuple, Optional
 
 from . import counting
 from .counting import Spectrum, _log_base
@@ -51,7 +74,7 @@ from .gf import FieldSpec, field_new
 from .identify import CollisionTag, classify
 from .polyring import Poly, _mul_raw, format_poly
 
-# Runs that would enumerate more pairs than this, in shards 0 and 1, are
+# Runs that would enumerate more pairs than this (``enumerated_pairs``) are
 # refused outright.  Every field it admits has (p-1)(d(p-2)+2) <= 255, so
 # the digit sums of a key byte never carry (see ``_shard_tables``).
 PAIR_LIMIT = 1 << 24
@@ -59,6 +82,30 @@ PAIR_LIMIT = 1 << 24
 
 class TooLarge(Exception):
     pass
+
+
+class Part(NamedTuple):
+    """An enumerated part of shard s, and how many f each of its f stands for.
+
+    ``t_nonzero`` tells the t = 0 part from the t != 0 part for odd p; it
+    is None for p = 2, whose shards are enumerated whole.
+    """
+
+    s: int
+    t_nonzero: Optional[bool]
+    weight: int
+
+    def to_json(self) -> dict:
+        if self.t_nonzero is None:
+            return {"s": self.s, "weight": self.weight}
+        return {"s": self.s, "t_nonzero": self.t_nonzero, "weight": self.weight}
+
+
+def enumerated_pairs(p: int, q: int) -> int:
+    """The pairs (g, h) that the census of F_q at degree p^2 enumerates."""
+    if p == 2:
+        return 2 * q ** (2 * p - 3)
+    return 3 * q ** (2 * p - 4) + (2 * q - 3) * q ** (2 * p - 5)
 
 
 def unpack_pair(spec: FieldSpec, packed: int, p: int) -> Decomposition:
@@ -97,8 +144,8 @@ class CensusReport:
     class_spectrum: dict[str, dict[int, int]]
     decomposable_observed: int
     mismatches: list[Mismatch]
-    # shard s enumerated -> number of shards it stands for
-    shard_weights: dict[int, int]
+    # the enumerated parts, in order, with their weights
+    parts: list[Part]
     pairs_enumerated: int
     # colliding f and their packed pairs, kept for cross-checks; not part
     # of the serialized report
@@ -125,8 +172,7 @@ class CensusReport:
                                for t, ks in self.class_spectrum.items()},
             "decomposable_observed": self.decomposable_observed,
             "decomposable_predicted": self.spectrum_predicted.d_total,
-            "shards": [{"s": s, "weight": w}
-                       for s, w in self.shard_weights.items()],
+            "shards": [part.to_json() for part in self.parts],
             "pairs_enumerated": self.pairs_enumerated,
             "mismatches": [m.to_json() for m in self.mismatches],
             "verified": verify(self),
@@ -143,16 +189,54 @@ def _digit_table(spec: FieldSpec) -> list[int]:
     return digits
 
 
-def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict]]:
-    """Yield ``(s, table)`` for each shard s in [lo, hi), in order.
+def _parts(spec: FieldSpec) -> list[tuple[Part, Sequence[int]]]:
+    """The census's enumerated parts, shard 0's first, each with its h indices.
 
-    Shard s holds the pairs (g, h) with h_{p-1}^p + g_{p-1} = s, which is
-    the coefficient f_{p^2-p} of f = g o h, so the shards are key-disjoint
-    and each holds q^(2p-3) pairs.  Its table maps each f key to its packed
-    pair, or to the list of its packed pairs once a second pair composes to
-    it; within a key, pairs come in (h, g) index order.  The inner
-    coefficients f_1..f_{p^2-1} are held as one integer in the key layout,
-    one F_p digit per byte, so adding a piece is one integer add.
+    Shards 0 and 1 have weights 1 and q - 1.  For odd p each splits into
+    its t = 0 and t != 0 parts (module docstring), and the t != 0 part's
+    weight is q times the shard's.
+    """
+    q = spec.q
+    shards = {0: 1, 1: q - 1}
+    if spec.p == 2:
+        return [(Part(s, None, w), range(q)) for s, w in shards.items()]
+    out = []
+    for s, w in shards.items():
+        zero, nonzero = _part_hs(spec, s)
+        out += [(Part(s, False, w), zero), (Part(s, True, q * w), nonzero)]
+    return out
+
+
+def _part_hs(spec: FieldSpec, s: int) -> tuple[list[int], list[int]]:
+    """The h indices of shard s's t = 0 part and of its t != 0 part.
+
+    The t = 0 part takes y = h_{p-1} = 0 or y^p = s, and every h_1..h_{p-2}.
+    The t != 0 part takes every other y with h_{p-2} = y^2, and every
+    h_1..h_{p-3}.  Both lists are in increasing index order.
+    """
+    p, q = spec.p, spec.q
+    low = q ** (p - 3)  # indices of h_1..h_{p-3}
+    span = q * low      # indices of h_1..h_{p-2}
+    roots = {0, spec.pow_i(s, q // p)}  # y^p = s, by the inverse Frobenius
+    zero = [y * span + i for y in sorted(roots) for i in range(span)]
+    nonzero = [y * span + spec.mul_i(y, y) * low + i
+               for y in range(q) if y not in roots for i in range(low)]
+    return zero, nonzero
+
+
+def _shard_tables(spec: FieldSpec, parts: Iterable[tuple[int, Iterable[int]]]
+                  ) -> Iterator[tuple[int, dict]]:
+    """Yield ``(s, table)`` for each ``(s, hs)`` in ``parts``, in order.
+
+    The table holds the pairs (g, h) of shard s whose h index is in ``hs``.
+    Shard s holds the pairs with h_{p-1}^p + g_{p-1} = s, which is the
+    coefficient f_{p^2-p} of f = g o h, so the shards are key-disjoint and
+    each holds q^(2p-3) pairs, q^(p-2) per h.  A table maps each f key to
+    its packed pair, or to the list of its packed pairs once a second pair
+    composes to it; within a key, pairs come in (h, g) order, h in the order
+    of ``hs``.  The inner coefficients f_1..f_{p^2-1} are held as one
+    integer in the key layout, one F_p digit per byte, so adding a piece is
+    one integer add.
 
     For odd p, the q^(p-2) keys of one (s, h) come from h^p + g_{p-1} h^(p-1)
     by adding, for each level 1 <= i <= p-2 and each F_p basis element z^k
@@ -172,13 +256,13 @@ def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict
     if p == 2:
         # g_1 = s - h_1^2 (an XOR of encodings) and f = x^4 + s*x^2 + g_1*h_1*x.
         squares = [mul_i(h, h) for h in range(q)]
-        for s in range(lo, hi):
+        for s, hs in parts:
             top = digits[s] << shift
-            gs = [s ^ sq for sq in squares]
+            gs = [s ^ squares[h] for h in hs]
             keys = [(digits[mul_i(g, h)] | top).to_bytes(nbytes, "little")
-                    for h, g in enumerate(gs)]
+                    for h, g in zip(hs, gs)]
             table: dict = {}
-            _group(table, keys, [g * q + h for h, g in enumerate(gs)])
+            _group(table, keys, [g * q + h for h, g in zip(hs, gs)])
             yield s, table
         return
 
@@ -195,13 +279,11 @@ def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict
                                     .translate(mod_p), "little")
                      for m in range(p))
 
-    # Per h, once for all the shards of this call: h^p packed, by Frobenius
-    # h^p = sum h_i^p x^(ip); its coefficient h_{p-1}^p at x^(p^2-p); the
-    # nonzero coefficients of h^(p-1) with their shifts; and for each level
-    # 1 <= i < p-1 below the top and each F_p basis element z^k of F_q, the
-    # p multiples m*z^k*h^i, m in F_p.
-    per_h = []
-    for hidx in range(big_q):
+    def precompute(hidx: int) -> tuple:
+        """h^p packed, by Frobenius h^p = sum h_i^p x^(ip); its coefficient
+        h_{p-1}^p at x^(p^2-p); the nonzero coefficients of h^(p-1) with
+        their shifts; and for each level 1 <= i < p-1 below the top and each
+        F_p basis element z^k of F_q, the p multiples m*z^k*h^i, m in F_p."""
         inner = mo_index_to_inner(hidx, q, p)
         hp = sum(digits[pow_i(v, p)] << shift * (p * i - 1)
                  for i, v in enumerate(inner, 1))
@@ -210,14 +292,21 @@ def _shard_tables(spec: FieldSpec, lo: int, hi: int) -> Iterator[tuple[int, dict
             pows.append(_mul_raw(spec, pows[-1], pows[0]))
         top = tuple((shift * j, v) for j, v in enumerate(pows[-1][1:n]) if v)
         basis = tuple(multiples(pw, p ** k) for pw in pows[:-1] for k in range(spec.d))
-        per_h.append((hp, pow_i(inner[-1], p), top, basis))
+        return hp, pow_i(inner[-1], p), top, basis
+
+    # Built once per h that some part of this call uses, for all its parts.
+    per_h: dict[int, tuple] = {}
 
     # Per (s, h), g_{p-1} = s - h_{p-1}^p is fixed and g_1..g_{p-2} run over
     # F_q digit by digit, g_1's lowest digit fastest, so the sums come in g
     # index order.
-    for s in range(lo, hi):
+    for s, hs in parts:
         table = {}
-        for hidx, (hp, lead, top, basis) in enumerate(per_h):
+        for hidx in hs:
+            pre = per_h.get(hidx)
+            if pre is None:
+                pre = per_h[hidx] = precompute(hidx)
+            hp, lead, top, basis = pre
             c = sub_i(s, lead)
             lows = [hp + sum(digits[mul_i(v, c)] << sh for sh, v in top)]
             for mults in basis:
@@ -240,52 +329,57 @@ def _group(table: dict, keys: list, pairs) -> None:
                 old.append(pair)
 
 
-def _tabulate_shards(p: int, d: int, lo: int, hi: int) -> list[tuple[int, dict]]:
-    """Per shard in [lo, hi): its distinct f count and its colliding f.
+def _tabulate_shards(p: int, d: int, parts: list[tuple[int, Sequence[int]]]
+                     ) -> list[tuple[int, dict]]:
+    """Per ``(s, hs)`` part: its distinct f count and its colliding f.
 
-    A shard's table is dropped once counted, so nothing of a non-colliding
-    f outlives its shard.
+    A part's table is dropped once counted, so nothing of a non-colliding
+    f outlives its part.
     """
     out = []
-    for _, table in _shard_tables(field_new(p, d), lo, hi):
+    for _, table in _shard_tables(field_new(p, d), parts):
         out.append((len(table), {key: tuple(pairs) for key, pairs in table.items()
                                  if type(pairs) is list}))
-        del table  # before the next shard's table is built
+        del table  # before the next part's table is built
     return out
 
 
 def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
     """Tabulate the degree-p compositions over F_q and check them.
 
-    Shards 0 and 1 are enumerated and weighted 1 and q - 1, which by the
-    scaling symmetry (module docstring) gives the totals over all q^(2p-2)
-    pairs.
+    The parts of shards 0 and 1 are enumerated and weighted (module
+    docstring), which gives the totals over all q^(2p-2) pairs.
     """
     d = _log_base(q, p)
     spec = field_new(p, d)
     total_pairs = q ** (2 * p - 2)
-    weights = {0: 1, 1: q - 1}
-    enumerated = len(weights) * q ** (2 * p - 3)
+    enumerated = enumerated_pairs(p, q)
     if enumerated > PAIR_LIMIT:
-        raise TooLarge(f"{enumerated} composition pairs in shards 0 and 1 "
-                       f"exceed {PAIR_LIMIT}")
+        raise TooLarge(f"{enumerated} composition pairs to enumerate in "
+                       f"shards 0 and 1 exceed {PAIR_LIMIT}")
 
-    workers = min(threads, len(weights), os.cpu_count() or 1)
+    parts = _parts(spec)
+    jobs = [(part.s, hs) for part, hs in parts]
+    shards = (0, 1)
+    workers = min(threads, len(shards), os.cpu_count() or 1)
     if workers > 1:
+        # one worker per shard, which builds the per-h data of its parts only
+        per_shard = [[job for job in jobs if job[0] == s] for s in shards]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = [part for one in pool.map(partial(_tabulate_shards, p, d),
-                                              (0, 1), (1, 2))
-                     for part in one]
+            tables = [one for done in pool.map(partial(_tabulate_shards, p, d),
+                                               per_shard)
+                      for one in done]
     else:
-        parts = _tabulate_shards(p, d, 0, 2)
+        tables = _tabulate_shards(p, d, jobs)
 
-    # Shards are key-disjoint; each enumerated f counts for its shard's weight.
+    # Parts are key-disjoint; each enumerated f counts for its part's weight.
     spectrum_observed: dict[int, int] = {}
     class_spectrum: dict[str, dict[int, int]] = {"F": {}, "S": {}, "M": {}}
     mismatches: list[Mismatch] = []
     colliding: dict = {}
     distinct = pairs_enumerated = 0
-    for (count, shard_colliding), w in zip(parts, weights.values()):
+    for (count, shard_colliding), (part, _) in zip(tables, parts):
+        w = part.weight
         distinct += w * count
         singles = count - len(shard_colliding)
         pairs_enumerated += singles
@@ -325,7 +419,7 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
         class_spectrum=class_spectrum,
         decomposable_observed=distinct,
         mismatches=mismatches,
-        shard_weights=weights,
+        parts=[part for part, _ in parts],
         pairs_enumerated=pairs_enumerated,
         field_spec=spec,
         colliding_pairs=colliding,

@@ -24,6 +24,7 @@ in :mod:`wildcomp.polyring` run on these tables directly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Optional, Sequence
 
@@ -407,7 +408,10 @@ class FieldElem:
 _FIELD_CACHE: dict[tuple[int, int, tuple[int, ...]], FieldSpec] = {}
 
 
+@functools.cache
 def _default_modulus(p: int, d: int) -> tuple[int, ...]:
+    """The smallest monic irreducible of degree d over F_p, searched for once
+    per (p, d) and process, however often the field is built."""
     if d == 1:
         return (0, 1)
     for tail in itertools.product(range(p), repeat=d):

@@ -44,13 +44,18 @@ def key_of(f) -> bytes:
                  for digit in spec.coeffs_of(c))
 
 
+def every_h(spec, shards) -> list:
+    """``_shard_tables`` parts for the given shards, each with every h."""
+    return [(s, range(spec.q ** (spec.p - 1))) for s in shards]
+
+
 def shard_union(spec) -> dict:
     """The whole raw census table: every shard's table, checked disjoint, joined.
 
     Maps each f key to its bare packed pair or to the list of its pairs.
     """
     table: dict = {}
-    for _, part in census._shard_tables(spec, 0, spec.q):
+    for _, part in census._shard_tables(spec, every_h(spec, range(spec.q))):
         assert table.keys().isdisjoint(part)
         table.update(part)
     return table
@@ -69,10 +74,11 @@ def census_reports():
 
 @pytest.fixture(scope="session")
 def full_colliding(census_reports):
-    """The colliding f of every shard per census field, not only of shards 0 and 1.
+    """The colliding f of every shard per census field, not only of the
+    enumerated parts of shards 0 and 1.
 
-    ``run_census`` enumerates two shards; tests that walk every colliding f
-    take them from here.
+    ``run_census`` enumerates parts of two shards; tests that walk every
+    colliding f take them from here.
     """
     return {pq: {key: tuple(pairs) for key, pairs in shard_union(r.field_spec).items()
                  if type(pairs) is list}

@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 
 from wildcomp import census, classify, run_census, verify, class_partition_check
 from wildcomp.census import (PAIR_LIMIT, TooLarge, _shard_tables,
-                             mo_index_to_poly, poly_of_key, unpack_pair)
+                             enumerated_pairs, mo_index_to_poly, poly_of_key,
+                             unpack_pair)
+from wildcomp.decomp_core import MonicOriginal, original_shift
 from wildcomp.gf import _is_prime
 from wildcomp.identify import CollisionTag
 from wildcomp.polyring import Poly, compose
 
-from conftest import CENSUS_FIELDS, F, key_of, pair_count, shard_union
+from conftest import CENSUS_FIELDS, F, every_h, key_of, pair_count, shard_union
 
 # Fields for the shard properties, F_2^9 with nine key bytes per coefficient
 # and F_3^3 with three F_3 basis vectors per level among them.
 SHARD_FIELDS = [F(2, 3), F(3, 2), F(3, 3), F(5), F(2, 9)]
+# Fields for the original-shift lemma, p in {3, 5, 7}.
+SHIFT_FIELDS = [F(3), F(3, 2), F(3, 3), F(5), F(5, 2), F(7)]
 
 
 def reference_table(spec) -> dict[bytes, set[int]]:
@@ -66,8 +70,9 @@ class TestRunCensus:
         assert r.class_counts == {"F": 624, "S": 66, "M": 30}
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
-            run_census(5, 25)
+        for p, q in [(5, 25), (7, 7), (3, 2187)]:
+            with pytest.raises(TooLarge):
+                run_census(p, q)
 
     def test_multimap_pairs_compose_to_key(self, census_reports):
         r = census_reports[(3, 3)]
@@ -142,12 +147,16 @@ class TestTabulation:
         for key, pairs in colliding.items():
             # in (h, g) index order, the order of enumeration within a shard
             assert pairs == sorted(ref[key], key=lambda pr: (pr % big_q, pr))
-        # the report keeps the colliding f of shards 0 and 1, in shard order
-        def shard(key):
-            return poly_of_key(r.field_spec, key, p).poly.encodings[p * p - p]
+        # the report keeps the colliding f of the enumerated parts of shards 0
+        # and 1, in part order: for odd p the f with t = f_{p^2-p-1} = 0, then
+        # those with t != 0 and f_{p^2-p-2} = 0, per shard
+        def enumerated(key):
+            f = poly_of_key(r.field_spec, key, p).poly.encodings
+            n = p * p
+            return f[n - p] < 2 and (p == 2 or f[n - p - 1] == 0 or f[n - p - 2] == 0)
 
         assert list(r.colliding_pairs.items()) == \
-            [(key, tuple(prs)) for key, prs in colliding.items() if shard(key) < 2]
+            [(key, tuple(prs)) for key, prs in colliding.items() if enumerated(key)]
 
     def test_byte_keys_at_q_256(self):
         spec = F(2, 8)
@@ -162,7 +171,7 @@ class TestTabulation:
 
     def test_keys_decode_at_q_512(self):
         spec = F(2, 9)
-        for s, table in _shard_tables(spec, 300, 304):
+        for s, table in _shard_tables(spec, every_h(spec, range(300, 304))):
             for key, pairs in table.items():
                 assert len(key) == 3 * 9
                 f = poly_of_key(spec, key, 2)
@@ -178,12 +187,14 @@ class TestTabulation:
         admitted = []
         for p in filter(_is_prime, range(2, PAIR_LIMIT.bit_length() // 2 + 2)):
             d = 1
-            while 2 * (p ** d) ** (2 * p - 3) <= PAIR_LIMIT:
+            while enumerated_pairs(p, p ** d) <= PAIR_LIMIT:
                 admitted.append((p, d))
                 d += 1
         assert all((p - 1) * (d * (p - 2) + 2) <= 255 for p, d in admitted)
-        # (p, d): F_27, F_81, F_5 and F_2^16 among the admitted
-        assert {(3, 3), (3, 4), (5, 1), (2, 16)} <= set(admitted)
+        # (p, d): F_27, F_81, F_243, F_729, F_5 and F_2^16 among the admitted;
+        # F_2187, F_25 and F_7 are not
+        assert {(3, 3), (3, 4), (3, 5), (3, 6), (5, 1), (2, 16)} <= set(admitted)
+        assert not {(3, 7), (5, 2), (7, 1)} & set(admitted)
 
 
 class TestShards:
@@ -209,7 +220,7 @@ class TestShards:
         p, q, d = spec.p, spec.q, spec.d
         n = p * p
         big_q = q ** (p - 1)
-        ((got, table),) = _shard_tables(spec, s, s + 1)
+        ((got, table),) = _shard_tables(spec, every_h(spec, [s]))
         assert got == s
         assert sum(map(pair_count, table.values())) == q ** (2 * p - 3)
         # f_{p^2-p} = s in the key layout; decoding all 78k keys of an F_5
@@ -245,7 +256,8 @@ class TestScaling:
                             for key, prs in table.items() if type(prs) is list)
             return spectrum, cells
 
-        profiles = [profile(table) for _, table in _shard_tables(spec, 0, spec.q)]
+        profiles = [profile(table) for _, table in
+                    _shard_tables(spec, every_h(spec, range(spec.q)))]
         assert profiles[1][1], pq
         for s in range(2, spec.q):
             assert profiles[s] == profiles[1], (pq, s)
@@ -265,7 +277,106 @@ class TestScaling:
         assert r.spectrum_observed == Counter(map(pair_count, table.values()))
         assert r.class_spectrum == class_spectrum
         assert r.decomposable_observed == len(table)
-        assert r.pairs_enumerated == 2 * q ** (2 * p - 3)
+        want = 2 * q if p == 2 else 3 * q ** (2 * p - 4) + (2 * q - 3) * q ** (2 * p - 5)
+        assert r.pairs_enumerated == enumerated_pairs(p, q) == want
+
+
+class TestShiftReduction:
+    """For odd p each shard splits into its t = f_{p^2-p-1} = 0 part and one
+    f per original-shift orbit of its t != 0 f (the ``census`` docstring)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_shift_keeps_s_and_t_and_moves_next_by_t_w(self, data):
+        spec = data.draw(st.sampled_from(SHIFT_FIELDS))
+        p, n = spec.p, spec.p ** 2
+        elem = st.integers(0, spec.q - 1)
+        inner = st.lists(elem, min_size=p - 1, max_size=p - 1)
+        g, h, w = data.draw(inner), data.draw(inner), data.draw(elem)
+        f = compose(Poly(spec, (0, *g, 1)), Poly(spec, (0, *h, 1)))
+        fw = original_shift(MonicOriginal(f), spec.elem(w)).poly.encodings
+        f = f.encodings
+        s, t, y = f[n - p], f[n - p - 1], h[-1]
+        sub, mul = spec.sub_i, spec.mul_i
+        # t = (y^p - s) y and f_{p^2-p-2} = g_{p-1} (y^2 - h_{p-2})
+        assert t == mul(sub(spec.pow_i(y, p), s), y)
+        assert f[n - p - 2] == mul(g[-1], sub(mul(y, y), h[-2]))
+        assert fw[n - p] == s and fw[n - p - 1] == t
+        assert fw[n - p - 2] == sub(f[n - p - 2], mul(t, w))
+
+    @pytest.mark.parametrize("p,q", [(3, 3), (3, 9), (3, 27), (5, 5)])
+    def test_parts_hold_every_pair_of_their_keys(self, census_reports, p, q):
+        spec = census_reports[(p, q)].field_spec
+        n, d = p * p, spec.d
+        parts = census._parts(spec)
+        assert [(part.s, part.t_nonzero) for part, _ in parts] == \
+            [(0, False), (0, True), (1, False), (1, True)]
+
+        def nonzero_at(key, j):
+            """f_j != 0, read from its d digit bytes in the key."""
+            return any(key[(j - 1) * d:j * d])
+
+        for s, full in _shard_tables(spec, every_h(spec, [0, 1])):
+            zero, nonzero = (table for part, hs in parts if part.s == s
+                             for _, table in _shard_tables(spec, [(s, hs)]))
+            # the t = 0 part is the shard's t = 0 f, each with all its pairs
+            assert zero == {key: prs for key, prs in full.items()
+                            if not nonzero_at(key, n - p - 1)}
+            # the t != 0 part is the shard's t != 0 f with f_{p^2-p-2} = 0,
+            # with all their pairs, and stands for q times as many f of each k
+            assert nonzero == {key: prs for key, prs in full.items()
+                               if nonzero_at(key, n - p - 1)
+                               and not nonzero_at(key, n - p - 2)}
+            orbits = Counter(pair_count(prs) for key, prs in full.items()
+                             if nonzero_at(key, n - p - 1))
+            assert orbits == Counter({k: q * c for k, c in
+                                      Counter(map(pair_count, nonzero.values())).items()})
+        shard_weight = {0: 1, 1: q - 1}
+        assert [part.weight for part, _ in parts] == \
+            [shard_weight[part.s] * (q if part.t_nonzero else 1) for part, _ in parts]
+
+    @pytest.mark.parametrize("p,q", [(3, 9), (5, 5)])
+    def test_weight_one_for_t_nonzero_fails_verify(self, monkeypatch, p, q):
+        parts = census._parts
+
+        def unweighted(spec):
+            return [(part._replace(weight=part.weight // spec.q)
+                     if part.t_nonzero else part, hs) for part, hs in parts(spec)]
+
+        monkeypatch.setattr(census, "_parts", unweighted)
+        assert not verify(run_census(p, q))
+
+    @pytest.mark.parametrize("p,q", [(3, 9), (5, 5)])
+    def test_wrong_h_rule_fails_verify(self, monkeypatch, p, q):
+        part_hs = census._part_hs
+
+        def off_by_one(spec, s):
+            """h_{p-2} = y^2 + 1 in the t != 0 part instead of y^2."""
+            zero, nonzero = part_hs(spec, s)
+            low = spec.q ** (spec.p - 3)
+            digit = [(idx // low) % spec.q for idx in nonzero]
+            return zero, [idx + (spec.add_i(c, 1) - c) * low
+                          for idx, c in zip(nonzero, digit)]
+
+        monkeypatch.setattr(census, "_part_hs", off_by_one)
+        assert not verify(run_census(p, q))
+
+    def test_workers_precompute_only_their_parts_h(self, monkeypatch):
+        seen = []
+        inner = census.mo_index_to_inner
+
+        def recording(hidx, q, p):
+            seen.append(hidx)
+            return inner(hidx, q, p)
+
+        monkeypatch.setattr(census, "mo_index_to_inner", recording)
+        spec = F(3, 3)
+        for s in (0, 1):
+            shard = [(s, hs) for part, hs in census._parts(spec) if part.s == s]
+            seen.clear()
+            census._tabulate_shards(3, 3, shard)
+            used = {h for _, hs in shard for h in hs}
+            assert sorted(seen) == sorted(used)
 
 
 class TestVerify:
@@ -337,6 +448,13 @@ class TestHelpers:
 
     @pytest.mark.parametrize("p,q", [(2, 4), (3, 9)])
     def test_report_json_shards(self, census_reports, p, q):
+        shards, pairs = {
+            (2, 4): ([{"s": 0, "weight": 1}, {"s": 1, "weight": 3}], 8),
+            (3, 9): ([{"s": 0, "t_nonzero": False, "weight": 1},
+                      {"s": 0, "t_nonzero": True, "weight": 9},
+                      {"s": 1, "t_nonzero": False, "weight": 8},
+                      {"s": 1, "t_nonzero": True, "weight": 72}], 3 * 81 + 15 * 9),
+        }[(p, q)]
         js = census_reports[(p, q)].to_json()
-        assert js["shards"] == [{"s": 0, "weight": 1}, {"s": 1, "weight": q - 1}]
-        assert js["pairs_enumerated"] == 2 * q ** (2 * p - 3)
+        assert js["shards"] == shards
+        assert js["pairs_enumerated"] == pairs

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from wildcomp.census import PAIR_LIMIT
 from wildcomp.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -172,6 +173,23 @@ class TestCensus:
         code, out, _ = run(capsys, "census", "--p", "3", "--q", "81")
         assert code == 0
         assert "verify: ok" in out and "class partition: ok" in out
+
+    def test_3_243_verifies(self, capsys):
+        code, out, _ = run(capsys, "census", "--p", "3", "--q", "243")
+        assert code == 0
+        assert "verify: ok" in out and "class partition: ok" in out
+
+    @pytest.mark.parametrize("p,q,pairs", [
+        (3, 2187, 3 * 2187 ** 2 + 4371 * 2187),
+        (5, 25, 3 * 25 ** 6 + 47 * 25 ** 5),
+        (7, 7, 3 * 7 ** 10 + 11 * 7 ** 9),
+    ])
+    def test_beyond_pair_limit_exits_1_at_once(self, p, q, pairs):
+        res = run_child(["census", "--p", str(p), "--q", str(q)], timeout=10)
+        assert res.returncode == 1 and not res.stdout
+        assert f"{pairs} composition pairs" in res.stderr
+        assert f"exceed {PAIR_LIMIT}" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestJsonFlag:
