@@ -21,17 +21,16 @@ from .gf import (FIELD_LIMIT, DegenerateLeadingCoefficient, DivisionByZero,
                  FieldElem, FieldSpec, FieldTooLarge, MixedFields,
                  NoModulusFound, NotPrime,
                  ReducibleModulus, enumerate_elements, field_new,
-                 format_field, frobenius, parse_field, pth_root,
-                 solve_quadratic, sqrt)
+                 format_field, frobenius, parse_field, projective_roots,
+                 pth_root, solve_quadratic, sqrt)
 from .identify import (CollisionClass, CollisionTag, MultiplyMatch,
                        SimplyMatch, brute_force_decompositions, classify,
                        enumerate_decompositions, identify_multiply,
                        identify_simply)
 from .polyring import (ConstantBase, NEG_INFINITY, NotMonic, Poly,
-                       ZeroPolynomial, compose, count_roots_in_field,
-                       derivative, divrem, evaluate, exact_div, format_poly,
-                       gcd, is_squarefree, max_power_dividing,
-                       modexp_x_to_q, parse_poly, poly_pth_root,
+                       ZeroPolynomial, compose, derivative, divrem, evaluate,
+                       exact_div, format_poly, gcd, is_squarefree,
+                       max_power_dividing, parse_poly, poly_pth_root,
                        second_degree, taylor_expansion)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 on usage errors and on requests beyond the
 exhaustive-search limits (a census above PAIR_LIMIT, a field above
-FIELD_LIMIT, a count too long to print, an unclassified f whose
-decomposition search would divide by more than BRUTE_FORCE_SPACE_LIMIT
-right components), 2 on
+FIELD_LIMIT, a count too long to print, a construct degree r^2 above
+MAX_PARSE_EXPONENT, an unclassified f whose decomposition search would
+divide by more than BRUTE_FORCE_SPACE_LIMIT right components), 2 on
 mathematically valid "no"/failure answers (no parameters recovered, no
 collision, census mismatch), so scripts can tell the two apart.  All
 numeric output is exact: integers in decimal, rationals as "num/den",
@@ -27,7 +27,7 @@ from .gf import FieldSpec, parse_field
 from .identify import (BRUTE_FORCE_SPACE_LIMIT, CollisionTag, classify,
                        enumerate_decompositions, identify_multiply,
                        identify_simply)
-from .polyring import format_poly, parse_poly
+from .polyring import MAX_PARSE_EXPONENT, format_poly, parse_poly
 
 USAGE_ERROR = 1
 FAILURE = 2
@@ -61,6 +61,9 @@ def _pairs_json(col: Collision) -> list[list[str]]:
 
 
 def _cmd_construct(args) -> int:
+    if args.r is not None and args.r * args.r > MAX_PARSE_EXPONENT:
+        return _usage(f"--r {args.r}: degree r^2 above the parse limit "
+                      f"{MAX_PARSE_EXPONENT}")
     spec = _field(args)
     w = spec.elem(args.w) if args.w is not None else spec.zero
     if args.family == "S":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .counting import NotAPower, _log_base
 from .decomp_core import Collision, Decomposition, DegreeMismatch, MonicOriginal
-from .gf import FieldElem, FieldSpec
+from .gf import FieldElem, FieldSpec, projective_roots
 from .polyring import Poly
 
 
@@ -154,15 +154,8 @@ def build_S(params: SimplyParams) -> MonicOriginal:
     return MonicOriginal((Poly(spec, inner) ** m).shift_up(1))
 
 
-def projective_roots(spec: FieldSpec, r: int, c1: int, c0: int) -> list[int]:
-    """Encodings of all y in F_q with y^(r+1) + c1*y + c0 = 0, by evaluation."""
-    return [y for y in range(spec.q)
-            if spec.add_i(spec.add_i(spec.pow_i(y, r + 1), spec.mul_i(c1, y)),
-                          c0) == 0]
-
-
 def root_set_T(params: SimplyParams) -> frozenset[FieldElem]:
-    """All t in F_q with t^(r+1) - eps*u*t + u = 0."""
+    """All t in F_q with t^(r+1) - eps*u*t + u = 0, from ``projective_roots``."""
     spec, u = params.spec, params.u
     return frozenset(map(spec.elem, projective_roots(
         spec, params.r, (-u).val if params.eps else 0, u.val)))

@@ -20,12 +20,17 @@ A product is ``_exp[log a + log b]`` and a sum is
 ``_exp[log a + _zech[log b - log a]]`` (Huber, IEEE Trans. IT 1990).
 Since -1 is encoded as p - 1, negation adds ``_log[p - 1]``.  The kernels
 in :mod:`wildcomp.polyring` run on these tables directly.
+
+``projective_roots`` finds the roots of y^(r+1) + c1*y + c0, the only kind
+of polynomial whose roots the package needs, from one more O(q) table per
+field and r, built on first use: the preimages of z -> z^(r+1)/(z-1).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterator, Optional, Sequence
 
 # field_new refuses larger fields: the tables hold O(q) entries and the
@@ -139,7 +144,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "d", "q", "modulus", "_exp", "_log", "_zech",
-                 "_artin_map", "_hashv")
+                 "_roots", "_hashv")
 
     def __init__(self, p: int, d: int, modulus: tuple[int, ...]):
         self.p = p
@@ -147,7 +152,7 @@ class FieldSpec:
         self.q = p ** d
         self.modulus = modulus
         self._hashv = hash((p, d, modulus))
-        self._artin_map: Optional[dict[int, int]] = None
+        self._roots: dict[int, tuple[list[int], list[int]]] = {}
         self._build_tables()
 
     # -- identity ----------------------------------------------------------
@@ -323,17 +328,22 @@ class FieldSpec:
         self._log = log
         self._zech = zech
 
-    def _artin_table(self) -> dict[int, int]:
-        """Preimages of z -> z^2 + z; only meaningful in characteristic 2."""
-        m = self._artin_map
-        if m is None:
-            m = {}
-            for v in range(self.q):
-                s = self.add_i(self.mul_i(v, v), v)
-                if s not in m:
-                    m[s] = v
-            self._artin_map = m
-        return m
+    def _root_table(self, r: int) -> tuple[list[int], list[int]]:
+        """The preimages of each u under z -> z^(r+1)/(z-1), z not in {0, 1},
+        as chains: first[u] is one, after[z] the one after z, and 0 ends a
+        chain.  Built once per r from the logs."""
+        table = self._roots.get(r)
+        if table is None:
+            p, q, log, exp = self.p, self.q, self._log, self._exp
+            n, e = q - 1, r + 1
+            first, after = [0] * q, [0] * q
+            for z in range(2, q):
+                # z - 1 only changes z's lowest digit
+                u = exp[(e * log[z] - log[z - z % p + (z - 1) % p]) % n]
+                after[z] = first[u]
+                first[u] = z
+            table = self._roots[r] = (first, after)
+        return table
 
 
 class FieldElem:
@@ -482,6 +492,43 @@ def sqrt(a: FieldElem) -> Optional[FieldElem]:
     return None if la % 2 else spec.elem(spec._exp[la // 2])
 
 
+def projective_roots(spec: FieldSpec, r: int, c1: int, c0: int) -> list[int]:
+    """Encodings of all y in F_q with y^(r+1) + c1*y + c0 = 0, ascending.
+
+    r is a power of p, 1 included.  With c0 = 0 the roots are 0 and the
+    r-th root of -c1; with c1 = 0 they are the (r+1)-th roots of -c0, read
+    off the logs.  Otherwise y = mu*z with mu = -c0/c1 turns the equation
+    into z^(r+1) - u*z + u = 0 with u = c0*mu^(-(r+1)), whose roots are the
+    preimages of u under z -> z^(r+1)/(z-1) (Bluher, FFA 10, 2004), looked
+    up in the field's table for r.
+    """
+    p, n, log, exp = spec.p, spec.q - 1, spec._log, spec._exp
+    ell = 0
+    while p ** ell < r:
+        ell += 1
+    if p ** ell != r:
+        raise ValueError(f"{r} is not a power of {p}")
+    if not c0:
+        return sorted({0, spec.pth_root_i(spec.neg_i(c1), ell)})
+    if not c1:
+        # (r+1)*log y = log(-c0) mod n
+        g = math.gcd(r + 1, n)
+        a = log[spec.neg_i(c0)]
+        if a % g:
+            return []
+        m = n // g
+        t = a // g * pow((r + 1) // g, -1, m) % m
+        return sorted(exp[t + j * m] for j in range(g))
+    lmu = (log[spec.neg_i(c0)] - log[c1]) % n
+    first, after = spec._root_table(r)
+    roots = []
+    z = first[exp[(log[c0] - (r + 1) * lmu) % n]]
+    while z:
+        roots.append(exp[lmu + log[z]])
+        z = after[z]
+    return sorted(roots)
+
+
 def solve_quadratic(c2: FieldElem, c1: FieldElem,
                     c0: FieldElem) -> Optional[tuple[FieldElem, FieldElem]]:
     """Two distinct roots in F_q of c2*y^2 + c1*y + c0, or None.
@@ -495,28 +542,10 @@ def solve_quadratic(c2: FieldElem, c1: FieldElem,
         raise MixedFields("quadratic coefficients from different fields")
     if c2.val == 0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
-    if spec.p == 2:
-        if c1.val == 0:
-            return None
-        b = c1 / c2
-        c = c0 / c2
-        gamma = c / (b * b)
-        z = spec._artin_table().get(gamma.val)
-        if z is None:
-            return None
-        y1 = b * spec.elem(z)
-        y2 = y1 + b
-    else:
-        disc = c1 * c1 - spec.scalar(4) * c2 * c0
-        if disc.val == 0:
-            return None
-        s = sqrt(disc)
-        if s is None:
-            return None
-        inv2a = (spec.scalar(2) * c2).inv()
-        y1 = (-c1 + s) * inv2a
-        y2 = (-c1 - s) * inv2a
-    return (y1, y2) if y1.val < y2.val else (y2, y1)
+    inv = spec.inv_i(c2.val)
+    roots = projective_roots(spec, 1, spec.mul_i(c1.val, inv),
+                             spec.mul_i(c0.val, inv))
+    return tuple(map(spec.elem, roots)) if len(roots) == 2 else None
 
 
 def enumerate_elements(spec: FieldSpec) -> tuple[FieldElem, ...]:

@@ -6,8 +6,9 @@ failure path; a mandatory final reconstruction test keeps them sound on
 arbitrary input.  ``classify`` combines them with the Frobenius test into
 the full trichotomy at degree p^2, and ``enumerate_decompositions`` lists
 every degree-p decomposition; for an unclassified f it divides only by the
-right components whose x^(p-1) coefficient passes a root test, at most
-BRUTE_FORCE_SPACE_LIMIT of them.
+right components whose x^(p-1) coefficient is a root of P_f, at most
+BRUTE_FORCE_SPACE_LIMIT of them.  Every root these need comes from
+``gf.projective_roots``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from typing import NamedTuple, Optional
 
 from .constructions import (MultiplyParams, SimplyParams, build_M, build_S,
                             decompositions_S, frobenius_map,
-                            prime_power_exponent, projective_roots)
+                            prime_power_exponent)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
                           MonicOriginal, left_divide, mo_index_to_poly,
                           original_shift, shift_decomposition)
-from .gf import FieldElem, solve_quadratic
-from .polyring import (NEG_INFINITY, Poly, count_roots_in_field, derivative,
-                       exact_div, gcd, max_power_dividing, poly_pth_root,
-                       second_degree)
+from .gf import FieldElem, projective_roots, solve_quadratic
+from .polyring import (NEG_INFINITY, Poly, derivative, exact_div, gcd,
+                       max_power_dividing, poly_pth_root, second_degree)
 
 # The fallback divides by at most this many candidate right components.
 BRUTE_FORCE_SPACE_LIMIT = 1 << 13
@@ -66,17 +66,13 @@ class EnumeratedDecompositions(NamedTuple):
     complete: bool
 
 
-def _t_poly(spec, u: int, eps: int, r: int) -> Poly:
-    """y^(r+1) - eps*u*y + u as a polynomial over spec."""
-    return Poly(spec, [u, spec.neg_i(u) if eps else 0] + [0] * (r - 1) + [1])
-
-
 def identify_simply(f: MonicOriginal, r: int) -> Optional[SimplyMatch]:
     """Recover (k, u, s, eps, m, w) with f = S(u,s,eps,m)^(w), or None.
 
     Branches on whether r divides the second degree, reads l and m off it,
     then s, u and w off three coefficients; a full rebuild of the candidate
-    is the final arbiter.  k counts the roots of y^(r+1) - eps*u*y + u.
+    is the final arbiter.  k counts the roots of y^(r+1) - eps*u*y + u,
+    read off the field's root table by ``projective_roots``.
     """
     spec = f.spec
     prime_power_exponent(r, spec.p)
@@ -127,7 +123,7 @@ def identify_simply(f: MonicOriginal, r: int) -> Optional[SimplyMatch]:
     params = SimplyParams(u, s, eps, m, r)
     if original_shift(build_S(params), w) != f:
         return None
-    k = count_roots_in_field(_t_poly(spec, u_enc, eps, r))
+    k = len(projective_roots(spec, r, spec.neg_i(u_enc) if eps else 0, u_enc))
     return SimplyMatch(k, u, s, eps, m, w)
 
 
@@ -208,19 +204,9 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
         return None  # m^(-2) undefined
     minv = spec.scalar(m).inv()
     br = b ** r
-    c1 = -br
     c0 = -(minv * minv) * b ** (r - 1) * lcf
-    candidates: list[FieldElem]
-    if p > 2 and c1 * c1 == spec.scalar(4) * c0:
-        # zero discriminant, double root b^r / 2: the two admissible a
-        # coincide (a = a*)
-        candidates = [br / spec.scalar(2)]
-    else:
-        pair = solve_quadratic(spec.one, c1, c0)
-        if pair is None:
-            return None
-        candidates = list(pair)
-    for a in candidates:
+    # a double root b^r / 2 is the case a = a*
+    for a in map(spec.elem, projective_roots(spec, 1, (-br).val, c0.val)):
         if a.val == 0 or a == br:
             continue
         cand, _ = build_M(MultiplyParams(a, b, m, r))
@@ -255,8 +241,9 @@ def brute_force_decompositions(f: MonicOriginal) -> Optional[list[Decomposition]
     """All (g, h) with f = g(h) and deg h = p, or None beyond the search limit.
 
     f_(p^2-p) = y^p + g_(p-1) and f_(p^2-p-1) = -g_(p-1) y with y = h_(p-1),
-    so y is a root of P_f(y) = y^(p+1) - f_(p^2-p) y - f_(p^2-p-1); f is
-    divided by the q^(p-2) h per root, if at most BRUTE_FORCE_SPACE_LIMIT.
+    so y is a root of P_f(y) = y^(p+1) - f_(p^2-p) y - f_(p^2-p-1), found by
+    ``projective_roots``; f is divided by the q^(p-2) h per root, if at most
+    BRUTE_FORCE_SPACE_LIMIT.
     """
     spec = f.spec
     p = spec.p

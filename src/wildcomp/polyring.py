@@ -477,41 +477,6 @@ def _shift_raw(spec: FieldSpec, c: Sequence[int], t: int) -> list[int]:
     return out
 
 
-def modexp_x_to_q(modulus: Poly, e: int) -> Poly:
-    """x^e mod modulus by square and multiply."""
-    if modulus.degree < 1:
-        raise ConstantBase("modulus must have degree at least 1")
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    spec = modulus.spec
-    mc = modulus._c
-    result = _divrem_raw(spec, (1,), mc)[1]
-    base = _divrem_raw(spec, (0, 1), mc)[1]
-    while e:
-        if e & 1:
-            result = _divrem_raw(spec, _mul_raw(spec, result, base), mc)[1]
-        e >>= 1
-        if e:
-            base = _divrem_raw(spec, _mul_raw(spec, base, base), mc)[1]
-    return Poly(spec, result)
-
-
-def count_roots_in_field(f: Poly) -> int:
-    """Number of distinct roots of f in F_q, as deg gcd(x^q - x mod f, f).
-
-    The tests cross-check this count against exhaustive evaluation.
-    """
-    if f.is_zero:
-        raise ZeroPolynomial("root count of the zero polynomial")
-    spec = f.spec
-    if f.degree == 0:
-        return 0
-    xq = modexp_x_to_q(f, spec.q)
-    t = xq - Poly.x(spec)
-    g = gcd(t, f)
-    return int(g.degree) if not g.is_zero else 0
-
-
 def taylor_expansion(f: Poly, base: Poly) -> list[Poly]:
     """Digits a_0..a_{v-1} with f = sum a_i * base^i, deg a_i < deg base."""
     f._same(base)

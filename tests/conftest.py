@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from wildcomp import census, classify, field_new, parse_poly
+from wildcomp import (ConstantBase, Poly, ZeroPolynomial, census, classify,
+                      divrem, field_new, gcd, parse_poly)
 from wildcomp.decomp_core import (Decomposition, MonicOriginal, left_divide,
                                   mo_index_to_poly)
 
@@ -23,9 +24,46 @@ def MO(spec, text):
 
 
 def random_monic_original(rng: random.Random, spec, degree: int) -> MonicOriginal:
-    from wildcomp.polyring import Poly
     inner = [rng.randrange(spec.q) for _ in range(degree - 1)]
     return MonicOriginal(Poly(spec, (0, *inner, 1)))
+
+
+def modexp_x_to_q(modulus: Poly, e: int) -> Poly:
+    """x^e mod modulus by square and multiply."""
+    if modulus.degree < 1:
+        raise ConstantBase("modulus must have degree at least 1")
+    if e < 0:
+        raise ValueError("exponent must be non-negative")
+    spec = modulus.spec
+    result = divrem(Poly.one(spec), modulus)[1]
+    base = divrem(Poly.x(spec), modulus)[1]
+    while e:
+        if e & 1:
+            result = divrem(result * base, modulus)[1]
+        e >>= 1
+        if e:
+            base = divrem(base * base, modulus)[1]
+    return result
+
+
+def count_roots_in_field(f: Poly) -> int:
+    """Number of distinct roots of f in F_q, as deg gcd(x^q - x mod f, f).
+
+    The root-count oracle, independent of ``gf.projective_roots``: it never
+    looks at the form of f.
+    """
+    if f.is_zero:
+        raise ZeroPolynomial("root count of the zero polynomial")
+    spec = f.spec
+    if f.degree == 0:
+        return 0
+    g = gcd(modexp_x_to_q(f, spec.q) - Poly.x(spec), f)
+    return int(g.degree) if not g.is_zero else 0
+
+
+def t_poly(spec, u: int, eps: int, r: int) -> Poly:
+    """y^(r+1) - eps*u*y + u as a polynomial over spec."""
+    return Poly(spec, [u, spec.neg_i(u) if eps else 0] + [0] * (r - 1) + [1])
 
 
 def full_scan_decompositions(f: MonicOriginal) -> frozenset:

@@ -10,16 +10,17 @@ import pytest
 
 from wildcomp import (CollisionTag, MultiplyParams, Poly, SimplyParams,
                       build_M, build_S, classify, class_partition_check,
-                      compose, count_decomposable, count_roots_in_field,
-                      decompositions_S, derivative, evaluate, field_new,
-                      identify_multiply, identify_simply, left_divide,
-                      original_shift, root_set_T, verify)
+                      compose, count_decomposable, decompositions_S,
+                      derivative, evaluate, field_new, identify_multiply,
+                      identify_simply, left_divide, original_shift,
+                      root_set_T, verify)
 from wildcomp.census import unpack_pair
 from wildcomp.constructions import M_derivative_factored
 from wildcomp.decomp_core import MonicOriginal
 from wildcomp.identify import enumerate_decompositions
 
-from conftest import CENSUS_FIELDS, F, key_of, random_monic_original, shard_union
+from conftest import (CENSUS_FIELDS, F, count_roots_in_field, key_of,
+                      random_monic_original, shard_union, t_poly)
 
 ANCHORS = {
     (2, 4): {"c": {2: 3, 3: 1}, "D": 11},
@@ -295,23 +296,29 @@ def test_criterion_7_root_count_dual_path():
             assert count_roots_in_field(f) == brute
             checked += 1
     assert checked == total
-    print(f"\nACCEPTANCE 7 PASS: gcd-based root counting agrees with "
+    print(f"\nACCEPTANCE 7 PASS: the gcd root-count oracle agrees with "
           f"exhaustive evaluation on {checked} random polynomials (q <= 81)")
 
 
 def test_criterion_7_census_root_counts(full_colliding, classifications):
-    # k from the gcd-based count in identify_simply, #T by exhaustive
-    # evaluation, and the pairs the census tabulation found for f all agree
+    # k from the root table in identify_simply, the roots T themselves,
+    # the gcd oracle on y^(p+1) - eps*u*y + u, and the pairs the census
+    # tabulation found for f all agree
     checked = 0
     for (p, q) in CENSUS_FIELDS:
         for key, cls in classifications[(p, q)].items():
             if cls.tag is not CollisionTag.SIMPLY:
                 continue
             sm = cls.simply
+            spec = sm.u.spec
             roots = root_set_T(SimplyParams(sm.u, sm.s, sm.eps, sm.m, p))
-            assert sm.k == len(roots) == len(full_colliding[(p, q)][key]), \
-                (p, q, key)
+            oracle = count_roots_in_field(t_poly(spec, sm.u.val, sm.eps, p))
+            assert sm.k == len(roots) == oracle \
+                == len(full_colliding[(p, q)][key]), (p, q, key)
+            assert all(evaluate(t_poly(spec, sm.u.val, sm.eps, p), t).val == 0
+                       for t in roots), (p, q, key)
             checked += 1
     assert checked
     print(f"\nACCEPTANCE 7 PASS: root counts of {checked} S-classified census "
-          f"polynomials agree with exhaustive evaluation and the census")
+          f"polynomials agree across the root table, the gcd oracle and the "
+          f"census")

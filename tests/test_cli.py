@@ -258,6 +258,18 @@ class TestFieldLimit:
         assert "field limit of 65536" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "S", "--field", "2^1", "--u", "1", "--s", "1",
+         "--eps", "0", "--m", "1", "--r", "1024"],
+        ["construct", "M", "--field", "2^1", "--a", "1", "--b", "1",
+         "--m", "3", "--r", "1000000000000000000"],
+    ])
+    def test_oversized_r_exits_1_at_once(self, argv):
+        res = run_child(argv, timeout=10)
+        assert res.returncode == 1 and not res.stdout
+        assert "above the parse limit 65536" in res.stderr
+        assert "Traceback" not in res.stderr
+
     @pytest.mark.parametrize("p,q", [
         (1000000000000000003, 1000000000000000003),
         (1000003, 1000003),

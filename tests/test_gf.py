@@ -1,14 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildcomp import (FIELD_LIMIT, DegenerateLeadingCoefficient,
                       DivisionByZero, FieldTooLarge, MixedFields, NotPrime,
                       ReducibleModulus, enumerate_elements, field_new,
-                      format_field, frobenius, gf, parse_field, pth_root,
-                      solve_quadratic, sqrt)
+                      format_field, frobenius, gf, parse_field,
+                      projective_roots, pth_root, solve_quadratic, sqrt)
 from wildcomp.gf import _zp_mod, _zp_mul
 
 from conftest import F
@@ -253,6 +253,53 @@ class TestSolveQuadratic:
                         assert len(roots) != 2
                     else:
                         assert set(got) == roots and len(roots) == 2
+
+
+def roots_by_evaluation(spec, r, c1, c0):
+    return [y for y in range(spec.q)
+            if spec.add_i(spec.add_i(spec.pow_i(y, r + 1), spec.mul_i(c1, y)),
+                          c0) == 0]
+
+
+class TestProjectiveRoots:
+    @pytest.mark.parametrize("spec", [F(2), F(3), F(2, 2), F(5), F(2, 3),
+                                      F(3, 2), F(2, 4), F(3, 3)], ids=str)
+    def test_every_equation_against_evaluation(self, spec):
+        # every (c1, c0), so c1 = 0, c0 = 0 and both zero included
+        for r in (1, spec.p, spec.p ** 2):
+            for c1 in range(spec.q):
+                for c0 in range(spec.q):
+                    assert projective_roots(spec, r, c1, c0) == \
+                        roots_by_evaluation(spec, r, c1, c0), (spec, r, c1, c0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([F(2, 8), F(2, 11), F(3, 5), F(3, 7), F(5, 3),
+                            F(7, 2), F(13), F(11, 2)]),
+           st.sampled_from([0, 1, 2]), st.sampled_from(["c1", "c0", "both", ""]),
+           st.integers(min_value=0), st.integers(min_value=0))
+    def test_matches_evaluation(self, spec, e, zero, c1, c0):
+        r = spec.p ** e
+        c1 = 0 if zero in ("c1", "both") else c1 % spec.q
+        c0 = 0 if zero in ("c0", "both") else c0 % spec.q
+        got = projective_roots(spec, r, c1, c0)
+        assert got == sorted(got)
+        assert got == roots_by_evaluation(spec, r, c1, c0)
+
+    def test_t_polynomial_counts_at_f_2_16(self):
+        # the S-class equations y^(r+1) - eps*u*y + u in the largest field
+        spec = F(2, 16)
+        rng = random.Random(16)
+        for _ in range(2):
+            u = rng.randrange(1, spec.q)
+            for eps in (0, 1):
+                c1 = spec.neg_i(u) if eps else 0
+                assert projective_roots(spec, 2, c1, u) == \
+                    roots_by_evaluation(spec, 2, c1, u)
+
+    @pytest.mark.parametrize("r", [0, 6, 9])
+    def test_r_not_a_power_of_p(self, r):
+        with pytest.raises(ValueError):
+            projective_roots(F(2, 2), r, 1, 1)
 
 
 class TestSqrt:

@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 
 from wildcomp import (CollisionTag, Decomposition, DegreeMismatch,
                       MultiplyParams, SimplyParams, brute_force_decompositions,
-                      build_M, build_S, classify, count_roots_in_field,
-                      decompositions_S, enumerate_decompositions,
-                      identify_multiply, identify_simply, original_shift)
+                      build_M, build_S, classify, decompositions_S,
+                      enumerate_decompositions, identify_multiply,
+                      identify_simply, original_shift)
 from wildcomp.decomp_core import MonicOriginal
-from wildcomp.identify import _t_poly
 from wildcomp.polyring import Poly
 
-from conftest import (CENSUS_FIELDS, F, MO, full_scan_decompositions, key_of,
-                      random_monic_original)
+from conftest import (CENSUS_FIELDS, F, MO, count_roots_in_field,
+                      full_scan_decompositions, key_of, random_monic_original,
+                      t_poly)
 
 
 def random_simply_params(rng, spec, r):
@@ -89,9 +89,9 @@ class TestIdentifySimply:
             for _ in range(25):
                 u = spec.elem(rng.randrange(1, spec.q))
                 s = spec.elem(rng.randrange(1, spec.q))
-                k1 = count_roots_in_field(_t_poly(spec, u.val, 0, r))
+                k1 = count_roots_in_field(t_poly(spec, u.val, 0, r))
                 k2 = count_roots_in_field(
-                    _t_poly(spec, (u * s ** (r + 1)).val, 0, r))
+                    t_poly(spec, (u * s ** (r + 1)).val, 0, r))
                 assert k1 == k2
 
     def test_rejects_random_noise(self, full_colliding):

@@ -5,15 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildcomp import (ConstantBase, DivisionByZero, NEG_INFINITY, NotMonic,
-                      Poly, ZeroPolynomial, compose, count_roots_in_field,
-                      derivative, divrem, evaluate, exact_div, format_poly,
-                      gcd, is_squarefree, max_power_dividing, modexp_x_to_q,
-                      parse_poly, poly_pth_root, second_degree,
-                      taylor_expansion)
+                      Poly, ZeroPolynomial, compose, derivative, divrem,
+                      evaluate, exact_div, format_poly, gcd, is_squarefree,
+                      max_power_dividing, parse_poly, poly_pth_root,
+                      second_degree, taylor_expansion)
 from wildcomp.polyring import (KARATSUBA_THRESHOLD, MAX_PARSE_EXPONENT,
                                _mul_raw, _mul_school)
 
-from conftest import F, P
+from conftest import F, P, count_roots_in_field, modexp_x_to_q
 
 FIELDS = [F(2), F(3), F(5), F(2, 2), F(3, 2), F(2, 3)]
 
