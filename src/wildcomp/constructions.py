@@ -185,6 +185,27 @@ def _binomial_x_minus(spec: FieldSpec, c: FieldElem) -> Poly:
     return Poly(spec, (spec.neg_i(c.val), 1))
 
 
+def _M_factors(params: MultiplyParams) -> tuple[Poly, Poly, Poly]:
+    """x - b, H = x^m + a* b^(-r) ((x-b)^m - x^m) and H* (a, m swapped with a*, m*)."""
+    spec = params.spec
+    a, b, m, r = params.a, params.b, params.m, params.r
+    astar, mstar = params.a_star, params.m_star
+    x = Poly.x(spec)
+    xb = _binomial_x_minus(spec, b)
+    binv_r = (b ** r).inv()
+    big_h = x ** m + (astar * binv_r) * (xb ** m - x ** m)
+    big_hs = x ** mstar + (a * binv_r) * (xb ** mstar - x ** mstar)
+    return xb, big_h, big_hs
+
+
+def _M_poly(params: MultiplyParams) -> MonicOriginal:
+    """The multiply original polynomial (x(x-b))^(m m*) H^m (H*)^(m*)."""
+    mm = params.m * params.m_star
+    xb, big_h, big_hs = _M_factors(params)
+    return MonicOriginal(
+        (xb ** mm * big_h ** params.m * big_hs ** params.m_star).shift_up(mm))
+
+
 def build_M(params: MultiplyParams) -> tuple[MonicOriginal, Collision]:
     """The multiply original polynomial and its 2-collision {(g,h), (g*,h*)}.
 
@@ -198,16 +219,12 @@ def build_M(params: MultiplyParams) -> tuple[MonicOriginal, Collision]:
     xb = _binomial_x_minus(spec, b)
     binv_r = (b ** r).inv()
 
-    big_h = x ** m + (astar * binv_r) * (xb ** m - x ** m)
-    big_hs = x ** mstar + (a * binv_r) * (xb ** mstar - x ** mstar)
-    f = (x ** (m * mstar)) * (xb ** (m * mstar)) * big_h ** m * big_hs ** mstar
-
     g = (x ** m) * _binomial_x_minus(spec, a) ** mstar
     h = x ** r + (astar * binv_r) * ((x ** mstar) * xb ** m - x ** r)
     gs = (x ** mstar) * _binomial_x_minus(spec, astar) ** m
     hs = x ** r + (a * binv_r) * ((x ** m) * xb ** mstar - x ** r)
 
-    fm = MonicOriginal(f)
+    fm = _M_poly(params)
     col = Collision(fm, frozenset({
         Decomposition(MonicOriginal(g), MonicOriginal(h)),
         Decomposition(MonicOriginal(gs), MonicOriginal(hs)),
@@ -223,10 +240,7 @@ def M_derivative_factored(params: MultiplyParams) -> Poly:
     spec = params.spec
     a, b, m, r = params.a, params.b, params.m, params.r
     astar, mstar = params.a_star, params.m_star
-    x = Poly.x(spec)
-    xb = _binomial_x_minus(spec, b)
-    binv_r = (b ** r).inv()
-    big_h = x ** m + (astar * binv_r) * (xb ** m - x ** m)
-    big_hs = x ** mstar + (a * binv_r) * (xb ** mstar - x ** mstar)
+    xb, big_h, big_hs = _M_factors(params)
     lead = spec.scalar(m * mstar) * a * astar * b ** (1 - r)
-    return lead * (x * xb) ** (m * mstar - 1) * big_h ** (m - 1) * big_hs ** (mstar - 1)
+    return (lead * (Poly.x(spec) * xb) ** (m * mstar - 1) * big_h ** (m - 1)
+            * big_hs ** (mstar - 1))

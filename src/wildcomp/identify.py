@@ -3,10 +3,14 @@
 ``identify_simply`` and ``identify_multiply`` recover construction
 parameters (and the shift) from a raw polynomial, returning None on any
 failure path; a mandatory final reconstruction test keeps them sound on
-arbitrary input.  ``classify`` combines them with the Frobenius test into
-the full trichotomy at degree p^2, and ``enumerate_decompositions`` lists
-every degree-p decomposition; for an unclassified f it divides only by the
-right components whose x^(p-1) coefficient is a root of P_f, at most
+arbitrary input.  ``identify_multiply`` first applies two tests every M
+member passes: deg f' = r^2 - r - 2, and a squarefree part of f' of degree
+at most r + 2, checked by a Euclid that stops once a remainder falls below
+the gcd degree this needs; most other f leave before any full gcd.
+``classify`` combines them with the Frobenius test into the full
+trichotomy at degree p^2, and ``enumerate_decompositions`` lists every
+degree-p decomposition; for an unclassified f it divides only by the right
+components whose x^(p-1) coefficient is a root of P_f, at most
 BRUTE_FORCE_SPACE_LIMIT of them.  Every root these need comes from
 ``gf.projective_roots``.
 """
@@ -17,15 +21,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .constructions import (MultiplyParams, SimplyParams, build_M, build_S,
-                            decompositions_S, frobenius_map,
+from .constructions import (MultiplyParams, SimplyParams, _M_poly, build_M,
+                            build_S, decompositions_S, frobenius_map,
                             prime_power_exponent)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
                           MonicOriginal, left_divide, mo_index_to_poly,
                           original_shift, shift_decomposition)
 from .gf import FieldElem, projective_roots, solve_quadratic
-from .polyring import (NEG_INFINITY, Poly, derivative, exact_div, gcd,
-                       max_power_dividing, poly_pth_root, second_degree)
+from .polyring import (NEG_INFINITY, Poly, _gcd_raw, derivative, exact_div,
+                       gcd, max_power_dividing, poly_pth_root, second_degree)
 
 # The fallback divides by at most this many candidate right components.
 BRUTE_FORCE_SPACE_LIMIT = 1 << 13
@@ -141,7 +145,15 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
     Works down the derivative: its squarefree part isolates the quadratic
     x(x-b) shifted by w, a power count recovers m, and the two candidate
     values of a are the roots of y^2 - b^r y - m^(-2) b^(r-1) lc(f').  Both
-    candidates are checked by full reconstruction.
+    candidates are checked by rebuilding f, the only arbiter.
+
+    Two necessary conditions reject most other f before any full gcd.
+    Every member has f' = c (x(x-b))^(m m* - 1) H^(m-1) (H*)^(m*-1) with
+    c = m m* a a* b^(1-r) != 0 and H, H* monic of degrees m, m* (p does not
+    divide m), so deg f' = r^2 - r - 2, and the shift keeps it.  The
+    squarefree part f1 of the monic f0 = f' / lc(f') divides x(x-b) H H*,
+    so deg f1 <= r + 2 and gcd(f0, f0') has degree at least deg f0 - r - 2;
+    its Euclid stops as soon as a remainder falls below that.
     """
     spec = f.spec
     p = spec.p
@@ -152,7 +164,7 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
         # no m with 1 < m < r-1 and p not dividing m exists
         return None
     fprime = derivative(f.poly)
-    if fprime.is_zero:
+    if fprime.degree != r * r - r - 2:
         return None
     lcf = fprime.lc()
     f0 = fprime * lcf.inv()
@@ -161,26 +173,26 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
         if root is None:
             return None
         f0 = root
-    f1 = exact_div(f0, gcd(f0, derivative(f0)))
-    if f1 is None or not 4 <= f1.degree <= r + 2:
+    sqf = _gcd_raw(spec, f0.encodings, derivative(f0).encodings,
+                   int(f0.degree) - r - 2)
+    if sqf is None:
+        return None
+    f1 = exact_div(f0, Poly(spec, sqf))
+    if f1 is None or f1.degree < 4:
         return None
     k = max_power_dividing(f0, f1)
     if p == 2:
         k *= 2
     m = min(k + 1, r - k - 1)
-    if m < 2:
+    if m < 2 or m % p == 0:
+        return None  # m^(-2) undefined when p | m
+    # f1 = prod P_i, f0 = prod P_i^e_i: gcd(f1, f3) = prod_(e_i >= r-m) P_i
+    f3 = exact_div(f0, gcd(f1 ** (r - m - 1), f0))
+    if f3 is None:
         return None
     if p == 2 or (m * m + 1) % p:
-        big = gcd(f1 ** (r - m), f0)
-        small = gcd(f1 ** (r - m - 1), f0)
-        f2 = exact_div(big, small)
-        if f2 is None:
-            return None
+        f2 = gcd(f1, f3)
     else:
-        small = gcd(f1 ** (r - m - 1), f0)
-        f3 = exact_div(f0, small)
-        if f3 is None:
-            return None
         exps = [i for i, c in enumerate(f3.encodings) if c and i]
         if not exps:
             return None
@@ -200,17 +212,16 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
     x1, x2 = roots
     b = x2 - x1
     w = -x1
-    if m % p == 0:
-        return None  # m^(-2) undefined
     minv = spec.scalar(m).inv()
     br = b ** r
     c0 = -(minv * minv) * b ** (r - 1) * lcf
+    # the shift is a group action, so M(a,b,m)^(w) = f iff M(a,b,m) = f^(-w);
     # a double root b^r / 2 is the case a = a*
+    unshifted = original_shift(f, -w)
     for a in map(spec.elem, projective_roots(spec, 1, (-br).val, c0.val)):
         if a.val == 0 or a == br:
             continue
-        cand, _ = build_M(MultiplyParams(a, b, m, r))
-        if original_shift(cand, w) == f:
+        if _M_poly(MultiplyParams(a, b, m, r)) == unshifted:
             return MultiplyMatch(a, b, m, w)
     return None
 

@@ -365,18 +365,29 @@ def exact_div(a: Poly, b: Poly) -> Optional[Poly]:
     return q if r.is_zero else None
 
 
+def _gcd_raw(spec: FieldSpec, a: Sequence[int], b: Sequence[int],
+             floor: int = 0) -> Optional[list[int]]:
+    """Monic gcd of a and b by Euclid, or None once it must have degree < floor.
+
+    The gcd divides every nonzero remainder, so a remainder of degree below
+    ``floor`` ends the loop early.  gcd(0, 0) = 0 is returned as [].
+    """
+    x, y = a, b
+    while y:
+        if len(y) <= floor:
+            return None
+        x, y = y, _divrem_raw(spec, x, y)[1]
+    if not x:
+        return []
+    if len(x) <= floor:
+        return None
+    return _scale_raw(spec, x, spec.inv_i(x[-1]))
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by Euclid; gcd(0, 0) = 0."""
     a._same(b)
-    spec = a.spec
-    x, y = a._c, b._c
-    while y:
-        x, y = y, tuple(_divrem_raw(spec, x, y)[1])
-    if not x:
-        return Poly.zero(spec)
-    if x[-1] != 1:
-        x = tuple(_scale_raw(spec, x, spec.inv_i(x[-1])))
-    return Poly(spec, x)
+    return Poly(a.spec, _gcd_raw(a.spec, a._c, b._c))
 
 
 def derivative(f: Poly) -> Poly:
@@ -491,11 +502,12 @@ def max_power_dividing(f: Poly, base: Poly) -> int:
         raise ZeroPolynomial("every power divides the zero polynomial")
     if base.degree < 1:
         raise ConstantBase("base must have degree at least 1")
-    digits = _taylor_raw(f.spec, f._c, base._c)
-    for k, d in enumerate(digits):
-        if d:
+    spec, c, k = f.spec, f._c, 0
+    while True:
+        q, rem = _divrem_raw(spec, c, base._c)
+        if rem:
             return k
-    raise AssertionError("nonzero polynomial with all-zero expansion")
+        c, k = q, k + 1
 
 
 def poly_pth_root(f: Poly, l: int) -> Optional[Poly]:

@@ -291,13 +291,27 @@ class TestFieldLimit:
                        f"D={q * q - c2 - 2 * c3}")
 
 
+# M(3, 2, 3) over F_7 shifted by w = 4: it reaches every gcd of identify_multiply
+F7_M_MEMBER = ("x^49+5*x^42+x^41+5*x^40+6*x^39+6*x^38+6*x^37+5*x^36+5*x^35"
+               "+5*x^34+6*x^33+6*x^32+2*x^31+2*x^30+5*x^28+4*x^26+3*x^24"
+               "+5*x^22+4*x^21+5*x^20+4*x^18+6*x^17+6*x^16+6*x^15+x^13"
+               "+4*x^12+x^11+2*x^10+2*x^9+6*x^8+2*x^7+4*x^6+6*x^5+5*x^4"
+               "+3*x^3+6*x")
+
+
 class TestOptimizeFlag:
     @pytest.mark.parametrize("argv", [
         ["--json", "census", "--p", "3", "--q", "9"],
         ["classify", "--field", "3^1", "--poly", "x^9+x^5+x"],
+        ["--json", "census", "--p", "5", "--q", "5"],
+        ["classify", "--field", "7^1", "--poly", F7_M_MEMBER],
     ])
     def test_same_output_under_dash_O(self, argv):
         plain, optimized = [run_child(argv, flags) for flags in ([], ["-O"])]
         assert plain.returncode == optimized.returncode == 0, \
             (plain.stderr, optimized.stderr)
         assert plain.stdout == optimized.stdout
+
+    def test_m_member_classified_under_dash_O(self):
+        out = run_child(["classify", "--field", "7^1", "--poly", F7_M_MEMBER], ["-O"])
+        assert (out.returncode, out.stdout.strip()) == (0, "M a=3 b=2 m=3 w=4")

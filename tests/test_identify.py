@@ -10,7 +10,7 @@ from wildcomp import (CollisionTag, Decomposition, DegreeMismatch,
                       enumerate_decompositions, identify_multiply,
                       identify_simply, original_shift)
 from wildcomp.decomp_core import MonicOriginal
-from wildcomp.polyring import Poly
+from wildcomp.polyring import Poly, derivative
 
 from conftest import (CENSUS_FIELDS, F, MO, count_roots_in_field,
                       full_scan_decompositions, key_of, random_monic_original,
@@ -105,7 +105,30 @@ class TestIdentifySimply:
                 assert key in colliding
 
 
+# (field, r) for the degree property: r = p, and r = p^3, p^2 over F_8, F_9
+DEGREE_CASES = [(F(5), 5), (F(5, 2), 5), (F(7), 7), (F(11), 11), (F(13), 13),
+                (F(2, 3), 8), (F(3, 2), 9)]
+
+
+@st.composite
+def shifted_m_members(draw):
+    spec, r = draw(st.sampled_from(DEGREE_CASES))
+    b = spec.elem(draw(st.integers(1, spec.q - 1)))
+    a = spec.elem(draw(st.integers(1, spec.q - 1).filter(
+        lambda v: spec.elem(v) != b ** r)))
+    m = draw(st.sampled_from([m for m in range(2, r - 1) if m % spec.p]))
+    w = spec.elem(draw(st.integers(0, spec.q - 1)))
+    return original_shift(build_M(MultiplyParams(a, b, m, r))[0], w), r
+
+
 class TestIdentifyMultiply:
+    @settings(max_examples=60, deadline=None)
+    @given(shifted_m_members())
+    def test_members_have_derivative_degree_r2_minus_r_minus_2(self, f_and_r):
+        # identify_multiply rejects every f whose f' has another degree
+        f, r = f_and_r
+        assert derivative(f.poly).degree == r * r - r - 2
+
     def test_f5_example(self):
         f, _ = build_M(MultiplyParams(F(5).elem(2), F(5).one, 2, 5))
         got = identify_multiply(f, 5)

@@ -10,7 +10,7 @@ from wildcomp import (ConstantBase, DivisionByZero, NEG_INFINITY, NotMonic,
                       max_power_dividing, parse_poly, poly_pth_root,
                       second_degree, taylor_expansion)
 from wildcomp.polyring import (KARATSUBA_THRESHOLD, MAX_PARSE_EXPONENT,
-                               _mul_raw, _mul_school)
+                               _gcd_raw, _mul_raw, _mul_school)
 
 from conftest import F, P, count_roots_in_field, modexp_x_to_q
 
@@ -138,6 +138,21 @@ class TestGcd:
             assert g.is_monic()
             assert exact_div(a, g) is not None or a.is_zero
             assert exact_div(b, g) is not None or b.is_zero
+
+    @given(poly_triples(max_len=7), st.integers(0, 10))
+    def test_floor_stops_exactly_below_it(self, cuv, floor):
+        # a planted common factor c makes every gcd degree up to 6 likely
+        c, u, v = cuv
+        a, b = c * u, c * v
+        g = gcd(a, b)
+        assert c.is_zero or exact_div(g, c) is not None
+        got = _gcd_raw(a.spec, a.encodings, b.encodings, floor)
+        if g.is_zero:
+            assert got == []
+        elif g.degree < floor:
+            assert got is None
+        else:
+            assert Poly(a.spec, got) == g
 
 
 class TestDerivative:
@@ -329,6 +344,22 @@ class TestMaxPower:
         if exact_div(u, base) is not None:
             return
         assert max_power_dividing(base ** k * u, base) == k
+
+    @given(poly_pairs(max_len=5), st.integers(0, 6))
+    def test_against_repeated_divrem(self, bu, k):
+        # u may itself be divisible by base
+        base, u = bu
+        if base.degree < 1 or u.is_zero:
+            return
+        f = base ** k * u
+        want = 0
+        while True:
+            q, rem = divrem(f, base)
+            if not rem.is_zero:
+                break
+            f, want = q, want + 1
+        assert want >= k
+        assert max_power_dividing(base ** k * u, base) == want
 
 
 class TestPolyPthRoot:
