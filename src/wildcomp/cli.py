@@ -14,6 +14,7 @@ field elements as their integer encodings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -65,24 +66,25 @@ def _cmd_construct(args) -> int:
         return _usage(f"--r {args.r}: degree r^2 above the parse limit "
                       f"{MAX_PARSE_EXPONENT}")
     spec = _field(args)
+    r = spec.p if args.r is None else args.r
     w = spec.elem(args.w) if args.w is not None else spec.zero
     if args.family == "S":
         if args.u is None or args.s is None or args.eps is None or args.m is None:
             raise SystemExit(_usage("construct S needs --u --s --eps --m"))
         params = SimplyParams(spec.elem(args.u), spec.elem(args.s),
-                              args.eps, args.m, args.r or spec.p)
+                              args.eps, args.m, r)
         col = decompositions_S(params)
     elif args.family == "M":
         if args.a is None or args.b is None or args.m is None:
             raise SystemExit(_usage("construct M needs --a --b --m"))
         params = MultiplyParams(spec.elem(args.a), spec.elem(args.b),
-                                args.m, args.r or spec.p)
+                                args.m, r)
         _, col = build_M(params)
     else:
         if args.poly is None:
             raise SystemExit(_usage("construct frobenius needs --poly (the right component h)"))
         h = _poly_arg(spec, args.poly)
-        col = frobenius_collision(h, args.r or spec.p)
+        col = frobenius_collision(h, r)
     f = original_shift(col.f, w)
     payload = {
         "f": format_poly(f.poly),
@@ -102,7 +104,7 @@ def _usage(msg: str) -> int:
 def _cmd_identify(args) -> int:
     spec = _field(args)
     f = _poly_arg(spec, args.poly)
-    r = args.r or spec.p
+    r = spec.p if args.r is None else args.r
     sm = identify_simply(f, r)
     if sm is not None:
         payload = {"family": "S", "k": sm.k, "u": sm.u.val, "s": sm.s.val,
@@ -201,6 +203,7 @@ def _cmd_census(args) -> int:
     return 0 if ok and partition_ok else FAILURE
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wildcomp",
                      description="Composition collisions of polynomials of "

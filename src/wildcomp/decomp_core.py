@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .gf import FieldElem, FieldSpec, MixedFields
-from .polyring import NotMonic, Poly, compose, evaluate, taylor_expansion
+from .polyring import NotMonic, Poly, _digits_raw, compose, evaluate
 
 
 class NotOriginal(Exception):
@@ -118,18 +118,20 @@ class Collision:
 def left_divide(f: MonicOriginal, h: MonicOriginal) -> Optional[MonicOriginal]:
     """The unique g with f = g(h) if it exists, else None.
 
-    Read off the h-adic expansion of f: g exists exactly when every digit
-    is constant, and then digit i is g's coefficient of x^i.
+    Read off the h-adic expansion of f, whose digits come lowest first by
+    repeated division by h: g exists exactly when every digit is
+    constant, and then digit i is g's coefficient of x^i.  The expansion
+    stops at the first non-constant digit.
     """
     if f.spec != h.spec:
         raise MixedFields("operands over different fields")
     if f.degree % h.degree:
         raise DegreeMismatch(f"deg {h.degree} does not divide deg {f.degree}")
     enc = []
-    for d in taylor_expansion(f.poly, h.poly):
-        if d.degree > 0:
+    for d in _digits_raw(f.spec, f.poly.encodings, h.poly.encodings):
+        if len(d) > 1:
             return None
-        enc.append(d.coefficient_encoding(0))
+        enc.append(d[0] if d else 0)
     return MonicOriginal(Poly(f.spec, enc))
 
 

@@ -8,7 +8,7 @@ degree is the sentinel ``NEG_INFINITY``.  All operations are exact.
 from __future__ import annotations
 
 import re
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .gf import DivisionByZero, FieldElem, FieldSpec, MixedFields
 
@@ -316,34 +316,18 @@ def _divrem_raw(spec: FieldSpec, a: Sequence[int],
     return qout, _trim(r[:db])
 
 
-def _taylor_raw(spec: FieldSpec, f: Sequence[int],
-                base: Sequence[int]) -> list[list[int]]:
-    """Digits d_i with f = sum d_i * base^i and deg d_i < deg base."""
-    db = len(base) - 1
-    if len(f) - 1 < db:
-        return [list(f)]
-    pows = [list(base)]
-    while 2 * (len(pows[-1]) - 1) <= len(f) - 1:
-        pows.append(_mul_raw(spec, pows[-1], pows[-1]))
-    digits: list[list[int]] = []
+def _digits_raw(spec: FieldSpec, f: Sequence[int],
+                base: Sequence[int]) -> Iterator[Sequence[int]]:
+    """Digits d_i of f = sum d_i * base^i, deg d_i < deg base, lowest first.
 
-    def rec(g: Sequence[int], k: int) -> None:
-        if k == 0:
-            digits.append(list(g))
-            return
-        pw = pows[k - 1]
-        if len(g) < len(pw):
-            rec(g, k - 1)
-            digits.extend([] for _ in range(1 << (k - 1)))
-        else:
-            qq, rr = _divrem_raw(spec, g, pw)
-            rec(rr, k - 1)
-            rec(qq, k - 1)
-
-    rec(list(f), len(pows))
-    while len(digits) > 1 and not digits[-1]:
-        digits.pop()
-    return digits
+    Each digit is the remainder of one division of the previous quotient
+    by base, so a caller that stops early pays only for the digits it
+    read.  base must have degree at least 1.
+    """
+    while len(f) >= len(base):
+        f, r = _divrem_raw(spec, f, base)
+        yield r
+    yield f
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +473,15 @@ def _shift_raw(spec: FieldSpec, c: Sequence[int], t: int) -> list[int]:
 
 
 def taylor_expansion(f: Poly, base: Poly) -> list[Poly]:
-    """Digits a_0..a_{v-1} with f = sum a_i * base^i, deg a_i < deg base."""
+    """Digits a_0..a_{v-1} with f = sum a_i * base^i, deg a_i < deg base.
+
+    The digits come lowest first, each the remainder of one division of
+    the previous quotient by base; f = 0 gives [0].
+    """
     f._same(base)
     if base.degree < 1:
         raise ConstantBase("expansion base must have degree at least 1")
-    return [Poly(f.spec, d) for d in _taylor_raw(f.spec, f._c, base._c)]
+    return [Poly(f.spec, d) for d in _digits_raw(f.spec, f._c, base._c)]
 
 
 def max_power_dividing(f: Poly, base: Poly) -> int:
@@ -502,12 +490,9 @@ def max_power_dividing(f: Poly, base: Poly) -> int:
         raise ZeroPolynomial("every power divides the zero polynomial")
     if base.degree < 1:
         raise ConstantBase("base must have degree at least 1")
-    spec, c, k = f.spec, f._c, 0
-    while True:
-        q, rem = _divrem_raw(spec, c, base._c)
-        if rem:
-            return k
-        c, k = q, k + 1
+    # f != 0, so its top digit is nonzero
+    return next(k for k, d in enumerate(_digits_raw(f.spec, f._c, base._c))
+                if d)
 
 
 def poly_pth_root(f: Poly, l: int) -> Optional[Poly]:

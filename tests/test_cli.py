@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -235,6 +236,43 @@ class TestUsageErrors:
         assert message in err
         assert "Traceback" not in err and "set_int_max_str_digits" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["identify", "--field", "5^1", "--poly", "x^25"],
+        ["construct", "S", "--field", "5^1", "--u", "1", "--s", "1",
+         "--eps", "0", "--m", "1"],
+        ["construct", "M", "--field", "5^1", "--a", "1", "--b", "2", "--m", "2"],
+        ["construct", "frobenius", "--field", "5^1", "--poly", "x^5+x"],
+    ])
+    def test_r_zero_is_not_the_default(self, capsys, argv):
+        # --r 0 is a given r, not a missing one that falls back to p
+        code, out, err = run(capsys, *argv, "--r", "0")
+        assert code == 1 and not out
+        assert "0 is not a positive power of 5" in err
+
+
+# a planted g o h over F_27 that classify leaves unclassified, so decompose
+# divides f by every candidate right component
+F27_PLANTED = "x^9+22*x^6+25*x^5+23*x^4+15*x^3+6*x^2+2*x"
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("argv", [
+        ["census", "--p", "3", "--q", "9"],
+        ["decompose", "--field", "3^3", "--poly", F27_PLANTED],
+    ])
+    def test_repeat_call_leaves_nothing_for_the_collector(self, capsys, argv):
+        # the first call builds the parser, which is kept for the process
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            code = main(argv)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert (code, garbage) == (0, 0)
+
 
 def run_child(argv, flags=(), timeout=120):
     """The CLI in a child process, with this checkout's sources first."""
@@ -305,6 +343,8 @@ class TestOptimizeFlag:
         ["classify", "--field", "3^1", "--poly", "x^9+x^5+x"],
         ["--json", "census", "--p", "5", "--q", "5"],
         ["classify", "--field", "7^1", "--poly", F7_M_MEMBER],
+        ["decompose", "--field", "3^3", "--poly", F27_PLANTED],
+        ["decompose", "--field", "7^1", "--poly", F7_M_MEMBER],
     ])
     def test_same_output_under_dash_O(self, argv):
         plain, optimized = [run_child(argv, flags) for flags in ([], ["-O"])]

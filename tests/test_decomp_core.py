@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from wildcomp import (Collision, Decomposition, DegreeMismatch, MixedFields,
                       MonicOriginal, NotMonic, NotOriginal, Poly, compose,
                       derivative, left_divide, original_shift,
-                      shift_decomposition)
+                      shift_decomposition, taylor_expansion)
+from wildcomp import polyring
 
-from conftest import F, MO, P
+from conftest import F, MO, P, random_monic_original
 
 FIELDS = [F(2), F(3), F(5), F(2, 2), F(3, 2)]
+DIGIT_FIELDS = [F(2), F(2, 2), F(3), F(3, 2), F(5), F(7)]
 
 
 def monic_originals(min_deg=1, max_deg=5):
@@ -87,6 +89,45 @@ class TestLeftDivide:
             return
         f = MonicOriginal(compose(g.poly, h.poly))
         assert left_divide(f, h) == g
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_one_division_when_digit_0_not_constant(self, monkeypatch, planted):
+        spec = F(3)
+        h = MO(spec, "x^3+x^2+2*x")
+        g = MO(spec, "x^3+2*x")
+        # adding x^2 to g(h) makes digit 0 equal to x^2
+        f = MonicOriginal(compose(g.poly, h.poly)
+                          + (Poly.zero(spec) if planted else P(spec, "x^2")))
+        calls = []
+        divrem = polyring._divrem_raw
+
+        def counted(*args):
+            calls.append(1)
+            return divrem(*args)
+
+        monkeypatch.setattr(polyring, "_divrem_raw", counted)
+        assert left_divide(f, h) == (g if planted else None)
+        assert len(calls) == (3 if planted else 1)
+
+    @given(st.sampled_from(DIGIT_FIELDS), st.integers(1, 4), st.integers(2, 4),
+           st.booleans(), st.randoms())
+    @settings(deadline=None)
+    def test_none_exactly_when_a_digit_is_not_constant(self, spec, dg, dh,
+                                                       planted, rng):
+        h = random_monic_original(rng, spec, dh)
+        if planted:
+            g = random_monic_original(rng, spec, dg)
+            f = MonicOriginal(compose(g.poly, h.poly))
+        else:
+            f = random_monic_original(rng, spec, dg * dh)
+        digits = taylor_expansion(f.poly, h.poly)
+        got = left_divide(f, h)
+        if any(d.degree >= 1 for d in digits):
+            assert got is None and not planted
+        else:
+            assert got is not None
+            assert got.poly.encodings == tuple(d.coefficient_encoding(0)
+                                               for d in digits)
 
     @pytest.mark.parametrize("p,d", [(2, 2), (3, 1)])
     def test_round_trip_full_enumeration(self, p, d):

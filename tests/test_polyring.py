@@ -331,6 +331,29 @@ class TestTaylor:
         assert acc == f
 
 
+    @pytest.mark.parametrize("p,d,deg_f,deg_base", [
+        (13, 1, 169, 13), (2, 8, 256, 16), (3, 3, 243, 1)])
+    def test_round_trip_many_digits(self, p, d, deg_f, deg_base):
+        spec = F(p, d)
+        rng = random.Random(deg_f)
+        f = Poly(spec, [rng.randrange(spec.q) for _ in range(deg_f)] + [1])
+        base = Poly(spec, [rng.randrange(spec.q) for _ in range(deg_base)]
+                    + [rng.randrange(1, spec.q)])
+        digits = taylor_expansion(f, base)
+        assert len(digits) == deg_f // deg_base + 1
+        assert all(dig.degree < deg_base for dig in digits)
+        acc = Poly.zero(spec)
+        for dig in reversed(digits):
+            acc = acc * base + dig
+        assert acc == f
+
+    def test_zero_and_short_f_are_one_digit(self):
+        spec = F(3)
+        base = P(spec, "x^3+x")
+        assert taylor_expansion(Poly.zero(spec), base) == [Poly.zero(spec)]
+        assert taylor_expansion(P(spec, "2*x^2+1"), base) == [P(spec, "2*x^2+1")]
+
+
 class TestMaxPower:
     def test_examples(self):
         assert max_power_dividing(P(F(2), "x^3+x^2"), P(F(2), "x")) == 2
