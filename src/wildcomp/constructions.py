@@ -6,16 +6,27 @@
 * Multiply original family M(a, b, m): no simple roots; always a 2-collision.
 
 Here r is a power of the field characteristic p.
+
+S and M members are built by one builder each, ``_S_shifted`` and
+``_M_shifted``, at the substitution x -> x + w: the original shift
+f^(w) = f(x+w) - f(w) of a member comes out directly, and w = 0 gives the
+polynomials of ``build_S`` and ``build_M``.  They work on encodings with
+the raw kernels of :mod:`wildcomp.polyring`.  ``_S_probe`` and
+``_M_probe`` give a few coefficients of a shifted member in closed form,
+in O(log r) field operations, so identification can reject a candidate
+before it rebuilds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+from typing import Sequence
 
 from .counting import NotAPower, _log_base
 from .decomp_core import Collision, Decomposition, DegreeMismatch, MonicOriginal
 from .gf import FieldElem, FieldSpec, projective_roots
-from .polyring import Poly
+from .polyring import Poly, _mul_raw, _pow_raw
 
 
 class InvalidParams(Exception):
@@ -115,43 +126,94 @@ def frobenius_map(f: Poly, r: int) -> Poly:
     return Poly(spec, tuple(spec.pow_i(c, r) for c in f.encodings))
 
 
-def _poly_p_power(f: Poly, e: int) -> Poly:
-    """f^(p^e), using (sum c_i x^i)^p = sum c_i^p x^(ip)."""
-    spec = f.spec
-    p = spec.p
-    enc = f.encodings
-    for _ in range(e):
-        out = [0] * ((len(enc) - 1) * p + 1) if enc else []
-        for i, c in enumerate(enc):
-            if c:
-                out[i * p] = spec.pow_i(c, p)
-        enc = out
-    return Poly(spec, enc)
+def _poly_p_power(spec: FieldSpec, enc: Sequence[int], r: int) -> list[int]:
+    """f^r on encodings for r a power of p: (sum c_i x^i)^r = sum c_i^r x^(ir)."""
+    out = [0] * ((len(enc) - 1) * r + 1) if enc else []
+    for i, c in enumerate(enc):
+        if c:
+            out[i * r] = spec.pow_i(c, r)
+    return out
 
 
 def frobenius_collision(h: MonicOriginal, r: int) -> Collision:
     """The 2-collision {(x^r, h), (phi_r(h), x^r)} with composition h^r."""
-    e = prime_power_exponent(r, h.spec.p)
+    prime_power_exponent(r, h.spec.p)
     if h.degree != r:
         raise DegreeMismatch(f"right component must have degree {r}")
     xr = MonicOriginal(Poly.monomial(h.spec, r))
     if h.poly == xr.poly:
         raise HEqualsXr("h = x^r gives only the trivial decomposition")
-    f = MonicOriginal(_poly_p_power(h.poly, e))
+    f = MonicOriginal(Poly(h.spec, _poly_p_power(h.spec, h.poly.encodings, r)))
     twisted = MonicOriginal(frobenius_map(h.poly, r))
     return Collision(f, frozenset({Decomposition(xr, h), Decomposition(twisted, xr)}))
 
 
+def _S_shifted(params: SimplyParams, w: int) -> list[int]:
+    """Encodings of S(u,s,eps,m)^(w) = S(x+w) - S(w), built at x + w.
+
+    S = x J^m with J = x^l (x^(lr) - eps u s^r) + u s^(r+1), and
+    (x+w)^(lr) = ((x+w)^l)^r, so J(x+w) = A (A^r - eps u s^r) + u s^(r+1)
+    with A = (x+w)^l, its r-th power a Frobenius step.  Then
+    S(x+w) = (x+w) J(x+w)^m, and dropping its constant term S(w) leaves
+    the shifted member.  At w = 0 this is S itself.
+    """
+    spec = params.spec
+    u, s, r, m, ell = params.u.val, params.s.val, params.r, params.m, params.ell
+    mul_i, pow_i = spec.mul_i, spec.pow_i
+    usr = mul_i(u, pow_i(s, r))
+    lin = (w, 1)
+    a = _pow_raw(spec, lin, ell)
+    ar = _poly_p_power(spec, a, r)
+    if params.eps:
+        ar[0] = spec.sub_i(ar[0], usr)
+    j = _mul_raw(spec, a, ar)
+    j[0] = spec.add_i(j[0], mul_i(usr, s))
+    out = _mul_raw(spec, _pow_raw(spec, j, m), lin)
+    out[0] = 0
+    return out
+
+
+def _S_probe(params: SimplyParams, w: int) -> list[tuple[int, int]]:
+    """(i, f_i) for two coefficients of f = S(u,s,eps,m)^(w), each in
+    O(log r) field operations; n = r^2, c = eps u s^r, k = u s^(r+1).
+
+    The x coefficient.  f' = S'(x+w), so f_1 = S'(w).  S = x J^m with
+    J = x^(l(r+1)) - c x^l + k gives S' = J^(m-1) (J + m x J'), and
+    m x J' = m l (r+1) x^(l(r+1)) - m l c x^l.  Since m l = r - 1 = -1
+    and r + 1 = 1 in F_p, that is -x^(l(r+1)) + c x^l, so J + m x J' = k
+    and S' = k J^(m-1), so f_1 = k J(w)^(m-1).
+
+    A top coefficient.  The first two terms of J^m = (x^(l(r+1)) + L)^m,
+    L = k - c x^l, give S = x^n - m c x^(n-lr) + m k x^(n-l(r+1)) plus
+    terms of degree at most n - 2lr.  The coefficient of x^(n-t) in
+    S(x+w) sums C(j, n-t) w^(j-n+t) s_j over the coefficients s_j of S,
+    and C(n, n-t) = 0 mod p for 0 < t < n (n is a power of p).  The
+    parameters are read off t = lr, l(r+1) and l(r+1) + 1; for the next
+    one, t = l(r+1) + 2 < min(2lr, n),
+
+        f_(n-t) = m k C(n - l(r+1), 2) w^2 - m c C(n - lr, l + 2) w^(l+2).
+    """
+    spec = params.spec
+    p, r, m, ell = spec.p, params.r, params.m, params.ell
+    mul_i, pow_i = spec.mul_i, spec.pow_i
+    k = mul_i(params.u.val, pow_i(params.s.val, r + 1))
+    c = mul_i(params.u.val, pow_i(params.s.val, r)) if params.eps else 0
+    wl = pow_i(w, ell)
+    jw = spec.add_i(spec.sub_i(mul_i(wl, pow_i(w, ell * r)), mul_i(c, wl)), k)
+    checks = [(1, mul_i(k, pow_i(jw, m - 1)))]
+    n, t = r * r, ell * (r + 1) + 2
+    if t < min(2 * ell * r, n):
+        top = spec.sub_i(
+            mul_i(mul_i(m * comb(n - ell * (r + 1), 2) % p, k), pow_i(w, 2)),
+            mul_i(mul_i(m * comb(n - ell * r, ell + 2) % p, c),
+                  pow_i(w, ell + 2)))
+        checks.append((n - t, top))
+    return checks
+
+
 def build_S(params: SimplyParams) -> MonicOriginal:
     """x * (x^(l(r+1)) - eps*u*s^r*x^l + u*s^(r+1))^m   with l = (r-1)/m."""
-    spec = params.spec
-    u, s, r, m, ell = params.u, params.s, params.r, params.m, params.ell
-    inner = [0] * (ell * (r + 1) + 1)
-    inner[-1] = 1
-    inner[0] = (u * s ** (r + 1)).val
-    if params.eps:
-        inner[ell] = (-(u * s ** r)).val
-    return MonicOriginal((Poly(spec, inner) ** m).shift_up(1))
+    return MonicOriginal(Poly(params.spec, _S_shifted(params, 0)))
 
 
 def root_set_T(params: SimplyParams) -> frozenset[FieldElem]:
@@ -185,25 +247,83 @@ def _binomial_x_minus(spec: FieldSpec, c: FieldElem) -> Poly:
     return Poly(spec, (spec.neg_i(c.val), 1))
 
 
-def _M_factors(params: MultiplyParams) -> tuple[Poly, Poly, Poly]:
-    """x - b, H = x^m + a* b^(-r) ((x-b)^m - x^m) and H* (a, m swapped with a*, m*)."""
+def _M_factors(params: MultiplyParams,
+               w: int) -> tuple[list[int], list[int], list[int]]:
+    """Encodings of Q = x(x-b), H = x^m + a* b^(-r) ((x-b)^m - x^m) and H*
+    (a, m swapped with a*, m*), each at x + w."""
     spec = params.spec
-    a, b, m, r = params.a, params.b, params.m, params.r
-    astar, mstar = params.a_star, params.m_star
-    x = Poly.x(spec)
-    xb = _binomial_x_minus(spec, b)
-    binv_r = (b ** r).inv()
-    big_h = x ** m + (astar * binv_r) * (xb ** m - x ** m)
-    big_hs = x ** mstar + (a * binv_r) * (xb ** mstar - x ** mstar)
-    return xb, big_h, big_hs
+    b, m, mstar = params.b.val, params.m, params.m_star
+    mul_i, add_i = spec.mul_i, spec.add_i
+    binv_r = spec.inv_i(spec.pow_i(b, params.r))
+    wb = spec.sub_i(w, b)
+
+    def big_h(c: int, k: int) -> list[int]:
+        # (1 - c) X^k + c Xb^k with X = x + w, Xb = x + w - b
+        c = mul_i(c, binv_r)
+        rest = spec.sub_i(1, c)
+        return [add_i(mul_i(rest, xk), mul_i(c, xbk)) for xk, xbk in
+                zip(_pow_raw(spec, (w, 1), k), _pow_raw(spec, (wb, 1), k))]
+
+    return ([mul_i(w, wb), add_i(w, wb), 1], big_h(params.a_star.val, m),
+            big_h(params.a.val, mstar))
 
 
-def _M_poly(params: MultiplyParams) -> MonicOriginal:
-    """The multiply original polynomial (x(x-b))^(m m*) H^m (H*)^(m*)."""
-    mm = params.m * params.m_star
-    xb, big_h, big_hs = _M_factors(params)
-    return MonicOriginal(
-        (xb ** mm * big_h ** params.m * big_hs ** params.m_star).shift_up(mm))
+def _M_shifted(params: MultiplyParams, w: int) -> list[int]:
+    """Encodings of M(a,b,m)^(w) = M(x+w) - M(w), built at x + w:
+    Q^(m m*) H^m (H*)^(m*) from ``_M_factors`` at x + w, constant term
+    M(w) dropped.  At w = 0 this is M itself."""
+    spec, m, mstar = params.spec, params.m, params.m_star
+    quad, big_h, big_hs = _M_factors(params, w)
+    out = _mul_raw(spec, _pow_raw(spec, quad, m * mstar),
+                   _mul_raw(spec, _pow_raw(spec, big_h, m),
+                            _pow_raw(spec, big_hs, mstar)))
+    out[0] = 0
+    return out
+
+
+def _M_probe(params: MultiplyParams, w: int) -> list[tuple[int, int]]:
+    """(i, f_i) for coefficients of f = M(a,b,m)^(w), each in O(log r)
+    field operations: f_1, and for odd p f_D, D = r^2 - r - 2.
+
+    f' = M'(x+w), and ``M_derivative_factored`` gives the product form
+
+        M' = c Q^(m m* - 1) H^(m-1) (H*)^(m*-1),  c = m m* a a* b^(1-r),
+
+    of degree D, with Q = x(x-b) and H, H* monic.  So f_1 = M'(w), each
+    factor evaluated at w.  The x^(D-1) coefficient of f' is D f_D; that
+    of M'(x+w) is c (sigma + D w), where sigma sums the second
+    coefficients of the factors' powers: Q = x^2 - b x,
+    H = x^m - m a* b^(1-r) x^(m-1) + ... and H* = x^(m*) - m* a b^(1-r)
+    x^(m*-1) + ....  So, with D = -2 invertible in F_p for odd p,
+
+        f_D = c (w - D^(-1) ((m m* - 1) b + b^(1-r) (m (m-1) a* + m* (m*-1) a))).
+
+    f_1 = 0 for both roots a and a* = b^r - a when w(w - b) = 0, but f_D
+    tells them apart: c is the same for both, so their f_D differ by
+    c D^(-1) b^(1-r) (a - a*) (m (m-1) - m* (m*-1)), and
+    m (m-1) - m* (m*-1) = (m - m*)(r - 1) = -2m != 0 in F_p.
+    """
+    spec = params.spec
+    p, r, m, mstar = spec.p, params.r, params.m, params.m_star
+    a, b, astar = params.a.val, params.b.val, params.a_star.val
+    mul_i, add_i, sub_i, pow_i = spec.mul_i, spec.add_i, spec.sub_i, spec.pow_i
+    b1r = pow_i(b, 1 - r)
+    c = mul_i(mul_i(m * mstar % p, mul_i(a, astar)), b1r)
+    wb = sub_i(w, b)
+    wm, wms = pow_i(w, m), pow_i(w, mstar)
+    # H(w) and H*(w), with b^(-r) = b^(1-r) / b
+    binv_r = mul_i(b1r, spec.inv_i(b))
+    hw = add_i(wm, mul_i(mul_i(astar, binv_r), sub_i(pow_i(wb, m), wm)))
+    hsw = add_i(wms, mul_i(mul_i(a, binv_r), sub_i(pow_i(wb, mstar), wms)))
+    checks = [(1, mul_i(mul_i(c, pow_i(mul_i(w, wb), m * mstar - 1)),
+                        mul_i(pow_i(hw, m - 1), pow_i(hsw, mstar - 1))))]
+    d = r * r - r - 2
+    if d % p:
+        sigma = add_i(mul_i((m * mstar - 1) % p, b),
+                      mul_i(b1r, add_i(mul_i(m * (m - 1) % p, astar),
+                                       mul_i(mstar * (mstar - 1) % p, a))))
+        checks.append((d, mul_i(c, sub_i(w, mul_i(spec.inv_i(d % p), sigma)))))
+    return checks
 
 
 def build_M(params: MultiplyParams) -> tuple[MonicOriginal, Collision]:
@@ -224,7 +344,7 @@ def build_M(params: MultiplyParams) -> tuple[MonicOriginal, Collision]:
     gs = (x ** mstar) * _binomial_x_minus(spec, astar) ** m
     hs = x ** r + (a * binv_r) * ((x ** m) * xb ** mstar - x ** r)
 
-    fm = _M_poly(params)
+    fm = MonicOriginal(Poly(spec, _M_shifted(params, 0)))
     col = Collision(fm, frozenset({
         Decomposition(MonicOriginal(g), MonicOriginal(h)),
         Decomposition(MonicOriginal(gs), MonicOriginal(hs)),
@@ -240,7 +360,8 @@ def M_derivative_factored(params: MultiplyParams) -> Poly:
     spec = params.spec
     a, b, m, r = params.a, params.b, params.m, params.r
     astar, mstar = params.a_star, params.m_star
-    xb, big_h, big_hs = _M_factors(params)
+    quad, big_h, big_hs = _M_factors(params, 0)
     lead = spec.scalar(m * mstar) * a * astar * b ** (1 - r)
-    return (lead * (Poly.x(spec) * xb) ** (m * mstar - 1) * big_h ** (m - 1)
-            * big_hs ** (mstar - 1))
+    return (lead * Poly(spec, _pow_raw(spec, quad, m * mstar - 1))
+            * Poly(spec, _pow_raw(spec, big_h, m - 1))
+            * Poly(spec, _pow_raw(spec, big_hs, mstar - 1)))

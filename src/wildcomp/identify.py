@@ -1,12 +1,18 @@
 """Parameter recovery and collision classification at degree r^2.
 
 ``identify_simply`` and ``identify_multiply`` recover construction
-parameters (and the shift) from a raw polynomial, returning None on any
+parameters (and the shift w) from a raw polynomial, returning None on any
 failure path; a mandatory final reconstruction test keeps them sound on
-arbitrary input.  ``identify_multiply`` first applies two tests every M
-member passes: deg f' = r^2 - r - 2, and a squarefree part of f' of degree
-at most r + 2, checked by a Euclid that stops once a remainder falls below
-the gcd degree this needs; most other f leave before any full gcd.
+arbitrary input.  The reconstruction builds the shifted member S^(w) or
+M^(w) directly at x + w and compares it with f as given, so no degree-r^2
+Taylor shift is made.  Before it, each candidate must match a few
+coefficients of f given in closed form, in O(log r) field operations:
+the x coefficient S'(w) or M'(w) and one coefficient near the top, which
+for M tells the two candidate values of a apart.  ``identify_multiply``
+first applies two tests every M member passes: deg f' = r^2 - r - 2, and
+a squarefree part of f' of degree at most r + 2, checked by a Euclid that
+stops once a remainder falls below the gcd degree this needs; most other
+f leave before any full gcd.
 ``classify`` combines them with the Frobenius test into the full
 trichotomy at degree p^2, and ``enumerate_decompositions`` lists every
 degree-p decomposition; for an unclassified f it divides only by the right
@@ -21,12 +27,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .constructions import (MultiplyParams, SimplyParams, _M_poly, build_M,
-                            build_S, decompositions_S, frobenius_map,
+from .constructions import (MultiplyParams, SimplyParams, _M_probe,
+                            _M_shifted, _S_probe, _S_shifted, build_M,
+                            decompositions_S, frobenius_map,
                             prime_power_exponent)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
                           MonicOriginal, left_divide, mo_index_to_poly,
-                          original_shift, shift_decomposition)
+                          shift_decomposition)
 from .gf import FieldElem, projective_roots, solve_quadratic
 from .polyring import (NEG_INFINITY, Poly, _gcd_raw, derivative, exact_div,
                        gcd, max_power_dividing, poly_pth_root, second_degree)
@@ -74,7 +81,9 @@ def identify_simply(f: MonicOriginal, r: int) -> Optional[SimplyMatch]:
     """Recover (k, u, s, eps, m, w) with f = S(u,s,eps,m)^(w), or None.
 
     Branches on whether r divides the second degree, reads l and m off it,
-    then s, u and w off three coefficients; a full rebuild of the candidate
+    then s, u and w off three coefficients.  The candidate must match two
+    more coefficients of f, f_1 and one below the three, in closed form
+    (``constructions._S_probe``); a full rebuild of S^(w), made at x + w,
     is the final arbiter.  k counts the roots of y^(r+1) - eps*u*y + u,
     read off the field's root table by ``projective_roots``.
     """
@@ -123,12 +132,14 @@ def identify_simply(f: MonicOriginal, r: int) -> Optional[SimplyMatch]:
             m % spec.p,
             spec.mul_i(f.poly.coefficient_encoding(n - ell * r - ell - 1),
                        spec.inv_i(denom)))
-    u, s, w = spec.elem(u_enc), spec.elem(s_enc), spec.elem(w_enc)
+    u, s = spec.elem(u_enc), spec.elem(s_enc)
     params = SimplyParams(u, s, eps, m, r)
-    if original_shift(build_S(params), w) != f:
+    enc = f.poly.encodings
+    if (any(enc[i] != v for i, v in _S_probe(params, w_enc))
+            or tuple(_S_shifted(params, w_enc)) != enc):
         return None
     k = len(projective_roots(spec, r, spec.neg_i(u_enc) if eps else 0, u_enc))
-    return SimplyMatch(k, u, s, eps, m, w)
+    return SimplyMatch(k, u, s, eps, m, spec.elem(w_enc))
 
 
 def _p_valuation(i: int, p: int) -> int:
@@ -144,8 +155,11 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
 
     Works down the derivative: its squarefree part isolates the quadratic
     x(x-b) shifted by w, a power count recovers m, and the two candidate
-    values of a are the roots of y^2 - b^r y - m^(-2) b^(r-1) lc(f').  Both
-    candidates are checked by rebuilding f, the only arbiter.
+    values of a are the roots of y^2 - b^r y - m^(-2) b^(r-1) lc(f').  A
+    candidate is rebuilt, at x + w, only when f_1 and (odd p) f_D,
+    D = r^2 - r - 2, match their closed forms (``constructions._M_probe``);
+    f_D holds for only one of a and a* = b^r - a.  The rebuild is the only
+    arbiter.
 
     Two necessary conditions reject most other f before any full gcd.
     Every member has f' = c (x(x-b))^(m m* - 1) H^(m-1) (H*)^(m*-1) with
@@ -215,13 +229,14 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
     minv = spec.scalar(m).inv()
     br = b ** r
     c0 = -(minv * minv) * b ** (r - 1) * lcf
-    # the shift is a group action, so M(a,b,m)^(w) = f iff M(a,b,m) = f^(-w);
     # a double root b^r / 2 is the case a = a*
-    unshifted = original_shift(f, -w)
+    enc = f.poly.encodings
     for a in map(spec.elem, projective_roots(spec, 1, (-br).val, c0.val)):
         if a.val == 0 or a == br:
             continue
-        if _M_poly(MultiplyParams(a, b, m, r)) == unshifted:
+        params = MultiplyParams(a, b, m, r)
+        if (all(enc[i] == v for i, v in _M_probe(params, w.val))
+                and tuple(_M_shifted(params, w.val)) == enc):
             return MultiplyMatch(a, b, m, w)
     return None
 
@@ -229,15 +244,18 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
 def classify(f: MonicOriginal) -> CollisionClass:
     """Collision determination at degree p^2.
 
-    Tag F for f in F[x^p] minus x^(p^2); else S when simple identification
-    succeeds with k >= 2; else M when multiple identification succeeds;
-    else none (no 2-collision).
+    Tag F for f in F[x^p] minus x^(p^2), read off the coefficients at
+    exponents outside pZ; else S when simple identification succeeds with
+    k >= 2; else M when multiple identification succeeds; else none (no
+    2-collision).
     """
     spec = f.spec
     p = spec.p
     if f.degree != p * p:
         raise DegreeMismatch(f"classification needs degree {p * p}")
-    if derivative(f.poly).is_zero and f.poly != Poly.monomial(spec, p * p):
+    # f' = 0 exactly when every exponent outside pZ has coefficient 0
+    enc = f.poly.encodings
+    if not any(any(enc[i::p]) for i in range(1, p)) and any(enc[:-1]):
         return CollisionClass(CollisionTag.FROBENIUS)
     sm = identify_simply(f, p)
     if sm is not None and sm.k >= 2:

@@ -8,15 +8,17 @@ degree is the sentinel ``NEG_INFINITY``.  All operations are exact.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from typing import Iterator, Optional, Sequence, Union
 
 from .gf import DivisionByZero, FieldElem, FieldSpec, MixedFields
 
 NEG_INFINITY = float("-inf")
 
-# Multiplications with both operands of at least this degree split via
-# Karatsuba; below it schoolbook wins (measured crossover over F_3^5,
-# F_2^9 and F_13).
+# Over extension fields, multiplications with both operands of at least
+# this degree split via Karatsuba; below it schoolbook wins (measured
+# crossover over F_3^5 and F_2^9).  Prime fields take the packed product.
 KARATSUBA_THRESHOLD = 48
 
 # Shifts g(x + t) longer than this many coefficients split g by exponent
@@ -169,16 +171,7 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
-        result = (1,)
-        base = self._c
-        spec = self.spec
-        while e:
-            if e & 1:
-                result = _mul_raw(spec, result, base)
-            e >>= 1
-            if e:
-                base = _mul_raw(spec, base, base)
-        return Poly(spec, result)
+        return Poly(self.spec, _pow_raw(self.spec, self._c, e))
 
     def __call__(self, a: FieldElem) -> FieldElem:
         return evaluate(self, a)
@@ -252,12 +245,47 @@ def _mul_school(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int
     return _trim(out)
 
 
+def _mul_packed(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a*b over the prime field F_p as one integer product.
+
+    Each coefficient vector is packed into one integer, one array slot per
+    coefficient (Kronecker substitution).  Every slot of the product is a
+    sum of at most min(len a, len b) terms below (p-1)^2, so while that
+    bound fits a slot no slot carries into the next, and reducing each
+    slot mod p gives the coefficients.  Slots are 32 bits wide while the
+    bound allows, else 64, which suffice since FIELD_LIMIT keeps p below
+    2^16.
+    """
+    slots = array("I")
+    if min(len(a), len(b)) * (p - 1) ** 2 >> (8 * slots.itemsize):
+        slots = array("Q")
+    code, size, order = slots.typecode, slots.itemsize, sys.byteorder
+    prod = (int.from_bytes(array(code, a).tobytes(), order)
+            * int.from_bytes(array(code, b).tobytes(), order))
+    slots.frombytes(prod.to_bytes((len(a) + len(b) - 1) * size, order))
+    return _trim([c % p for c in slots])
+
+
 def _mul_raw(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
+    if spec.d == 1:
+        return _mul_packed(spec.p, a, b)
     if min(len(a), len(b)) - 1 < KARATSUBA_THRESHOLD:
         return _mul_school(spec, a, b)
     return _mul_karatsuba(spec, a, b)
+
+
+def _pow_raw(spec: FieldSpec, a: Sequence[int], e: int) -> Sequence[int]:
+    """a^e by square and multiply; a^0 = 1, and a^1 is a itself."""
+    result: Optional[Sequence[int]] = None
+    while e:
+        if e & 1:
+            result = a if result is None else _mul_raw(spec, result, a)
+        e >>= 1
+        if e:
+            a = _mul_raw(spec, a, a)
+    return (1,) if result is None else result
 
 
 def _mul_karatsuba(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildcomp.census import PAIR_LIMIT
 from wildcomp.cli import main
@@ -355,3 +359,92 @@ class TestOptimizeFlag:
     def test_m_member_classified_under_dash_O(self):
         out = run_child(["classify", "--field", "7^1", "--poly", F7_M_MEMBER], ["-O"])
         assert (out.returncode, out.stdout.strip()) == (0, "M a=3 b=2 m=3 w=4")
+
+
+# Bounded argv grammar for the exit-code contract: every field has q <= 49,
+# every r^2 and census stays small or is refused at once, and --threads is
+# never set.  Most draws are well formed, so the answers 0 and 2 show up
+# beside the usage errors.
+FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+          (5, 1), (5, 2), (7, 1), (7, 2)]
+BAD_FIELDS = ["3^2:1,1,1", "4^1", "2^0", "0^1", "2^", "^2", "x", "", "-3^1",
+              "2^99"]
+NUMBERS = [-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 25, 49, 10 ** 20]
+
+
+@st.composite
+def field_and_poly(draw):
+    """A field argument and a --poly text: mostly a monic original of
+    degree p^2 over that field, else loose terms or arbitrary text."""
+    if draw(st.integers(0, 4)):
+        p, d = draw(st.sampled_from(FIELDS))
+        field = f"{p}^{d}"
+    else:
+        p, d = 2, 1
+        field = draw(st.sampled_from(BAD_FIELDS))
+    q, n = p ** d, p * p
+    kind = draw(st.integers(0, 5))
+    if kind <= 3:
+        terms = draw(st.lists(st.tuples(st.integers(1, n - 1),
+                                        st.integers(1, q - 1)), max_size=6))
+        poly = "+".join([f"x^{n}"] + [f"{c}*x^{e}" for e, c in terms])
+    elif kind == 4:
+        terms = draw(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)),
+                              min_size=1, max_size=5))
+        poly = "+".join(f"{c}*x^{e}" if e else str(c) for e, c in terms)
+    else:
+        poly = draw(st.text("x^*+0123456789- a", max_size=12))
+    return field, q, poly
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["construct", "identify", "classify",
+                                    "decompose", "count", "nu", "census"]))
+    field, q, poly = draw(field_and_poly())
+    number = st.one_of(st.integers(0, q - 1), st.sampled_from(NUMBERS)).map(str)
+    argv = [command]
+    if command == "construct":
+        argv += [draw(st.sampled_from(["S", "M", "frobenius", "T"])),
+                 "--field", field]
+        for flag in ("--u", "--s", "--eps", "--m", "--a", "--b", "--w"):
+            if draw(st.integers(0, 3)):
+                argv += [flag, draw(number)]
+        if draw(st.booleans()):
+            argv += ["--r", draw(st.sampled_from(["-1", "0", "1", "2", "3", "4",
+                                                  "5", "9", "25", str(10 ** 6)]))]
+        if draw(st.booleans()):
+            argv += ["--poly", poly]
+    elif command in ("identify", "classify", "decompose"):
+        argv += ["--field", field, "--poly", poly]
+        if command == "identify" and draw(st.booleans()):
+            argv += ["--r", draw(number)]
+    else:
+        if draw(st.integers(0, 3)):
+            pq = draw(st.sampled_from([(2, 2), (2, 4), (2, 8), (2, 16), (2, 32),
+                                       (3, 3), (3, 9), (5, 5), (7, 7), (5, 25)]))
+        else:
+            pq = (draw(st.sampled_from(NUMBERS)), draw(st.sampled_from(NUMBERS)))
+        argv += ["--p", str(pq[0]), "--q", str(pq[1])]
+    if draw(st.integers(0, 5)) == 0:
+        # drop one token: a missing value, flag or subcommand
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    if draw(st.booleans()):
+        argv.insert(draw(st.sampled_from([0, len(argv)])), "--json")
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--bogus")
+    return argv
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(argvs())
+    def test_fuzzed_argv(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv

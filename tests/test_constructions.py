@@ -2,12 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildcomp import (DegreeMismatch, HEqualsXr, InvalidParams,
                       MonicOriginal, MultiplyParams, NoValidM, Poly,
                       SimplyParams, build_M, build_S,
                       decompositions_S, derivative, frobenius_collision,
                       original_shift, root_set_T, second_degree)
+
+from wildcomp.constructions import _M_probe, _M_shifted, _S_probe, _S_shifted
 
 from conftest import F, MO, P
 
@@ -233,3 +237,101 @@ class TestUniquenessAndShifts:
             for w in spec:
                 if w.val:
                     assert original_shift(f, w) != f
+
+
+# (field, r) for the shifted-frame properties: r = p over F_5, F_25, F_7,
+# F_49, F_11 and F_13, and r = 9 over F_9.
+SHIFT_CASES = [(F(5), 5), (F(5, 2), 5), (F(7), 7), (F(7, 2), 7), (F(11), 11),
+               (F(13), 13), (F(3, 2), 9)]
+
+
+def _nonzero(spec):
+    return st.integers(1, spec.q - 1).map(spec.elem)
+
+
+@st.composite
+def shifted_s(draw):
+    """(SimplyParams, w encoding) over a SHIFT_CASES field."""
+    spec, r = draw(st.sampled_from(SHIFT_CASES))
+    m = draw(st.sampled_from([d for d in range(1, r) if (r - 1) % d == 0]))
+    params = SimplyParams(draw(_nonzero(spec)), draw(_nonzero(spec)),
+                          draw(st.integers(0, 1)), m, r)
+    return params, draw(st.integers(0, spec.q - 1))
+
+
+@st.composite
+def shifted_m(draw):
+    """(MultiplyParams, w encoding) over a SHIFT_CASES field."""
+    spec, r = draw(st.sampled_from(SHIFT_CASES))
+    b = draw(_nonzero(spec))
+    a = draw(_nonzero(spec).filter(lambda a: a != b ** r))
+    m = draw(st.sampled_from([m for m in range(2, r - 1) if m % spec.p]))
+    return MultiplyParams(a, b, m, r), draw(st.integers(0, spec.q - 1))
+
+
+class TestShiftedFrame:
+    """The builders at x + w against the Taylor shift of the member, and the
+    closed-form coefficients against every shifted member."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shifted_s())
+    def test_s_build_is_the_shift(self, params_w):
+        params, w = params_w
+        want = original_shift(build_S(params), params.spec.elem(w))
+        assert Poly(params.spec, _S_shifted(params, w)) == want.poly
+
+    @settings(max_examples=60, deadline=None)
+    @given(shifted_m())
+    def test_m_build_is_the_shift(self, params_w):
+        params, w = params_w
+        want = original_shift(build_M(params)[0], params.spec.elem(w))
+        assert Poly(params.spec, _M_shifted(params, w)) == want.poly
+
+    @settings(max_examples=60, deadline=None)
+    @given(shifted_s())
+    def test_s_probe_holds(self, params_w):
+        params, w = params_w
+        f = original_shift(build_S(params), params.spec.elem(w)).poly
+        checks = _S_probe(params, w)
+        assert checks[0][0] == 1
+        for i, v in checks:
+            assert f.coefficient_encoding(i) == v, i
+
+    @settings(max_examples=60, deadline=None)
+    @given(shifted_m())
+    def test_m_probe_holds(self, params_w):
+        params, w = params_w
+        f = original_shift(build_M(params)[0], params.spec.elem(w)).poly
+        checks = _M_probe(params, w)
+        assert [i for i, _ in checks] == [1, params.r ** 2 - params.r - 2]
+        for i, v in checks:
+            assert f.coefficient_encoding(i) == v, i
+
+    def test_every_shift_over_f7(self):
+        # exhaustive in w for a few members, the top check included
+        spec = F(7)
+        for params in itertools.islice(all_simply_params(spec, 7), 0, None, 37):
+            f = build_S(params)
+            for w in spec:
+                g = original_shift(f, w).poly
+                assert Poly(spec, _S_shifted(params, w.val)) == g
+                assert all(g.coefficient_encoding(i) == v
+                           for i, v in _S_probe(params, w.val))
+        for params in itertools.islice(all_multiply_params(spec, 7), 0, None, 23):
+            f = build_M(params)[0]
+            for w in spec:
+                g = original_shift(f, w).poly
+                assert Poly(spec, _M_shifted(params, w.val)) == g
+                assert all(g.coefficient_encoding(i) == v
+                           for i, v in _M_probe(params, w.val))
+
+    def test_m_probe_tells_a_from_a_star(self):
+        # at w in {0, b} the x coefficient is 0 for both candidates; the top
+        # coefficient differs whenever a != a*
+        spec = F(7)
+        for params in itertools.islice(all_multiply_params(spec, 7), 0, None, 11):
+            twin = MultiplyParams(params.a_star, params.b, params.m, 7)
+            for w in (0, params.b.val):
+                mine, other = _M_probe(params, w), _M_probe(twin, w)
+                assert mine[0] == other[0] == (1, 0)
+                assert (mine[1] == other[1]) == (params.a == params.a_star)

@@ -9,9 +9,11 @@ deg f' = p^2 - p - 2, so they reach the gcds).
 """
 
 import random
+from collections import Counter
 
 import pytest
 
+from wildcomp import identify
 from wildcomp import (MultiplyParams, Poly, SimplyParams, build_M, build_S,
                       classify, compose, identify_multiply, original_shift)
 from wildcomp.decomp_core import MonicOriginal
@@ -131,3 +133,31 @@ def test_pinned_set_covers_every_outcome():
     assert len(tokens) >= 300
     tags = {t.split(":")[0].rstrip("0123456789") for t in tokens}
     assert tags == {"none", "S", "M"}
+
+
+@pytest.mark.parametrize("p,d", list(PINNED))
+def test_rebuilds_only_the_member(monkeypatch, p, d):
+    """Each identified M member is rebuilt once, for its own a; no M member
+    or planted input reaches a rebuild of an S candidate.  The closed-form
+    coefficients turn every other candidate away first."""
+    rebuilds = Counter()
+
+    def counted(name):
+        build = getattr(identify, name)
+
+        def wrapper(*args):
+            rebuilds[name] += 1
+            return build(*args)
+        return wrapper
+
+    for name in ("_S_shifted", "_M_shifted"):
+        monkeypatch.setattr(identify, name, counted(name))
+    for kind, f in pinned_inputs(p, d):
+        if kind not in ("M", "planted"):
+            continue
+        rebuilds.clear()
+        assert identify.identify_simply(f, p) is None
+        assert rebuilds["_S_shifted"] == 0, kind
+        found = identify.identify_multiply(f, p)
+        assert (found is not None) == (kind == "M")
+        assert rebuilds["_M_shifted"] == (kind == "M"), kind

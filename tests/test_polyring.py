@@ -10,7 +10,7 @@ from wildcomp import (ConstantBase, DivisionByZero, NEG_INFINITY, NotMonic,
                       max_power_dividing, parse_poly, poly_pth_root,
                       second_degree, taylor_expansion)
 from wildcomp.polyring import (KARATSUBA_THRESHOLD, MAX_PARSE_EXPONENT,
-                               _gcd_raw, _mul_raw, _mul_school)
+                               _gcd_raw, _mul_packed, _mul_raw, _mul_school)
 
 from conftest import F, P, count_roots_in_field, modexp_x_to_q
 
@@ -73,6 +73,64 @@ class TestMul:
             a = [rng.randrange(spec.q) for _ in range(n)] + [1]
             b = [rng.randrange(spec.q) for _ in range(n - 7)] + [1]
             assert _mul_raw(spec, a, b) == _mul_school(spec, a, b)
+
+
+def naive_product(spec, a, b):
+    """a*b by the double loop over field encodings."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = spec.add_i(out[i + j], spec.mul_i(ai, bj))
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+class TestPackedProduct:
+    """Prime-field products as one integer product, against the double loop.
+
+    Operands of all p - 1 put every slot of the product at its largest
+    value, min(len a, len b) (p-1)^2, where a carry would show first.
+    """
+
+    @pytest.mark.parametrize("p", [2, 13, 4099])
+    def test_random_operands(self, p):
+        spec = F(p)
+        rng = random.Random(p)
+        for la, lb in [(1, 1), (1, 7), (2, 3), (9, 9), (30, 17), (60, 61)]:
+            a = [rng.randrange(p) for _ in range(la - 1)] + [rng.randrange(1, p)]
+            b = [rng.randrange(p) for _ in range(lb - 1)] + [rng.randrange(1, p)]
+            assert _mul_raw(spec, a, b) == naive_product(spec, a, b)
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_slot_width_switch(self, n):
+        # 255 * 4098^2 < 2^32 <= 256 * 4098^2: the slots widen at n = 256
+        spec = F(4099)
+        rng = random.Random(n)
+        top = [4098] * n
+        mixed = [rng.randrange(4099) for _ in range(n - 1)] + [1]
+        for a, b in [(top, top), (top, mixed), (mixed, top[:n - 3])]:
+            assert _mul_raw(spec, a, b) == naive_product(spec, a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_largest_prime_field(self, n):
+        # 65520^2 < 2^32 <= 2 * 65520^2: one term fits 32 bits, two do not
+        spec = F(65521)
+        top = [65520] * n
+        assert _mul_raw(spec, top, top) == naive_product(spec, top, top)
+        assert _mul_packed(65521, top, [1]) == top
+
+    def test_empty_operands(self):
+        spec = F(13)
+        assert _mul_raw(spec, [], [1, 2]) == []
+        assert _mul_raw(spec, [3], []) == []
+        assert _mul_raw(spec, [], []) == []
+        assert Poly.zero(spec) * P(spec, "x+1") == Poly.zero(spec)
+
+    def test_trailing_zeros_trimmed(self):
+        # products of nonzero polynomials over a field are nonzero, but
+        # untrimmed operands must still give a trimmed result
+        assert _mul_packed(7, [1, 2, 0], [3, 0]) == [3, 6]
 
 
 class TestDivRem:
