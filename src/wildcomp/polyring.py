@@ -3,6 +3,9 @@
 Coefficients are stored as integer field encodings (see :mod:`wildcomp.gf`)
 with no trailing zeros; the zero polynomial is the empty tuple and its
 degree is the sentinel ``NEG_INFINITY``.  All operations are exact.
+Over a prime field (``spec.d == 1``) products, division, derivatives and
+scalar multiples work on plain integers mod p; over an extension field the
+kernels run on the field's log, antilog and Zech tables.
 """
 
 from __future__ import annotations
@@ -220,6 +223,9 @@ def _scale_raw(spec: FieldSpec, a: Sequence[int], cv: int) -> list[int]:
         return []
     if cv == 1:
         return list(a)
+    if spec.d == 1:
+        p = spec.p
+        return [c * cv % p for c in a]
     mul = spec.mul_i
     return [mul(c, cv) if c else 0 for c in a]
 
@@ -312,10 +318,56 @@ def _mul_karatsuba(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[
 
 def _divrem_raw(spec: FieldSpec, a: Sequence[int],
                 b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient (len(a) - deg b terms) and trimmed remainder of a by b;
+    zeros above b's leading term are dropped."""
+    if b and not b[-1]:
+        b = _trim(list(b))
     if not b:
         raise DivisionByZero("polynomial division by zero")
     if len(a) < len(b):
         return [], _trim(list(a))
+    if spec.d == 1:
+        return _divrem_prime(spec.p, a, b)
+    return _divrem_zech(spec, a, b)
+
+
+def _divrem_prime(p: int, a: Sequence[int],
+                  b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Division over F_p on plain integers; len(a) >= len(b).
+
+    A quotient q1*x + q0, as in most Euclid steps, comes off the top two
+    coefficients, and r_i = a_i - q1*b_(i-1) - q0*b_i in one pass.  A longer
+    one takes the classical loop (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, Sec. 2.4) on -b, which reduces only each next leading
+    coefficient, and the remainder once at the end.
+    """
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    n = len(a) - db
+    if n <= 2:
+        shifted = (0, *b)
+        q1 = a[-1] * inv % p if n == 2 else 0
+        q0 = (a[db] - q1 * shifted[db]) * inv % p
+        r = [(ai - q1 * bl - q0 * bi) % p
+             for ai, bl, bi in zip(a, shifted, b[:db])]
+        return [q0, q1][:n], _trim(r)
+    r = list(a)
+    qout = [0] * n
+    negb = [(j, p - bj) for j, bj in enumerate(b[:db]) if bj]
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i] % p
+        if c:
+            f = c * inv % p
+            off = i - db
+            qout[off] = f
+            for j, nbj in negb:
+                r[off + j] += f * nbj
+    return qout, _trim([c % p for c in r[:db]])
+
+
+def _divrem_zech(spec: FieldSpec, a: Sequence[int],
+                 b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Classical division on log/Zech tables; b trimmed, len(a) >= len(b)."""
     db = len(b) - 1
     r = list(a)
     qout = [0] * (len(a) - db)
@@ -365,8 +417,6 @@ def _digits_raw(spec: FieldSpec, f: Sequence[int],
 def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with deg r < deg b."""
     a._same(b)
-    if b.is_zero:
-        raise DivisionByZero("polynomial division by zero")
     q, r = _divrem_raw(a.spec, a._c, b._c)
     return Poly(a.spec, q), Poly(a.spec, r)
 
@@ -405,6 +455,8 @@ def gcd(a: Poly, b: Poly) -> Poly:
 def derivative(f: Poly) -> Poly:
     spec = f.spec
     p = spec.p
+    if spec.d == 1:
+        return Poly(spec, [c * i % p for i, c in enumerate(f._c[1:], 1)])
     mul_i = spec.mul_i
     out = []
     for i in range(1, len(f._c)):

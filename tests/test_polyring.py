@@ -10,7 +10,9 @@ from wildcomp import (ConstantBase, DivisionByZero, NEG_INFINITY, NotMonic,
                       max_power_dividing, parse_poly, poly_pth_root,
                       second_degree, taylor_expansion)
 from wildcomp.polyring import (KARATSUBA_THRESHOLD, MAX_PARSE_EXPONENT,
-                               _gcd_raw, _mul_packed, _mul_raw, _mul_school)
+                               _divrem_prime, _divrem_raw, _divrem_zech,
+                               _gcd_raw, _mul_packed, _mul_raw, _mul_school,
+                               _scale_raw)
 
 from conftest import F, P, count_roots_in_field, modexp_x_to_q
 
@@ -159,6 +161,83 @@ class TestDivRem:
         assert q * b + r == a
         assert r.degree < b.degree
 
+    @pytest.mark.parametrize("p,d", [(13, 1), (3, 2)])
+    def test_untrimmed_divisor(self, p, d):
+        # a zero above the divisor's top is not read as its leading term
+        spec = F(p, d)
+        a = [1, 2, 3, 4]
+        assert _divrem_raw(spec, a, [1, 2, 0]) == _divrem_raw(spec, a, [1, 2])
+        assert _divrem_raw(spec, a, (5, 0, 0)) == _divrem_raw(spec, a, [5])
+        q, r = _divrem_raw(spec, a, [1, 2, 0])
+        assert Poly(spec, q) * Poly(spec, [1, 2]) + Poly(spec, r) == Poly(spec, a)
+        for zero in ([], [0], [0, 0, 0]):
+            with pytest.raises(DivisionByZero):
+                _divrem_raw(spec, a, zero)
+
+
+def naive_divrem(spec, a, b):
+    """Long division by field operations, one quotient term at a time."""
+    db = len(b) - 1
+    inv = spec.inv_i(b[-1])
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        f = spec.mul_i(r[i], inv)
+        q[i - db] = f
+        for j, bj in enumerate(b):
+            r[i - db + j] = spec.sub_i(r[i - db + j], spec.mul_i(f, bj))
+    r = r[:db]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+@st.composite
+def prime_divisions(draw):
+    """(p, a, b) with trimmed b of degree 0 to 12 and a quotient of length 1,
+    2 or up to 30; the dividend's top coefficients may be zero."""
+    p = draw(st.sampled_from([2, 3, 13, 4099, 65521]))
+    coeff = st.integers(0, p - 1)
+    db = draw(st.integers(0, 12))
+    qlen = draw(st.sampled_from([1, 2]) | st.integers(3, 30))
+    b = draw(st.lists(coeff, min_size=db, max_size=db)) + [draw(st.integers(1, p - 1))]
+    a = draw(st.lists(coeff, min_size=db + qlen, max_size=db + qlen))
+    zeros = draw(st.integers(0, 3))
+    return p, a[:len(a) - zeros] + [0] * min(zeros, len(a)), b
+
+
+class TestPrimeDivision:
+    """The plain-integer kernel over F_p against the log/Zech kernel and a
+    long-division loop on field operations."""
+
+    @settings(max_examples=300)
+    @given(prime_divisions())
+    def test_against_zech_and_long_division(self, pab):
+        p, a, b = pab
+        spec = F(p)
+        q, r = _divrem_prime(p, a, b)
+        assert (q, r) == _divrem_zech(spec, a, b) == naive_divrem(spec, a, b)
+        assert _divrem_raw(spec, a, b) == (q, r)
+        assert len(q) == len(a) - len(b) + 1
+        assert len(r) < len(b) and (not r or r[-1])
+        # a = q*b + r
+        back = naive_product(spec, q, b)
+        back += [0] * (len(a) - len(back))
+        for i, c in enumerate(r):
+            back[i] = spec.add_i(back[i], c)
+        assert back == a
+
+    @pytest.mark.parametrize("p", [13, 65521])
+    def test_quotient_lengths(self, p):
+        # lengths 1 and 2 take the fused pass, 3 and more the loop
+        spec = F(p)
+        rng = random.Random(p)
+        for db in [0, 1, 7, 60]:
+            b = [rng.randrange(p) for _ in range(db)] + [rng.randrange(1, p)]
+            for qlen in [1, 2, 3, 40]:
+                a = [rng.randrange(p) for _ in range(db + qlen - 1)] + [1]
+                assert _divrem_prime(p, a, b) == naive_divrem(spec, a, b)
+
 
 class TestExactDiv:
     def test_examples(self):
@@ -197,13 +276,9 @@ class TestGcd:
             assert exact_div(a, g) is not None or a.is_zero
             assert exact_div(b, g) is not None or b.is_zero
 
-    @given(poly_triples(max_len=7), st.integers(0, 10))
-    def test_floor_stops_exactly_below_it(self, cuv, floor):
-        # a planted common factor c makes every gcd degree up to 6 likely
-        c, u, v = cuv
-        a, b = c * u, c * v
+    @staticmethod
+    def check_floor(a, b, floor):
         g = gcd(a, b)
-        assert c.is_zero or exact_div(g, c) is not None
         got = _gcd_raw(a.spec, a.encodings, b.encodings, floor)
         if g.is_zero:
             assert got == []
@@ -211,6 +286,32 @@ class TestGcd:
             assert got is None
         else:
             assert Poly(a.spec, got) == g
+
+    @given(poly_triples(max_len=7), st.integers(0, 10))
+    def test_floor_stops_exactly_below_it(self, cuv, floor):
+        # a planted common factor c makes every gcd degree up to 6 likely
+        c, u, v = cuv
+        a, b = c * u, c * v
+        assert c.is_zero or exact_div(gcd(a, b), c) is not None
+        self.check_floor(a, b, floor)
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_floor_on_identify_multiply_shape(self, p):
+        # identify_multiply runs Euclid on f0 of degree p^2 - p - 2 and f0',
+        # floored at deg f0 - p - 2; a planted factor c^e puts the gcd
+        # degree on both sides of that floor
+        spec = F(p)
+        rng = random.Random(p)
+        n = p * p - p - 2
+        for k, e in [(0, 1), (1, 2), (3, 2), (5, 3), (10, p - 1), (30, 2),
+                     ((n - 2) // p, p)]:
+            c = Poly(spec, [rng.randrange(p) for _ in range(k)] + [1])
+            u = Poly(spec, [rng.randrange(p) for _ in range(n - e * k)] + [1])
+            f0 = c ** e * u
+            assert f0.degree == n
+            g = gcd(f0, derivative(f0))
+            for floor in {n - p - 2, int(g.degree), int(g.degree) + 1}:
+                self.check_floor(f0, derivative(f0), floor)
 
 
 class TestDerivative:
@@ -228,6 +329,45 @@ class TestDerivative:
     def test_leibniz(self, fg):
         f, g = fg
         assert derivative(f * g) == derivative(f) * g + f * derivative(g)
+
+
+PRIME_FIELDS = [F(5), F(13), F(65521)]
+
+
+def prime_field_polys(max_len=20):
+    return st.sampled_from(PRIME_FIELDS).flatmap(
+        lambda spec: st.lists(st.integers(0, spec.q - 1), max_size=max_len)
+        .map(lambda c: (spec, c)))
+
+
+class TestPrimeFieldTermwise:
+    """derivative and _scale_raw over F_p against one mul_i per term."""
+
+    @given(prime_field_polys())
+    def test_derivative_is_termwise(self, sc):
+        spec, c = sc
+        want = [spec.mul_i(ci, i % spec.p) for i, ci in enumerate(c) if i]
+        assert derivative(Poly(spec, c)) == Poly(spec, want)
+
+    @pytest.mark.parametrize("spec", PRIME_FIELDS, ids=str)
+    def test_terms_at_multiples_of_p_vanish(self, spec):
+        p = spec.p
+        f = (Poly.monomial(spec, 2 * p, spec.elem(p - 1))
+             + Poly.monomial(spec, p + 1) + Poly.monomial(spec, p))
+        assert derivative(f) == Poly.monomial(spec, p)
+        assert derivative(Poly.monomial(spec, 3 * p)).is_zero
+
+    @given(prime_field_polys(), st.integers(0, 65520))
+    def test_scale_is_termwise(self, sc, cv):
+        spec, c = sc
+        cv %= spec.p
+        got = _scale_raw(spec, c, cv)
+        if cv == 0:
+            assert got == []
+        elif cv == 1:
+            assert got == c  # returned as given, trailing zeros included
+        else:
+            assert got == [spec.mul_i(ci, cv) for ci in c]
 
 
 class TestEvaluate:
