@@ -17,7 +17,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .census import run_census
 from .constructions import (MultiplyParams, SimplyParams, build_M,
@@ -25,9 +25,9 @@ from .constructions import (MultiplyParams, SimplyParams, build_M,
 from .counting import count_decomposable, nu, spectrum
 from .decomp_core import Collision, MonicOriginal, original_shift
 from .gf import FieldSpec, parse_field
-from .identify import (BRUTE_FORCE_SPACE_LIMIT, CollisionTag, classify,
-                       enumerate_decompositions, identify_multiply,
-                       identify_simply)
+from .identify import (BRUTE_FORCE_SPACE_LIMIT, CollisionTag, MultiplyMatch,
+                       SimplyMatch, classify, enumerate_decompositions,
+                       identify_multiply, identify_simply)
 from .polyring import MAX_PARSE_EXPONENT, format_poly, parse_poly
 
 USAGE_ERROR = 1
@@ -101,25 +101,35 @@ def _usage(msg: str) -> int:
     return USAGE_ERROR
 
 
+def _emit_match(args, key: str,
+                match: Union[SimplyMatch, MultiplyMatch]) -> None:
+    """Print recovered S or M parameters; the payload names the family
+    under ``key``, "family" for identify and "tag" for classify."""
+    if isinstance(match, SimplyMatch):
+        sm = match
+        payload = {key: "S", "k": sm.k, "u": sm.u.val, "s": sm.s.val,
+                   "eps": sm.eps, "m": sm.m, "w": sm.w.val}
+        line = f"S k={sm.k} u={sm.u} s={sm.s} eps={sm.eps} m={sm.m} w={sm.w}"
+    else:
+        mm = match
+        payload = {key: "M", "a": mm.a.val, "b": mm.b.val,
+                   "m": mm.m, "w": mm.w.val}
+        line = f"M a={mm.a} b={mm.b} m={mm.m} w={mm.w}"
+    _emit(args, payload, [line])
+
+
 def _cmd_identify(args) -> int:
     spec = _field(args)
     f = _poly_arg(spec, args.poly)
     r = spec.p if args.r is None else args.r
-    sm = identify_simply(f, r)
-    if sm is not None:
-        payload = {"family": "S", "k": sm.k, "u": sm.u.val, "s": sm.s.val,
-                   "eps": sm.eps, "m": sm.m, "w": sm.w.val}
-        _emit(args, payload,
-              [f"S k={sm.k} u={sm.u} s={sm.s} eps={sm.eps} m={sm.m} w={sm.w}"])
-        return 0
-    mm = identify_multiply(f, r)
-    if mm is not None:
-        payload = {"family": "M", "a": mm.a.val, "b": mm.b.val,
-                   "m": mm.m, "w": mm.w.val}
-        _emit(args, payload, [f"M a={mm.a} b={mm.b} m={mm.m} w={mm.w}"])
-        return 0
-    _emit(args, {"family": None}, ["failure"])
-    return FAILURE
+    match = identify_simply(f, r)
+    if match is None:
+        match = identify_multiply(f, r)
+    if match is None:
+        _emit(args, {"family": None}, ["failure"])
+        return FAILURE
+    _emit_match(args, "family", match)
+    return 0
 
 
 def _cmd_classify(args) -> int:
@@ -129,20 +139,10 @@ def _cmd_classify(args) -> int:
     if cls.tag is CollisionTag.NONE:
         _emit(args, {"tag": "none"}, ["no 2-collision"])
         return FAILURE
-    if cls.tag is CollisionTag.SIMPLY:
-        sm = cls.simply
-        payload = {"tag": "S", "k": sm.k, "u": sm.u.val, "s": sm.s.val,
-                   "eps": sm.eps, "m": sm.m, "w": sm.w.val}
-        line = f"S k={sm.k} u={sm.u} s={sm.s} eps={sm.eps} m={sm.m} w={sm.w}"
-    elif cls.tag is CollisionTag.MULTIPLY:
-        mm = cls.multiply
-        payload = {"tag": "M", "a": mm.a.val, "b": mm.b.val,
-                   "m": mm.m, "w": mm.w.val}
-        line = f"M a={mm.a} b={mm.b} m={mm.m} w={mm.w}"
+    if cls.tag is CollisionTag.FROBENIUS:
+        _emit(args, {"tag": "F"}, ["F"])
     else:
-        payload = {"tag": "F"}
-        line = "F"
-    _emit(args, payload, [line])
+        _emit_match(args, "tag", cls.simply or cls.multiply)
     return 0
 
 
@@ -280,8 +280,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

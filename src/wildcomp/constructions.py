@@ -243,10 +243,6 @@ def decompositions_S(params: SimplyParams) -> Collision:
     return Collision(f, frozenset(pairs))
 
 
-def _binomial_x_minus(spec: FieldSpec, c: FieldElem) -> Poly:
-    return Poly(spec, (spec.neg_i(c.val), 1))
-
-
 def _M_factors(params: MultiplyParams,
                w: int) -> tuple[list[int], list[int], list[int]]:
     """Encodings of Q = x(x-b), H = x^m + a* b^(-r) ((x-b)^m - x^m) and H*
@@ -330,24 +326,25 @@ def build_M(params: MultiplyParams) -> tuple[MonicOriginal, Collision]:
     """The multiply original polynomial and its 2-collision {(g,h), (g*,h*)}.
 
     The collision identity g o h = g* o h* = f is verified eagerly (the
-    Collision constructor composes both pairs).
+    Collision constructor composes both pairs).  g = x^m (x-a)^(m*) and
+    h = x^(m*) H, with H from ``_M_factors``; g* and h* swap a, m with
+    a*, m*.
     """
-    spec = params.spec
-    a, b, m, r = params.a, params.b, params.m, params.r
-    astar, mstar = params.a_star, params.m_star
-    x = Poly.x(spec)
-    xb = _binomial_x_minus(spec, b)
-    binv_r = (b ** r).inv()
+    spec, m, mstar = params.spec, params.m, params.m_star
+    _, big_h, big_hs = _M_factors(params, 0)
 
-    g = (x ** m) * _binomial_x_minus(spec, a) ** mstar
-    h = x ** r + (astar * binv_r) * ((x ** mstar) * xb ** m - x ** r)
-    gs = (x ** mstar) * _binomial_x_minus(spec, astar) ** m
-    hs = x ** r + (a * binv_r) * ((x ** m) * xb ** mstar - x ** r)
+    def times_x(k: int, enc: Sequence[int]) -> MonicOriginal:
+        return MonicOriginal(Poly(spec, enc).shift_up(k))
+
+    def x_minus(c: FieldElem, k: int) -> Sequence[int]:
+        return _pow_raw(spec, (spec.neg_i(c.val), 1), k)
 
     fm = MonicOriginal(Poly(spec, _M_shifted(params, 0)))
     col = Collision(fm, frozenset({
-        Decomposition(MonicOriginal(g), MonicOriginal(h)),
-        Decomposition(MonicOriginal(gs), MonicOriginal(hs)),
+        Decomposition(times_x(m, x_minus(params.a, mstar)),
+                      times_x(mstar, big_h)),
+        Decomposition(times_x(mstar, x_minus(params.a_star, m)),
+                      times_x(m, big_hs)),
     }))
     return fm, col
 

@@ -18,8 +18,15 @@ construction, for a fixed generator g of the multiplicative group
 
 A product is ``_exp[log a + log b]`` and a sum is
 ``_exp[log a + _zech[log b - log a]]`` (Huber, IEEE Trans. IT 1990).
-Since -1 is encoded as p - 1, negation adds ``_log[p - 1]``.  The kernels
-in :mod:`wildcomp.polyring` run on these tables directly.
+Since -1 is encoded as p - 1, negation adds ``_log[p - 1]``.  The
+extension-field kernels in :mod:`wildcomp.polyring` run on these tables
+directly.
+
+The F_p[z] kernels on plain integers mod p live here: ``_mul_packed``
+(one packed big-integer product) and ``_divrem_prime`` (classical
+division).  They test moduli for irreducibility, find the generator and
+build the tables, and :mod:`wildcomp.polyring` imports them for every
+product and division over a prime field.
 
 ``projective_roots`` finds the roots of y^(r+1) + c1*y + c0, the only kind
 of polynomial whose roots the package needs, from one more O(q) table per
@@ -31,6 +38,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
+from array import array
 from typing import Iterator, Optional, Sequence
 
 # field_new refuses larger fields: the tables hold O(q) entries and the
@@ -84,40 +93,74 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# F_p[z] helpers on little-endian coefficient lists.  Used for modulus
-# validation and for building the field tables.
+# F_p[z] kernels on little-endian lists of plain integers mod p, shared
+# with wildcomp.polyring.
 # ---------------------------------------------------------------------------
 
-def _zp_trim(c: list[int]) -> list[int]:
+def _trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _zp_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _zp_trim(out)
+def _mul_packed(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a*b over the prime field F_p as one integer product.
+
+    Each coefficient vector is packed into one integer, one array slot per
+    coefficient (Kronecker substitution).  Every slot of the product is a
+    sum of at most min(len a, len b) terms below (p-1)^2, so while that
+    bound fits a slot no slot carries into the next, and reducing each
+    slot mod p gives the coefficients.  Slots are 32 bits wide while the
+    bound allows, else 64, which suffice since FIELD_LIMIT keeps p below
+    2^16.
+    """
+    slots = array("I")
+    if min(len(a), len(b)) * (p - 1) ** 2 >> (8 * slots.itemsize):
+        slots = array("Q")
+    code, size, order = slots.typecode, slots.itemsize, sys.byteorder
+    prod = (int.from_bytes(array(code, a).tobytes(), order)
+            * int.from_bytes(array(code, b).tobytes(), order))
+    slots.frombytes(prod.to_bytes((len(a) + len(b) - 1) * size, order))
+    return _trim([c % p for c in slots])
+
+
+def _divrem_prime(p: int, a: Sequence[int],
+                  b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Division over F_p on plain integers; len(a) >= len(b).
+
+    A quotient q1*x + q0, as in most Euclid steps, comes off the top two
+    coefficients, and r_i = a_i - q1*b_(i-1) - q0*b_i in one pass.  A longer
+    one takes the classical loop (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, Sec. 2.4) on -b, which reduces only each next leading
+    coefficient, and the remainder once at the end.
+    """
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    n = len(a) - db
+    if n <= 2:
+        shifted = (0, *b)
+        q1 = a[-1] * inv % p if n == 2 else 0
+        q0 = (a[db] - q1 * shifted[db]) * inv % p
+        r = [(ai - q1 * bl - q0 * bi) % p
+             for ai, bl, bi in zip(a, shifted, b[:db])]
+        return [q0, q1][:n], _trim(r)
+    r = list(a)
+    qout = [0] * n
+    negb = [(j, p - bj) for j, bj in enumerate(b[:db]) if bj]
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i] % p
+        if c:
+            f = c * inv % p
+            off = i - db
+            qout[off] = f
+            for j, nbj in negb:
+                r[off + j] += f * nbj
+    return qout, _trim([c % p for c in r[:db]])
 
 
 def _zp_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     """Remainder of a modulo the monic polynomial m."""
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) > dm:
-        c = r[-1]
-        if c:
-            off = len(r) - 1 - dm
-            for j in range(dm):
-                if m[j]:
-                    r[off + j] = (r[off + j] - c * m[j]) % p
-        r.pop()
-    return _zp_trim(r)
+    return _divrem_prime(p, a, m)[1] if len(a) >= len(m) else _trim(list(a))
 
 
 def _zp_is_irreducible(m: Sequence[int], p: int) -> bool:
@@ -278,8 +321,8 @@ class FieldSpec:
             out = [1]
             while e:
                 if e & 1:
-                    out = _zp_mod(_zp_mul(out, a, p), mod, p)
-                a = _zp_mod(_zp_mul(a, a, p), mod, p)
+                    out = _zp_mod(_mul_packed(p, out, a), mod, p)
+                a = _zp_mod(_mul_packed(p, a, a), mod, p)
                 e >>= 1
             return out
 
@@ -297,7 +340,7 @@ class FieldSpec:
         shifts = [16 * k for k in range(d)]
         images = []
         for k in range(d):
-            zg = _zp_mod(_zp_mul([0] * k + [1], gc, p), mod, p)
+            zg = _zp_mod(_mul_packed(p, [0] * k + [1], gc), mod, p)
             images.append([sum(m * c % p << s for c, s in zip(zg, shifts))
                            for m in range(p)])
         top = shifts[::-1]

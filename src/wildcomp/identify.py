@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 from .constructions import (MultiplyParams, SimplyParams, _M_probe,
                             _M_shifted, _S_probe, _S_shifted, build_M,
-                            decompositions_S, frobenius_map,
+                            decompositions_S, frobenius_collision,
                             prime_power_exponent)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
                           MonicOriginal, left_divide, mo_index_to_poly,
@@ -298,18 +298,11 @@ def enumerate_decompositions(f: MonicOriginal) -> EnumeratedDecompositions:
     ``brute_force_decompositions``.  ``complete`` is False only when it
     declines, beyond BRUTE_FORCE_SPACE_LIMIT candidates (never for p = 2).
     """
-    spec = f.spec
-    p = spec.p
+    p = f.spec.p
     cls = classify(f)
     if cls.tag is CollisionTag.FROBENIUS:
-        h = poly_pth_root(f.poly, 1)
-        if h is None:
-            raise RuntimeError("Frobenius-tagged polynomial has no p-th root")
-        hm = MonicOriginal(h)
-        xp = MonicOriginal(Poly.monomial(spec, p))
-        pairs = {Decomposition(xp, hm),
-                 Decomposition(MonicOriginal(frobenius_map(h, p)), xp)}
-        return EnumeratedDecompositions(Collision(f, frozenset(pairs)), True)
+        h = MonicOriginal(poly_pth_root(f.poly, 1))
+        return EnumeratedDecompositions(frobenius_collision(h, p), True)
     if cls.tag is CollisionTag.SIMPLY:
         sm = cls.simply
         base = decompositions_S(SimplyParams(sm.u, sm.s, sm.eps, sm.m, p))

@@ -4,18 +4,19 @@ Coefficients are stored as integer field encodings (see :mod:`wildcomp.gf`)
 with no trailing zeros; the zero polynomial is the empty tuple and its
 degree is the sentinel ``NEG_INFINITY``.  All operations are exact.
 Over a prime field (``spec.d == 1``) products, division, derivatives and
-scalar multiples work on plain integers mod p; over an extension field the
-kernels run on the field's log, antilog and Zech tables.
+scalar multiples work on plain integers mod p; the product and division
+kernels, ``_mul_packed`` and ``_divrem_prime``, live in :mod:`wildcomp.gf`
+with the other F_p[z] helpers.  Over an extension field the kernels run on
+the field's log, antilog and Zech tables.
 """
 
 from __future__ import annotations
 
 import re
-import sys
-from array import array
 from typing import Iterator, Optional, Sequence, Union
 
-from .gf import DivisionByZero, FieldElem, FieldSpec, MixedFields
+from .gf import (DivisionByZero, FieldElem, FieldSpec, MixedFields,
+                 _divrem_prime, _mul_packed, _trim)
 
 NEG_INFINITY = float("-inf")
 
@@ -77,6 +78,8 @@ class Poly:
     @classmethod
     def monomial(cls, spec: FieldSpec, i: int,
                  coeff: Optional[FieldElem] = None) -> "Poly":
+        if i < 0:
+            raise ValueError("monomial exponent must be non-negative")
         c = 1 if coeff is None else coeff.val
         return cls(spec, (0,) * i + (c,))
 
@@ -181,6 +184,8 @@ class Poly:
 
     def shift_up(self, k: int) -> "Poly":
         """Multiply by x^k."""
+        if k < 0:
+            raise ValueError("shift exponent must be non-negative")
         if not self._c:
             return self
         return Poly(self.spec, (0,) * k + self._c)
@@ -189,12 +194,6 @@ class Poly:
 # ---------------------------------------------------------------------------
 # Raw kernels on encoding tuples.  These also back the census hot loops.
 # ---------------------------------------------------------------------------
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
 
 def _add_raw(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(a) < len(b):
@@ -249,27 +248,6 @@ def _mul_school(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int
                 else:
                     out[k] = exp[t]
     return _trim(out)
-
-
-def _mul_packed(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """a*b over the prime field F_p as one integer product.
-
-    Each coefficient vector is packed into one integer, one array slot per
-    coefficient (Kronecker substitution).  Every slot of the product is a
-    sum of at most min(len a, len b) terms below (p-1)^2, so while that
-    bound fits a slot no slot carries into the next, and reducing each
-    slot mod p gives the coefficients.  Slots are 32 bits wide while the
-    bound allows, else 64, which suffice since FIELD_LIMIT keeps p below
-    2^16.
-    """
-    slots = array("I")
-    if min(len(a), len(b)) * (p - 1) ** 2 >> (8 * slots.itemsize):
-        slots = array("Q")
-    code, size, order = slots.typecode, slots.itemsize, sys.byteorder
-    prod = (int.from_bytes(array(code, a).tobytes(), order)
-            * int.from_bytes(array(code, b).tobytes(), order))
-    slots.frombytes(prod.to_bytes((len(a) + len(b) - 1) * size, order))
-    return _trim([c % p for c in slots])
 
 
 def _mul_raw(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -329,40 +307,6 @@ def _divrem_raw(spec: FieldSpec, a: Sequence[int],
     if spec.d == 1:
         return _divrem_prime(spec.p, a, b)
     return _divrem_zech(spec, a, b)
-
-
-def _divrem_prime(p: int, a: Sequence[int],
-                  b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Division over F_p on plain integers; len(a) >= len(b).
-
-    A quotient q1*x + q0, as in most Euclid steps, comes off the top two
-    coefficients, and r_i = a_i - q1*b_(i-1) - q0*b_i in one pass.  A longer
-    one takes the classical loop (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, Sec. 2.4) on -b, which reduces only each next leading
-    coefficient, and the remainder once at the end.
-    """
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    n = len(a) - db
-    if n <= 2:
-        shifted = (0, *b)
-        q1 = a[-1] * inv % p if n == 2 else 0
-        q0 = (a[db] - q1 * shifted[db]) * inv % p
-        r = [(ai - q1 * bl - q0 * bi) % p
-             for ai, bl, bi in zip(a, shifted, b[:db])]
-        return [q0, q1][:n], _trim(r)
-    r = list(a)
-    qout = [0] * n
-    negb = [(j, p - bj) for j, bj in enumerate(b[:db]) if bj]
-    for i in range(len(a) - 1, db - 1, -1):
-        c = r[i] % p
-        if c:
-            f = c * inv % p
-            off = i - db
-            qout[off] = f
-            for j, nbj in negb:
-                r[off + j] += f * nbj
-    return qout, _trim([c % p for c in r[:db]])
 
 
 def _divrem_zech(spec: FieldSpec, a: Sequence[int],

@@ -341,6 +341,26 @@ F7_M_MEMBER = ("x^49+5*x^42+x^41+5*x^40+6*x^39+6*x^38+6*x^37+5*x^36+5*x^35"
                "+3*x^3+6*x")
 
 
+class TestIdentifyMatchesClassify:
+    """identify and classify print the same S or M line; their JSON differs
+    only in the key naming the family."""
+
+    @pytest.mark.parametrize("field,poly,line,params", [
+        ("3^1", "x^9+x^5+x", "S k=2 u=2 s=1 eps=0 m=2 w=0",
+         {"k": 2, "u": 2, "s": 1, "eps": 0, "m": 2, "w": 0}),
+        ("7^1", F7_M_MEMBER, "M a=3 b=2 m=3 w=4",
+         {"a": 3, "b": 2, "m": 3, "w": 4}),
+    ])
+    def test_same_line_and_payload(self, capsys, field, poly, line, params):
+        for command, key in (("identify", "family"), ("classify", "tag")):
+            code, out, _ = run(capsys, command, "--field", field, "--poly", poly)
+            assert code == 0 and out == line
+            code, out, _ = run(capsys, "--json", command, "--field", field,
+                               "--poly", poly)
+            assert code == 0
+            assert out == json.dumps({key: line[0], **params})
+
+
 class TestOptimizeFlag:
     @pytest.mark.parametrize("argv", [
         ["--json", "census", "--p", "3", "--q", "9"],

@@ -9,7 +9,7 @@ from wildcomp import (FIELD_LIMIT, DegenerateLeadingCoefficient,
                       ReducibleModulus, enumerate_elements, field_new,
                       format_field, frobenius, gf, parse_field,
                       projective_roots, pth_root, solve_quadratic, sqrt)
-from wildcomp.gf import _zp_mod, _zp_mul
+from wildcomp.gf import _mul_packed, _zp_mod
 
 from conftest import F
 
@@ -89,7 +89,7 @@ class Reference:
 
     def mul(self, a, b):
         spec = self.spec
-        prod = _zp_mul(spec.coeffs_of(a), spec.coeffs_of(b), spec.p)
+        prod = _mul_packed(spec.p, spec.coeffs_of(a), spec.coeffs_of(b))
         return spec.encode_coeffs(_zp_mod(prod, spec.modulus, spec.p))
 
     def pow(self, a, e):

@@ -77,6 +77,26 @@ class TestMul:
             assert _mul_raw(spec, a, b) == _mul_school(spec, a, b)
 
 
+class TestNegativeExponent:
+    @pytest.mark.parametrize("build", [
+        lambda spec: Poly.monomial(spec, -1),
+        lambda spec: Poly(spec, (1, 2, 3)).shift_up(-2),
+        lambda spec: Poly.zero(spec).shift_up(-1),
+        lambda spec: Poly.x(spec) ** -1,
+    ])
+    def test_raises(self, build):
+        with pytest.raises(ValueError, match="non-negative"):
+            build(F(5))
+
+    def test_zero_and_positive_exponents(self):
+        spec = F(5)
+        f = Poly(spec, (1, 2, 3))
+        assert Poly.monomial(spec, 0, spec.elem(3)) == Poly(spec, (3,))
+        assert Poly.monomial(spec, 2) == Poly(spec, (0, 0, 1))
+        assert f.shift_up(0) == f
+        assert f.shift_up(2) == Poly(spec, (0, 0, 1, 2, 3))
+
+
 def naive_product(spec, a, b):
     """a*b by the double loop over field encodings."""
     out = [0] * (len(a) + len(b) - 1)
