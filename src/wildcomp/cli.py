@@ -157,7 +157,8 @@ def _cmd_decompose(args) -> int:
     lines += [f"g={g} h={h}" for g, h in pairs]
     _emit(args, payload, lines)
     if not res.complete:
-        print("error: decompositions not enumerated: f is unclassified and "
+        print("error: decompositions not enumerated: f is unclassified, "
+              "its x^(p^2-p-1) coefficient is 0, and "
               f"the search is limited to {BRUTE_FORCE_SPACE_LIMIT} right "
               "components, q^(p-2) per root y of y^(p+1) - f_(p^2-p)*y - "
               "f_(p^2-p-1)", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .counting import NotAPower, _log_base
 from .gf import FieldElem, FieldSpec, MixedFields
 from .polyring import NotMonic, Poly, _digits_raw, compose, evaluate
 
@@ -133,6 +134,52 @@ def left_divide(f: MonicOriginal, h: MonicOriginal) -> Optional[MonicOriginal]:
             return None
         enc.append(d[0] if d else 0)
     return MonicOriginal(Poly(f.spec, enc))
+
+
+def right_component(f: MonicOriginal, y: FieldElem) -> MonicOriginal:
+    """The only h of degree r with x^(r-1) coefficient y that can give
+    f = g(h) with g_(r-1) != 0; deg f = r^2, r a power of p.
+
+    h is not checked: ``left_divide`` decides whether g exists.  For such a
+    pair, H(t) = t^r h(1/t) = 1 + y t + ... has constant term 1, so
+    H^r = 1 + O(t^r) is a Frobenius image and H^(r-1) = H^(-1) mod t^r.
+    h^r has terms only at multiples of x^r, and g_i h^i for i <= r-2 has
+    degree at most r^2-2r, so for 1 <= j <= r-1 the coefficient f_(r^2-r-j)
+    is g_(r-1) [t^j] H^(r-1), and j = 1 gives f_(r^2-r-1) = -g_(r-1) y.
+    Hence, with G_j = -y f_(r^2-r-j) / f_(r^2-r-1),
+
+        H = (1 + G_1 t + ... + G_(r-1) t^(r-1))^(-1) mod t^r,
+
+    O(r^2) field operations, and h = x^r + H_1 x^(r-1) + ... + H_(r-1) x.
+    Both f_(r^2-r-1) and y must be nonzero, else ValueError.
+    """
+    if f.spec != y.spec:
+        raise MixedFields("x^(r-1) coefficient from a different field")
+    spec = f.spec
+    n = f.degree
+    try:
+        e = _log_base(n, spec.p)
+    except NotAPower:
+        e = 1
+    if e % 2:
+        raise DegreeMismatch(f"degree {n} is not r^2 for a power r of {spec.p}")
+    r = spec.p ** (e // 2)
+    enc = f.poly.encodings
+    top = n - r
+    if not enc[top - 1]:
+        raise ValueError("f has x^(r^2-r-1) coefficient 0")
+    if not y.val:
+        raise ValueError("y must be nonzero")
+    mul_i, add_i = spec.mul_i, spec.add_i
+    c = spec.neg_i(mul_i(y.val, spec.inv_i(enc[top - 1])))
+    big_g = [mul_i(c, enc[top - j]) for j in range(1, r)]
+    big_h = [1]
+    for k in range(1, r):
+        acc = 0
+        for j in range(k):
+            acc = add_i(acc, mul_i(big_g[j], big_h[k - 1 - j]))
+        big_h.append(spec.neg_i(acc))
+    return MonicOriginal(Poly(spec, [0, *big_h[:0:-1], 1]))
 
 
 def original_shift(f: MonicOriginal, w: FieldElem) -> MonicOriginal:

@@ -9,16 +9,17 @@ Taylor shift is made.  Before it, each candidate must match a few
 coefficients of f given in closed form, in O(log r) field operations:
 the x coefficient S'(w) or M'(w) and one coefficient near the top, which
 for M tells the two candidate values of a apart.  ``identify_multiply``
-first applies two tests every M member passes: deg f' = r^2 - r - 2, and
-a squarefree part of f' of degree at most r + 2, checked by a Euclid that
-stops once a remainder falls below the gcd degree this needs; most other
-f leave before any full gcd.
+works from right components: every M member f has x^(r^2-r-1)
+coefficient -g_(r-1) y != 0, where y = h_(r-1) is a root of P_f, and
+``decomp_core.right_component`` builds h from y alone, in O(r^2) field
+operations.  h' = -y (x+w)^(m*-1) (x+w-b)^(m-1) has degree r - 2, and
+the quadratic (x+w)(x+w-b) and m are read off it; no gcd touches f'.
 ``classify`` combines them with the Frobenius test into the full
 trichotomy at degree p^2, and ``enumerate_decompositions`` lists every
 degree-p decomposition; for an unclassified f it divides only by the right
-components whose x^(p-1) coefficient is a root of P_f, at most
-BRUTE_FORCE_SPACE_LIMIT of them.  Every root these need comes from
-``gf.projective_roots``.
+components whose x^(p-1) coefficient is a root of P_f: one per root when
+f_(p^2-p-1) != 0, else q^(p-2) per root, at most BRUTE_FORCE_SPACE_LIMIT
+of them.  Every root these need comes from ``gf.projective_roots``.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .constructions import (MultiplyParams, SimplyParams, _M_probe,
                             prime_power_exponent)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
                           MonicOriginal, left_divide, mo_index_to_poly,
-                          shift_decomposition)
+                          right_component, shift_decomposition)
 from .gf import FieldElem, projective_roots, solve_quadratic
-from .polyring import (NEG_INFINITY, Poly, _gcd_raw, derivative, exact_div,
-                       gcd, max_power_dividing, poly_pth_root, second_degree)
+from .polyring import (NEG_INFINITY, Poly, derivative, exact_div, gcd,
+                       max_power_dividing, poly_pth_root, second_degree)
 
 # The fallback divides by at most this many candidate right components.
 BRUTE_FORCE_SPACE_LIMIT = 1 << 13
@@ -142,32 +143,71 @@ def identify_simply(f: MonicOriginal, r: int) -> Optional[SimplyMatch]:
     return SimplyMatch(k, u, s, eps, m, spec.elem(w_enc))
 
 
-def _p_valuation(i: int, p: int) -> int:
-    v = 0
-    while i % p == 0:
-        i //= p
-        v += 1
-    return v
+def _two_root_split(d: Poly) -> Optional[tuple[Poly, int]]:
+    """For d = c (x - x1)^e1 (x - x2)^e2 with x1 != x2 and e1, e2 >= 1:
+    the monic (x - x1)(x - x2) and min(e1, e2).  Other nonconstant d give
+    None or a pair that the caller's rebuild rejects.
+
+    p-th powers are stripped while the derivative vanishes (p^v divides
+    both exponents); then d / gcd(d, d') keeps the roots whose exponent p
+    does not divide.  If it keeps only x1, the rest (x - x2)^e2 is a p-th
+    power, stripped the same way to (x - x2)^c with p not dividing c, and
+    its x^(c-1) coefficient is -c x2.
+    """
+    spec = d.spec
+    d = d * d.lc().inv()
+    scale = 1
+    while (dd := derivative(d)).is_zero:
+        d, scale = poly_pth_root(d, 1), scale * spec.p
+    sqf = exact_div(d, gcd(d, dd))
+    if sqf.degree == 2:
+        return sqf, scale * max_power_dividing(d, sqf)
+    if sqf.degree != 1:
+        return None
+    e1 = max_power_dividing(d, sqf)
+    rest = exact_div(d, sqf ** e1)
+    e2 = int(rest.degree)
+    if e2 < 1:
+        return None
+    while derivative(rest).is_zero:
+        rest = poly_pth_root(rest, 1)
+    # rest = (x - x2)^c, so x - x2 = x + rest_(c-1) / c
+    c = int(rest.degree)
+    lin = rest.coefficient(c - 1) / spec.scalar(c)
+    return sqf * Poly(spec, (lin.val, 1)), scale * min(e1, e2)
 
 
 def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
     """Recover (a, b, m, w) with f = M(a,b,m)^(w), or None.
 
-    Works down the derivative: its squarefree part isolates the quadratic
-    x(x-b) shifted by w, a power count recovers m, and the two candidate
-    values of a are the roots of y^2 - b^r y - m^(-2) b^(r-1) lc(f').  A
-    candidate is rebuilt, at x + w, only when f_1 and (odd p) f_D,
-    D = r^2 - r - 2, match their closed forms (``constructions._M_probe``);
-    f_D holds for only one of a and a* = b^r - a.  The rebuild is the only
-    arbiter.
+    Works from the right component.  Every member f = M(a,b,m)^(w) has a
+    decomposition g o h (``shift_decomposition`` of ``build_M``'s pair)
+    with g_(r-1) = m a != 0 and y = h_(r-1) = -m a* b^(1-r) != 0, so
+    f_(r^2-r-1) = -g_(r-1) y != 0 and y is a nonzero root of
+    P_f(y) = y^(r+1) - f_(r^2-r) y - f_(r^2-r-1); and h is the
+    ``right_component`` of f at y.  Since h = (1-c) x^r + c x^(m*) (x-b)^m
+    with c = a* b^(-r), shifted by w, its derivative is
 
-    Two necessary conditions reject most other f before any full gcd.
-    Every member has f' = c (x(x-b))^(m m* - 1) H^(m-1) (H*)^(m*-1) with
-    c = m m* a a* b^(1-r) != 0 and H, H* monic of degrees m, m* (p does not
-    divide m), so deg f' = r^2 - r - 2, and the shift keeps it.  The
-    squarefree part f1 of the monic f0 = f' / lc(f') divides x(x-b) H H*,
-    so deg f1 <= r + 2 and gcd(f0, f0') has degree at least deg f0 - r - 2;
-    its Euclid stops as soon as a remainder falls below that.
+        h' = -y (x+w)^(m*-1) (x+w-b)^(m-1),
+
+    of degree r - 2, and ``_two_root_split`` reads the quadratic
+    (x+w)(x+w-b) and k = min(m-1, m*-1) off it, so m = min(k+1, r-k-1).
+    The other decomposition, with m and m* swapped, gives the same
+    quadratic and k.  So every member reaches the step below through its
+    own y, and each y costs O(r^2) field operations on polynomials of
+    degree at most r - 2; other roots of P_f reach it at worst with a
+    quadratic that the rebuild rejects.
+
+    From the quadratic's roots come b and w, and the two candidate values
+    of a are the roots of y^2 - b^r y - m^(-2) b^(r-1) lc(f'), with
+    lc(f') = -f_(r^2-r-1).  A candidate is rebuilt, at x + w, only when
+    f_1 and (odd p) f_D, D = r^2 - r - 2, match their closed forms
+    (``constructions._M_probe``); f_D holds for only one of a and
+    a* = b^r - a.  The rebuild is the only arbiter.
+
+    Before any root, f must pass the test every member passes,
+    deg f' = r^2 - r - 2, read off the coefficients: f_(r^2-r-1) != 0, and
+    f_i = 0 for r^2 - r - 1 < i < r^2 with p not dividing i.
     """
     spec = f.spec
     p = spec.p
@@ -177,50 +217,34 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
     if r < 5:
         # no m with 1 < m < r-1 and p not dividing m exists
         return None
-    fprime = derivative(f.poly)
-    if fprime.degree != r * r - r - 2:
+    enc = f.poly.encodings
+    top = r * r - r - 1
+    if not enc[top] or any(enc[i] for i in range(top + 1, r * r) if i % p):
         return None
-    lcf = fprime.lc()
-    f0 = fprime * lcf.inv()
-    if p == 2:
-        root = poly_pth_root(f0, 1)
-        if root is None:
-            return None
-        f0 = root
-    sqf = _gcd_raw(spec, f0.encodings, derivative(f0).encodings,
-                   int(f0.degree) - r - 2)
-    if sqf is None:
-        return None
-    f1 = exact_div(f0, Poly(spec, sqf))
-    if f1 is None or f1.degree < 4:
-        return None
-    k = max_power_dividing(f0, f1)
-    if p == 2:
-        k *= 2
-    m = min(k + 1, r - k - 1)
-    if m < 2 or m % p == 0:
-        return None  # m^(-2) undefined when p | m
-    # f1 = prod P_i, f0 = prod P_i^e_i: gcd(f1, f3) = prod_(e_i >= r-m) P_i
-    f3 = exact_div(f0, gcd(f1 ** (r - m - 1), f0))
-    if f3 is None:
-        return None
-    if p == 2 or (m * m + 1) % p:
-        f2 = gcd(f1, f3)
-    else:
-        exps = [i for i, c in enumerate(f3.encodings) if c and i]
-        if not exps:
-            return None
-        ell = min(_p_valuation(i, p) for i in exps)
-        f3 = poly_pth_root(f3, ell)
-        if f3 is None:
-            return None
-        f2 = exact_div(f3, gcd(f3, derivative(f3)))
-        if f2 is None:
-            return None
-    if f2.degree != 2:
-        return None
-    roots = solve_quadratic(f2.coefficient(2), f2.coefficient(1),
-                            f2.coefficient(0))
+    lcf = spec.elem(spec.neg_i(enc[top]))
+    for y in projective_roots(spec, r, spec.neg_i(enc[top + 1]),
+                              spec.neg_i(enc[top])):
+        h = right_component(f, spec.elem(y))
+        split = _two_root_split(derivative(h.poly))
+        if split is None:
+            continue
+        quad, k = split
+        m = min(k + 1, r - k - 1)
+        if m < 2 or m % p == 0:
+            continue  # m^(-2) undefined when p | m
+        match = _multiply_from_quadratic(f, r, quad, m, lcf)
+        if match is not None:
+            return match
+    return None
+
+
+def _multiply_from_quadratic(f: MonicOriginal, r: int, quad: Poly, m: int,
+                             lcf: FieldElem) -> Optional[MultiplyMatch]:
+    """The (a, b, m, w) that ``identify_multiply`` reads off the shifted
+    quadratic (x+w)(x+w-b), m and lc(f'), or None."""
+    spec = f.spec
+    roots = solve_quadratic(quad.coefficient(2), quad.coefficient(1),
+                            quad.coefficient(0))
     if roots is None:
         return None
     x1, x2 = roots
@@ -271,8 +295,10 @@ def brute_force_decompositions(f: MonicOriginal) -> Optional[list[Decomposition]
 
     f_(p^2-p) = y^p + g_(p-1) and f_(p^2-p-1) = -g_(p-1) y with y = h_(p-1),
     so y is a root of P_f(y) = y^(p+1) - f_(p^2-p) y - f_(p^2-p-1), found by
-    ``projective_roots``; f is divided by the q^(p-2) h per root, if at most
-    BRUTE_FORCE_SPACE_LIMIT.
+    ``projective_roots``.  When f_(p^2-p-1) != 0, every pair has
+    g_(p-1) != 0 and y != 0, so h is the ``right_component`` of f at y and
+    f is divided once per root.  Otherwise f is divided by the q^(p-2) h
+    per root, if at most BRUTE_FORCE_SPACE_LIMIT.
     """
     spec = f.spec
     p = spec.p
@@ -281,11 +307,14 @@ def brute_force_decompositions(f: MonicOriginal) -> Optional[list[Decomposition]
     coef = f.poly.coefficient_encoding
     roots = projective_roots(spec, p, spec.neg_i(coef(p * p - p)),
                              spec.neg_i(coef(p * p - p - 1)))
-    block = spec.q ** (p - 2)
-    if len(roots) * block > BRUTE_FORCE_SPACE_LIMIT:
-        return None
-    hs = (mo_index_to_poly(spec, idx, p)
-          for y in roots for idx in range(y * block, (y + 1) * block))
+    if coef(p * p - p - 1):
+        hs = (right_component(f, spec.elem(y)) for y in roots)
+    else:
+        block = spec.q ** (p - 2)
+        if len(roots) * block > BRUTE_FORCE_SPACE_LIMIT:
+            return None
+        hs = (mo_index_to_poly(spec, idx, p)
+              for y in roots for idx in range(y * block, (y + 1) * block))
     return [Decomposition(g, h) for h in hs
             if (g := left_divide(f, h)) is not None]
 
@@ -296,7 +325,8 @@ def enumerate_decompositions(f: MonicOriginal) -> EnumeratedDecompositions:
     Classified polynomials are answered from their construction (2 pairs
     for F and M, one per root t for S); unclassified ones by the root-filtered
     ``brute_force_decompositions``.  ``complete`` is False only when it
-    declines, beyond BRUTE_FORCE_SPACE_LIMIT candidates (never for p = 2).
+    declines, beyond BRUTE_FORCE_SPACE_LIMIT candidates (never for p = 2,
+    nor when f_(p^2-p-1) != 0).
     """
     p = f.spec.p
     cls = classify(f)

@@ -371,29 +371,14 @@ def exact_div(a: Poly, b: Poly) -> Optional[Poly]:
     return q if r.is_zero else None
 
 
-def _gcd_raw(spec: FieldSpec, a: Sequence[int], b: Sequence[int],
-             floor: int = 0) -> Optional[list[int]]:
-    """Monic gcd of a and b by Euclid, or None once it must have degree < floor.
-
-    The gcd divides every nonzero remainder, so a remainder of degree below
-    ``floor`` ends the loop early.  gcd(0, 0) = 0 is returned as [].
-    """
-    x, y = a, b
-    while y:
-        if len(y) <= floor:
-            return None
-        x, y = y, _divrem_raw(spec, x, y)[1]
-    if not x:
-        return []
-    if len(x) <= floor:
-        return None
-    return _scale_raw(spec, x, spec.inv_i(x[-1]))
-
-
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by Euclid; gcd(0, 0) = 0."""
     a._same(b)
-    return Poly(a.spec, _gcd_raw(a.spec, a._c, b._c))
+    spec = a.spec
+    x, y = a._c, b._c
+    while y:
+        x, y = y, _divrem_raw(spec, x, y)[1]
+    return Poly(spec, _scale_raw(spec, x, spec.inv_i(x[-1])) if x else ())
 
 
 def derivative(f: Poly) -> Poly:

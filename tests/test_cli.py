@@ -126,9 +126,24 @@ class TestDecompose:
         assert code == 0
         assert out.splitlines() == ["1 decomposition(s)", "g=x^2+7*x h=x^2+11*x"]
 
+    def test_determined_branch_complete(self, capsys):
+        # (x^5+2x^4+7x^3+3x) o (x^5+9x^4+4x^2+x) over F_25 is unclassified;
+        # its x^19 coefficient is nonzero, so one right component per root
+        # of P_f is divided and the answer is complete
+        f = ("x^25+20*x^20+17*x^19+20*x^18+16*x^17+19*x^16+13*x^15+4*x^14"
+             "+15*x^13+14*x^12+22*x^11+4*x^10+17*x^9+3*x^8+8*x^7+21*x^6"
+             "+17*x^5+3*x^4+7*x^3+2*x^2+3*x")
+        code, out, _ = run(capsys, "--json", "decompose", "--field", "5^2",
+                           "--poly", f)
+        assert code == 0
+        assert json.loads(out) == {
+            "count": 1, "complete": True,
+            "pairs": [["x^5+2*x^4+7*x^3+3*x", "x^5+9*x^4+4*x^2+x"]]}
+
     def test_incomplete_exits_1(self, capsys):
-        # x^25 over F_25: unclassified, and its 25^3 candidate right
-        # components exceed the search limit, so "none" would not be valid
+        # x^25 over F_25: unclassified with x^19 coefficient 0, and its 25^3
+        # candidate right components exceed the search limit, so "none"
+        # would not be valid
         code, out, err = run(capsys, "--json", "decompose", "--field", "5^2",
                              "--poly", "x^25")
         assert code == 1
@@ -333,7 +348,8 @@ class TestFieldLimit:
                        f"D={q * q - c2 - 2 * c3}")
 
 
-# M(3, 2, 3) over F_7 shifted by w = 4: it reaches every gcd of identify_multiply
+# M(3, 2, 3) over F_7 shifted by w = 4: identify_multiply splits its right
+# components' derivatives, probes and rebuilds it
 F7_M_MEMBER = ("x^49+5*x^42+x^41+5*x^40+6*x^39+6*x^38+6*x^37+5*x^36+5*x^35"
                "+5*x^34+6*x^33+6*x^32+2*x^31+2*x^30+5*x^28+4*x^26+3*x^24"
                "+5*x^22+4*x^21+5*x^20+4*x^18+6*x^17+6*x^16+6*x^15+x^13"

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildcomp import (Collision, Decomposition, DegreeMismatch, MixedFields,
-                      MonicOriginal, NotMonic, NotOriginal, Poly, compose,
-                      derivative, left_divide, original_shift,
-                      shift_decomposition, taylor_expansion)
+                      MonicOriginal, MultiplyParams, NotMonic, NotOriginal,
+                      Poly, build_M, compose, derivative, left_divide,
+                      original_shift, projective_roots, shift_decomposition,
+                      taylor_expansion)
 from wildcomp import polyring
+from wildcomp.decomp_core import right_component
 
 from conftest import F, MO, P, random_monic_original
 
@@ -139,6 +141,80 @@ class TestLeftDivide:
             for h in mo:
                 f = MonicOriginal(compose(g.poly, h.poly))
                 assert left_divide(f, h) == g
+
+
+def top_roots(f: MonicOriginal, r: int) -> list:
+    """Roots y of P_f(y) = y^(r+1) - f_(r^2-r) y - f_(r^2-r-1)."""
+    spec, c = f.spec, f.poly.coefficient_encoding
+    return [spec.elem(y) for y in projective_roots(
+        spec, r, spec.neg_i(c(r * r - r)), spec.neg_i(c(r * r - r - 1)))]
+
+
+# (field, r) with a multiply original family: r = p and r = p^2
+M_FIELDS = [(F(5), 5), (F(5, 2), 5), (F(7), 7), (F(2, 3), 8), (F(3, 2), 9)]
+
+
+@st.composite
+def shifted_m_pairs(draw):
+    spec, r = draw(st.sampled_from(M_FIELDS))
+    b = spec.elem(draw(st.integers(1, spec.q - 1)))
+    a = spec.elem(draw(st.integers(1, spec.q - 1).filter(
+        lambda v: spec.elem(v) != b ** r)))
+    m = draw(st.sampled_from([m for m in range(2, r - 1) if m % spec.p]))
+    w = spec.elem(draw(st.integers(0, spec.q - 1)))
+    f, col = build_M(MultiplyParams(a, b, m, r))
+    return original_shift(f, w), r, {shift_decomposition(d, w) for d in col}
+
+
+class TestRightComponent:
+    @settings(max_examples=60, deadline=None)
+    @given(shifted_m_pairs())
+    def test_reaches_both_multiply_pairs(self, member):
+        # every root whose h divides f gives one of the two pairs' h, and
+        # both pairs are reached; P_f may have other roots (r + 1 in all
+        # over F_25), whose h do not divide f
+        f, r, pairs = member
+        found = {}
+        for y in top_roots(f, r):
+            h = right_component(f, y)
+            assert h.poly.coefficient(r - 1) == y
+            g = left_divide(f, h)
+            if g is not None:
+                found[y] = Decomposition(g, h)
+        assert set(found.values()) == pairs
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(F(2), 2), (F(2, 2), 2), (F(2, 2), 4), (F(3), 3),
+                            (F(3, 2), 3), (F(5), 5), (F(7), 7)]),
+           st.randoms())
+    def test_planted_top_coefficients_give_h_back(self, spec_r, rng):
+        spec, r = spec_r
+
+        def top_nonzero():
+            inner = [rng.randrange(spec.q) for _ in range(r - 2)]
+            return MonicOriginal(Poly(spec, (0, *inner,
+                                             rng.randrange(1, spec.q), 1)))
+
+        g, h = top_nonzero(), top_nonzero()
+        f = Decomposition(g, h).compose()
+        assert right_component(f, h.poly.coefficient(r - 1)) == h
+
+    def test_rejects_zero_coefficient_and_zero_y(self):
+        spec = F(5)
+        with pytest.raises(ValueError):
+            right_component(MO(spec, "x^25+x^20+x"), spec.one)
+        f = Decomposition(MO(spec, "x^5+x^4"), MO(spec, "x^5+x^4")).compose()
+        assert f.poly.coefficient(19).val != 0
+        with pytest.raises(ValueError):
+            right_component(f, spec.zero)
+
+    def test_degree_must_be_a_power_of_p_squared(self):
+        with pytest.raises(DegreeMismatch):
+            right_component(MO(F(5), "x^24+x"), F(5).one)
+        with pytest.raises(DegreeMismatch):
+            right_component(MO(F(5), "x^36+x^29"), F(5).one)
+        with pytest.raises(MixedFields):
+            right_component(MO(F(5), "x^25+x^19"), F(7).one)
 
 
 class TestOriginalShift:

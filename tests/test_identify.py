@@ -9,6 +9,7 @@ from wildcomp import (CollisionTag, Decomposition, DegreeMismatch,
                       build_M, build_S, classify, decompositions_S,
                       enumerate_decompositions, identify_multiply,
                       identify_simply, original_shift)
+from wildcomp import identify
 from wildcomp.decomp_core import MonicOriginal
 from wildcomp.polyring import Poly, derivative
 
@@ -209,6 +210,56 @@ class TestIdentifyMultiply:
                 assert key in colliding
 
 
+    @pytest.mark.parametrize("spec,r", [(F(7), 7), (F(5, 2), 5), (F(2, 3), 8),
+                                        (F(3, 2), 9)])
+    def test_splits_only_polynomials_of_degree_below_r_minus_1(
+            self, monkeypatch, spec, r):
+        # no gcd, exact division or power count on f' or anything of
+        # degree above r - 2: only h' of each candidate right component
+        degrees = []
+
+        def recorded(fn):
+            def wrapper(*args):
+                degrees.extend(int(a.degree) for a in args)
+                return fn(*args)
+            return wrapper
+
+        for name in ("gcd", "exact_div", "max_power_dividing"):
+            monkeypatch.setattr(identify, name, recorded(getattr(identify, name)))
+        rng = random.Random(r * spec.q)
+        for _ in range(10):
+            params = random_multiply_params(rng, spec, r)
+            f = original_shift(build_M(params)[0], spec.elem(rng.randrange(spec.q)))
+            assert identify.identify_multiply(f, r) is not None
+            identify.identify_multiply(random_monic_original(rng, spec, r * r), r)
+        assert degrees and max(degrees) <= r - 2
+
+
+class TestTwoRootSplit:
+    """c (x - x1)^e1 (x - x2)^e2 splits to (x - x1)(x - x2) and min(e1, e2),
+    with p-th powers in both exponents, in one or in neither."""
+
+    @pytest.mark.parametrize("spec", [F(2), F(2, 3), F(3), F(3, 2), F(5),
+                                      F(5, 2), F(7)])
+    def test_every_exponent_pair(self, spec):
+        rng = random.Random(spec.q)
+        for e1 in range(1, 13):
+            for e2 in range(1, 13):
+                x1 = rng.randrange(spec.q)
+                x2 = rng.choice([v for v in range(spec.q) if v != x1])
+                c = rng.randrange(1, spec.q)
+                lin1 = Poly(spec, (spec.neg_i(x1), 1))
+                lin2 = Poly(spec, (spec.neg_i(x2), 1))
+                d = lin1 ** e1 * lin2 ** e2 * spec.elem(c)
+                assert identify._two_root_split(d) == (lin1 * lin2, min(e1, e2)), \
+                    (x1, x2, e1, e2)
+
+    def test_one_root_is_not_split(self):
+        spec = F(3)
+        assert identify._two_root_split(Poly(spec, (1, 1)) ** 7) is None
+        assert identify._two_root_split(Poly(spec, (1, 1)) ** 9) is None
+
+
 class TestClassify:
     def test_examples(self):
         assert classify(MO(F(2), "x^4+x^2")).tag is CollisionTag.FROBENIUS
@@ -275,6 +326,22 @@ class TestEnumerateDecompositions:
         res = enumerate_decompositions(MO(F(5, 2), "x^25"))
         assert not res.complete and res.collision.k == 0
         assert brute_force_decompositions(MO(F(5, 2), "x^25")) is None
+
+    def test_determined_branch_complete_at_large_q(self):
+        # f_6 = -g_2 h_2 != 0: one right component per root of P_f, so the
+        # search over F_3^9 is complete although 3^9 > 2^13
+        spec = F(3, 9)
+        rng = random.Random(39)
+        for _ in range(5):
+            g, h = (MonicOriginal(Poly(spec, (0, rng.randrange(spec.q),
+                                              rng.randrange(1, spec.q), 1)))
+                    for _ in range(2))
+            f = Decomposition(g, h).compose()
+            assert f.poly.coefficient(5).val != 0
+            pairs = brute_force_decompositions(f)
+            assert pairs is not None and Decomposition(g, h) in pairs
+            res = enumerate_decompositions(f)
+            assert res.complete and Decomposition(g, h) in res.collision.decomps
 
     def test_p2_complete_at_the_field_limit(self):
         spec = F(2, 16)

@@ -1,11 +1,12 @@
 """identify_multiply and classify answers pinned on a fixed input set.
 
 The answers were computed before ``identify_multiply`` gained its degree
-test, its early-stopping squarefree split and its one-gcd f2, and are
-written out below; any change to the path must give them again.  Over
-each field: 15 random, 12 planted g o h, 12 shifted S and 12 shifted M
-inputs, and 9 shifted M inputs with one low coefficient changed (these keep
-deg f' = p^2 - p - 2, so they reach the gcds).
+test, and before it read the quadratic and m off a right component's
+derivative instead of f', and are written out below; any change to the
+path must give them again.  Over each field: 15 random, 12 planted g o h,
+12 shifted S and 12 shifted M inputs, and 9 shifted M inputs with one low
+coefficient changed (these keep deg f' = p^2 - p - 2, so they pass the
+degree test and reach the right-component splits).
 """
 
 import random

@@ -11,8 +11,7 @@ from wildcomp import (ConstantBase, DivisionByZero, NEG_INFINITY, NotMonic,
                       second_degree, taylor_expansion)
 from wildcomp.polyring import (KARATSUBA_THRESHOLD, MAX_PARSE_EXPONENT,
                                _divrem_prime, _divrem_raw, _divrem_zech,
-                               _gcd_raw, _mul_packed, _mul_raw, _mul_school,
-                               _scale_raw)
+                               _mul_packed, _mul_raw, _mul_school, _scale_raw)
 
 from conftest import F, P, count_roots_in_field, modexp_x_to_q
 
@@ -295,43 +294,6 @@ class TestGcd:
             assert g.is_monic()
             assert exact_div(a, g) is not None or a.is_zero
             assert exact_div(b, g) is not None or b.is_zero
-
-    @staticmethod
-    def check_floor(a, b, floor):
-        g = gcd(a, b)
-        got = _gcd_raw(a.spec, a.encodings, b.encodings, floor)
-        if g.is_zero:
-            assert got == []
-        elif g.degree < floor:
-            assert got is None
-        else:
-            assert Poly(a.spec, got) == g
-
-    @given(poly_triples(max_len=7), st.integers(0, 10))
-    def test_floor_stops_exactly_below_it(self, cuv, floor):
-        # a planted common factor c makes every gcd degree up to 6 likely
-        c, u, v = cuv
-        a, b = c * u, c * v
-        assert c.is_zero or exact_div(gcd(a, b), c) is not None
-        self.check_floor(a, b, floor)
-
-    @pytest.mark.parametrize("p", [11, 13])
-    def test_floor_on_identify_multiply_shape(self, p):
-        # identify_multiply runs Euclid on f0 of degree p^2 - p - 2 and f0',
-        # floored at deg f0 - p - 2; a planted factor c^e puts the gcd
-        # degree on both sides of that floor
-        spec = F(p)
-        rng = random.Random(p)
-        n = p * p - p - 2
-        for k, e in [(0, 1), (1, 2), (3, 2), (5, 3), (10, p - 1), (30, 2),
-                     ((n - 2) // p, p)]:
-            c = Poly(spec, [rng.randrange(p) for _ in range(k)] + [1])
-            u = Poly(spec, [rng.randrange(p) for _ in range(n - e * k)] + [1])
-            f0 = c ** e * u
-            assert f0.degree == n
-            g = gcd(f0, derivative(f0))
-            for floor in {n - p - 2, int(g.degree), int(g.degree) + 1}:
-                self.check_floor(f0, derivative(f0), floor)
 
 
 class TestDerivative:
