@@ -46,25 +46,74 @@ holds q polynomials and exactly one f with f_{p^2-p-2} = 0.  There
 g_{p-1} = s - y^p != 0, so every decomposition of that f has
 h_{p-2} = C(p-1, 2) y^2 = y^2, as C(p-1, 2) = 1 mod p.
 
-Each shard s is therefore enumerated in two parts, which are key-disjoint
-since t = 0 in one and t != 0 in the other.  The t = 0 part takes every h
-with y = 0 or y^p = s, with all other coefficients free, and has weight 1.
-The t != 0 part takes every other y with h_{p-2} = y^2, leaving h_1..h_{p-3}
-and g_1..g_{p-2} free, and has weight q: it holds one f per orbit, with all
-of that f's pairs.  Each part's weight is then multiplied by its shard's
-weight.  Shard 0 enumerates q^(2p-4) + (q-1) q^(2p-5) pairs and shard 1
-2 q^(2p-4) + (q-2) q^(2p-5).  For p = 2, where p^2 - p - 2 = 0, there is no
-such normalization, and each shard is enumerated whole.
+Three more rules cut the work, for odd p.
+
+(1) Shard 0, t != 0: scaling.  With s = 0, t = y^(p+1), and the scaling
+by a sends f_j to a^(j-p^2) f_j: it keeps shard 0, sends t to
+a^(-(p+1)) t and keeps f_{p^2-p-2} = 0, so it maps shift-orbit
+representatives to representatives.  The t != 0 of shard 0 are the
+(p+1)-th powers, (q-1)/e of them with e = gcd(p+1, q-1), and for each
+of them the scaling by an a with a^(-(p+1)) = t is a bijection, keeping
+k and the class, from the representatives with t = 1 onto those with
+that t.  So the representatives with t = 1 stand for every t != 0 at
+weight q (q-1)/e, and every decomposition of such an f has y^(p+1) = 1:
+the e values of y with y^(p+1) = 1 and h_{p-2} = y^2 hold all of their
+pairs.  No Burnside count per f is needed: an orbit whose stabilizer St
+(a subgroup of the a with a^(p+1) = 1) has (q-1)/|St| members, e/|St|
+of them with t = 1, so each of those stands for (q-1)/e members.
+
+(2) Shard s != 0, t = 0, p >= 5: the shift in the y = 0 slice.  With
+y = 0, g_{p-1} = s - y^p = s; with y^p = s, g_{p-1} = 0.  So
+u = f_{p^2-p-2} = g_{p-1} (-h_{p-2} + C(p-1, 2) y^2) is -s h_{p-2} in the
+first slice and 0 in the second, and an f with t = 0 and u != 0 has all
+of its pairs in the y = 0 slice, with h_{p-2} != 0.  There
+f_{p^2-p-3} = -s h_{p-3}: h^p has no monomial of that degree, as p does
+not divide p^2-p-3, g_{p-1} h^(p-1) contributes s (p-1) h_{p-3} to it
+and nothing else, and g_{p-2} h^(p-2) has degree p^2-2p < p^2-p-3.  The
+shift keeps s, t = 0 and u, and moves f_{p^2-p-3} by -2 u w: of the
+coefficients above it only f_{p^2} = 1, s and u are nonzero, and
+C(p^2, p+3) = 0 and C(p^2-p, 3) = 0 mod p, while
+C(p^2-p-2, 1) = -2 mod p.  As 2 u != 0 the shift acts freely on these f,
+and each orbit holds q of them and exactly one with f_{p^2-p-3} = 0.  So
+the y = 0, h_{p-2} != 0, h_{p-3} = 0 pairs are a part of weight q, key-
+disjoint from the rest of the t = 0 pairs, which have u = 0 and keep
+weight 1.  For p = 3 the rule fails: p^2-p-3 = 3 is a multiple of p,
+and C(6, 3) = 20 = 2 mod 3 adds 2 s w^3, so f_3 moves by u w - s w^3,
+an additive map of w whose kernel can have 3 elements.  p = 3 keeps
+its t = 0 slice whole.
+
+(3) Shard 0, t = 0: one classification per scaling orbit.  The scaling
+keeps s = 0 and t = 0 and maps this part's pairs onto themselves, so the
+part's colliding f fall into scaling orbits whose members share k and
+class.  ``run_census`` classifies one f per orbit, builds its scaled
+keys and gives its class to the rest.  A scaled key that is not a
+colliding key of the part with the same k is a ``scaling`` mismatch, so
+the invariance is checked on every orbit.
+
+Each shard s is therefore enumerated in key-disjoint parts through the
+same loop, which differ only in their set of h; each part's weight is
+multiplied by its shard's.  Shard 0 has a t = 0 part, y = 0, at weight 1,
+and a t != 0 part, y^(p+1) = 1 and h_{p-2} = y^2, at weight q (q-1)/e.
+Shard 1's t = 0 pairs take y = 0 or y^p = 1, all other coefficients
+free, at weight 1; for p >= 5 those with y = 0, h_{p-2} != 0 and
+h_{p-3} = 0 form their own part at weight q, and those with y = 0,
+h_{p-2} != 0 and h_{p-3} != 0 are not enumerated.  Shard 1's t != 0 part
+takes every other y with h_{p-2} = y^2 at weight q.  Shard 0 enumerates
+q^(2p-4) + e q^(2p-5) pairs and shard 1 (q-2) q^(2p-5) plus, in its t = 0
+part, 2 q^(2p-4) for p = 3 and (q^(p-2) + q^(p-3) + (q-1) q^(p-4)) q^(p-2)
+for p >= 5.  For p = 2, where p^2 - p - 2 = 0, there is no such
+normalization, and each shard is enumerated whole.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import counting
 from .counting import Spectrum, _log_base
@@ -87,25 +136,37 @@ class TooLarge(Exception):
 class Part(NamedTuple):
     """An enumerated part of shard s, and how many f each of its f stands for.
 
-    ``t_nonzero`` tells the t = 0 part from the t != 0 part for odd p; it
-    is None for p = 2, whose shards are enumerated whole.
+    ``t_nonzero`` tells the t = 0 parts from the t != 0 part for odd p; it
+    is None for p = 2, whose shards are enumerated whole.  ``u_nonzero``
+    tells shard 1's two t = 0 parts apart for p >= 5 (u = f_{p^2-p-2}); it
+    is None elsewhere.
     """
 
     s: int
     t_nonzero: Optional[bool]
     weight: int
+    u_nonzero: Optional[bool] = None
 
     def to_json(self) -> dict:
-        if self.t_nonzero is None:
-            return {"s": self.s, "weight": self.weight}
-        return {"s": self.s, "t_nonzero": self.t_nonzero, "weight": self.weight}
+        out: dict = {"s": self.s}
+        if self.t_nonzero is not None:
+            out["t_nonzero"] = self.t_nonzero
+        if self.u_nonzero is not None:
+            out["u_nonzero"] = self.u_nonzero
+        out["weight"] = self.weight
+        return out
 
 
 def enumerated_pairs(p: int, q: int) -> int:
     """The pairs (g, h) that the census of F_q at degree p^2 enumerates."""
     if p == 2:
         return 2 * q ** (2 * p - 3)
-    return 3 * q ** (2 * p - 4) + (2 * q - 3) * q ** (2 * p - 5)
+    e = math.gcd(p + 1, q - 1)
+    # shard 1's t = 0 h: y = 0 or y^p = 1, less y = 0 with h_{p-2}, h_{p-3} != 0
+    t_zero = 2 * q ** (p - 2) if p == 3 else \
+        q ** (p - 2) + q ** (p - 3) + (q - 1) * q ** (p - 4)
+    return (q ** (2 * p - 4) + (e + q - 2) * q ** (2 * p - 5)
+            + t_zero * q ** (p - 2))
 
 
 def unpack_pair(spec: FieldSpec, packed: int, p: int) -> Decomposition:
@@ -193,35 +254,71 @@ def _parts(spec: FieldSpec) -> list[tuple[Part, Sequence[int]]]:
     """The census's enumerated parts, shard 0's first, each with its h indices.
 
     Shards 0 and 1 have weights 1 and q - 1.  For odd p each splits into
-    its t = 0 and t != 0 parts (module docstring), and the t != 0 part's
-    weight is q times the shard's.
+    the parts of ``_part_hs``, whose weights are multiplied by the shard's.
     """
     q = spec.q
     shards = {0: 1, 1: q - 1}
     if spec.p == 2:
         return [(Part(s, None, w), range(q)) for s, w in shards.items()]
-    out = []
-    for s, w in shards.items():
-        zero, nonzero = _part_hs(spec, s)
-        out += [(Part(s, False, w), zero), (Part(s, True, q * w), nonzero)]
-    return out
+    return [(part._replace(weight=w * part.weight), hs)
+            for s, w in shards.items() for part, hs in _part_hs(spec, s)]
 
 
-def _part_hs(spec: FieldSpec, s: int) -> tuple[list[int], list[int]]:
-    """The h indices of shard s's t = 0 part and of its t != 0 part.
+def _part_hs(spec: FieldSpec, s: int) -> list[tuple[Part, Sequence[int]]]:
+    """Shard s's parts, s in {0, 1}, with their weights within the shard
+    and their h indices in increasing order (module docstring).
 
-    The t = 0 part takes y = h_{p-1} = 0 or y^p = s, and every h_1..h_{p-2}.
-    The t != 0 part takes every other y with h_{p-2} = y^2, and every
-    h_1..h_{p-3}.  Both lists are in increasing index order.
+    Shard 0: y = h_{p-1} = 0 at weight 1 (t = 0), and the y with
+    y^(p+1) = 1 and h_{p-2} = y^2 at weight q (q-1)/e (t != 0).
+    Shard 1: y = 0 or y^p = 1 at weight 1 (t = 0), for p >= 5 less y = 0
+    with h_{p-2} != 0, whose h_{p-3} = 0 slice is a part of weight q; and
+    every other y with h_{p-2} = y^2 at weight q (t != 0).
     """
     p, q = spec.p, spec.q
     low = q ** (p - 3)  # indices of h_1..h_{p-3}
     span = q * low      # indices of h_1..h_{p-2}
-    roots = {0, spec.pow_i(s, q // p)}  # y^p = s, by the inverse Frobenius
-    zero = [y * span + i for y in sorted(roots) for i in range(span)]
-    nonzero = [y * span + spec.mul_i(y, y) * low + i
-               for y in range(q) if y not in roots for i in range(low)]
-    return zero, nonzero
+    if s == 0:
+        ys = [y for y in range(1, q) if spec.pow_i(y, p + 1) == 1]
+        zero = [(Part(0, False, 1), range(span))]
+        weight = q * (q - 1) // len(ys)
+    else:
+        root = spec.pow_i(s, q // p)  # y^p = s, by the inverse Frobenius
+        ys = [y for y in range(1, q) if y != root]
+        top = range(root * span, (root + 1) * span)
+        if p == 3:
+            zero = [(Part(s, False, 1), [*range(span), *top])]
+        else:
+            # y = 0, h_{p-3} = 0 and h_{p-2} = c != 0
+            sub = [c * low + i for c in range(1, q) for i in range(low // q)]
+            zero = [(Part(s, False, 1, False), [*range(low), *top]),
+                    (Part(s, False, q, True), sub)]
+        weight = q
+    nonzero = [y * span + spec.mul_i(y, y) * low + i for y in ys for i in range(low)]
+    return zero + [(Part(s, True, weight), nonzero)]
+
+
+def _scaling(spec: FieldSpec) -> Callable[[bytes], set[bytes]]:
+    """The map from a key of f to the keys of a^(-p^2) f(a x), a in F_q*.
+
+    The scaling sends f_j to a^(j-p^2) f_j, so a key's nonzero
+    coefficients are read once and each is scaled by a table of the
+    a^(j-p^2), built here.
+    """
+    p, q, d = spec.p, spec.q, spec.d
+    n = p * p
+    shift = 8 * d
+    mul_i = spec.mul_i
+    digits = _digit_table(spec)
+    powers = [[spec.pow_i(a, j - n) for a in range(1, q)] for j in range(n)]
+
+    def orbit(key: bytes) -> set[bytes]:
+        rows = [[digits[mul_i(c, v)] << shift * (j - 1) for v in powers[j]]
+                for j in range(1, n)
+                if (c := spec.encode_coeffs(key[(j - 1) * d:j * d]))]
+        # x^(p^2), with no nonzero coefficient, is its own orbit
+        return {sum(col).to_bytes(len(key), "little") for col in zip(*rows)} or {key}
+
+    return orbit
 
 
 def _shard_tables(spec: FieldSpec, parts: Iterable[tuple[int, Iterable[int]]]
@@ -348,7 +445,9 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
     """Tabulate the degree-p compositions over F_q and check them.
 
     The parts of shards 0 and 1 are enumerated and weighted (module
-    docstring), which gives the totals over all q^(2p-2) pairs.
+    docstring), which gives the totals over all q^(2p-2) pairs.  Shard 0's
+    t = 0 part is classified once per scaling orbit, and each orbit is
+    checked to be colliding keys of that part with one pair count.
     """
     d = _log_base(q, p)
     spec = field_new(p, d)
@@ -385,15 +484,28 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
         pairs_enumerated += singles
         if singles:
             spectrum_observed[1] = spectrum_observed.get(1, 0) + w * singles
+        # shard 0's t = 0 part: one classification per scaling orbit
+        orbit = _scaling(spec) if part.s == 0 and part.t_nonzero is False else None
+        orbit_class: dict = {}
         for key, pairs in shard_colliding.items():
             k = len(pairs)
             pairs_enumerated += k
             spectrum_observed[k] = spectrum_observed.get(k, 0) + w
-            f = poly_of_key(spec, key, p)
-            cls = classify(f)
+            cls = orbit_class.pop(key, None)
+            if cls is None:
+                cls = classify(poly_of_key(spec, key, p))
+                for other in (orbit(key) - {key} if orbit else ()):
+                    got = len(shard_colliding.get(other, ()))
+                    if got == k:
+                        orbit_class[other] = cls
+                    else:
+                        mismatches.append(Mismatch(
+                            "scaling", format_poly(poly_of_key(spec, other, p).poly),
+                            f"{got} pairs" if got else "at most 1 pair", f"{k} pairs"))
             if cls.tag is CollisionTag.NONE:
-                mismatches.append(Mismatch("classification", format_poly(f.poly),
-                                           "none", "a collision class"))
+                mismatches.append(Mismatch(
+                    "classification", format_poly(poly_of_key(spec, key, p).poly),
+                    "none", "a collision class"))
                 continue
             per_k = class_spectrum[cls.tag.value]
             per_k[k] = per_k.get(k, 0) + w

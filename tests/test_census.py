@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -23,6 +24,80 @@ from conftest import CENSUS_FIELDS, F, every_h, key_of, pair_count, shard_union
 SHARD_FIELDS = [F(2, 3), F(3, 2), F(3, 3), F(5), F(2, 9)]
 # Fields for the original-shift lemma, p in {3, 5, 7}.
 SHIFT_FIELDS = [F(3), F(3, 2), F(3, 3), F(5), F(5, 2), F(7)]
+
+
+def enumerated_by_formula(p: int, q: int) -> int:
+    """The pairs the census enumerates, summed by hand over its parts."""
+    if p == 2:
+        return 2 * q
+    e = math.gcd(p + 1, q - 1)
+    shard_1_t_zero = 2 * q ** (2 * p - 4) if p == 3 else \
+        (q ** (p - 2) + q ** (p - 3) + (q - 1) * q ** (p - 4)) * q ** (p - 2)
+    return (q ** (2 * p - 4) + e * q ** (2 * p - 5) + (q - 2) * q ** (2 * p - 5)
+            + shard_1_t_zero)
+
+
+def part_problems(spec, parts) -> list[str]:
+    """How ``parts`` of shards 0 and 1 differ from the rules, read off the
+    full shard tables.
+
+    Each part must equal its filter of its shard's full table, every pair
+    included, and the f it stands for must be its weight (over its shard's)
+    times its own f for every pair count k.  With t = f_{p^2-p-1} and
+    u = f_{p^2-p-2}:
+
+    - shard 0, t = 0: all of them;
+    - shard 0, t != 0: t = 1 and u = 0, standing for every t != 0;
+    - shard 1, t = 0: all of them for p = 3; for p >= 5, u = 0, and apart
+      u != 0 with f_{p^2-p-3} = 0, standing for every u != 0;
+    - shard 1, t != 0: u = 0, standing for every t != 0.
+    """
+    p, q, d = spec.p, spec.q, spec.d
+    n = p * p
+    one = bytes(spec.coeffs_of(1))
+
+    def at(key, j):
+        return key[(j - 1) * d:j * d]
+
+    def t(key):
+        return any(at(key, n - p - 1))
+
+    def u(key):
+        return any(at(key, n - p - 2))
+
+    def rules(part):
+        """(member, represented) predicates on the keys of the part's shard."""
+        if part.t_nonzero:
+            kept = (lambda key: at(key, n - p - 1) == one) if part.s == 0 else t
+            return (lambda key: kept(key) and not u(key)), t
+        if part.u_nonzero is None:
+            return (lambda key: not t(key)), (lambda key: not t(key))
+        if not part.u_nonzero:
+            return (lambda key: not t(key) and not u(key)), \
+                (lambda key: not t(key) and not u(key))
+        return (lambda key: not t(key) and u(key) and not any(at(key, n - p - 3))), \
+            (lambda key: not t(key) and u(key))
+
+    problems = []
+    shard_weight = {0: 1, 1: q - 1}
+    for s, full in _shard_tables(spec, every_h(spec, [0, 1])):
+        mine = [(part, hs) for part, hs in parts if part.s == s]
+        total = Counter()
+        for (part, hs), (_, table) in zip(mine, _shard_tables(
+                spec, [(s, hs) for _, hs in mine])):
+            member, represented = rules(part)
+            if table != {key: prs for key, prs in full.items() if member(key)}:
+                problems.append(f"{part}: not its filter of shard {s}")
+            w, rest = divmod(part.weight, shard_weight[s])
+            counts = Counter(map(pair_count, table.values()))
+            stands_for = Counter(pair_count(prs) for key, prs in full.items()
+                                 if represented(key))
+            if rest or stands_for != Counter({k: w * c for k, c in counts.items()}):
+                problems.append(f"{part}: weight {part.weight} off")
+            total += stands_for
+        if total != Counter(map(pair_count, full.values())):
+            problems.append(f"shard {s}: parts do not cover it once")
+    return problems
 
 
 def reference_table(spec) -> dict[bytes, set[int]]:
@@ -84,7 +159,8 @@ class TestRunCensus:
 
     def test_threads_match_sequential(self, census_reports):
         # On two or more CPUs, two workers take shard 0 and shard 1.
-        for p, q in [(2, 4), (3, 9)]:
+        # (5, 5) is the one census field with shard 1's u != 0 part
+        for p, q in [(2, 4), (3, 9), (5, 5)]:
             seq = census_reports[(p, q)]
             par = run_census(p, q, threads=2)
             assert par.spectrum_observed == seq.spectrum_observed
@@ -148,12 +224,20 @@ class TestTabulation:
             # in (h, g) index order, the order of enumeration within a shard
             assert pairs == sorted(ref[key], key=lambda pr: (pr % big_q, pr))
         # the report keeps the colliding f of the enumerated parts of shards 0
-        # and 1, in part order: for odd p the f with t = f_{p^2-p-1} = 0, then
-        # those with t != 0 and f_{p^2-p-2} = 0, per shard
+        # and 1, in part order.  For odd p, with t = f_{p^2-p-1} and
+        # u = f_{p^2-p-2}: shard 0's f with t = 0, then those with t = 1 and
+        # u = 0; shard 1's f with t = 0 (for p >= 5 those with u = 0, then
+        # those with u != 0 and f_{p^2-p-3} = 0), then those with t != 0
+        # and u = 0
         def enumerated(key):
             f = poly_of_key(r.field_spec, key, p).poly.encodings
             n = p * p
-            return f[n - p] < 2 and (p == 2 or f[n - p - 1] == 0 or f[n - p - 2] == 0)
+            s, t, u = f[n - p], f[n - p - 1], f[n - p - 2]
+            if p == 2 or s > 1:
+                return s < 2
+            if t == 0:
+                return s == 0 or p == 3 or u == 0 or f[n - p - 3] == 0
+            return u == 0 and (s == 1 or t == 1)
 
         assert list(r.colliding_pairs.items()) == \
             [(key, tuple(prs)) for key, prs in colliding.items() if enumerated(key)]
@@ -277,8 +361,7 @@ class TestScaling:
         assert r.spectrum_observed == Counter(map(pair_count, table.values()))
         assert r.class_spectrum == class_spectrum
         assert r.decomposable_observed == len(table)
-        want = 2 * q if p == 2 else 3 * q ** (2 * p - 4) + (2 * q - 3) * q ** (2 * p - 5)
-        assert r.pairs_enumerated == enumerated_pairs(p, q) == want
+        assert r.pairs_enumerated == enumerated_pairs(p, q) == enumerated_by_formula(p, q)
 
 
 class TestShiftReduction:
@@ -307,33 +390,23 @@ class TestShiftReduction:
     @pytest.mark.parametrize("p,q", [(3, 3), (3, 9), (3, 27), (5, 5)])
     def test_parts_hold_every_pair_of_their_keys(self, census_reports, p, q):
         spec = census_reports[(p, q)].field_spec
-        n, d = p * p, spec.d
         parts = census._parts(spec)
-        assert [(part.s, part.t_nonzero) for part, _ in parts] == \
-            [(0, False), (0, True), (1, False), (1, True)]
-
-        def nonzero_at(key, j):
-            """f_j != 0, read from its d digit bytes in the key."""
-            return any(key[(j - 1) * d:j * d])
-
-        for s, full in _shard_tables(spec, every_h(spec, [0, 1])):
-            zero, nonzero = (table for part, hs in parts if part.s == s
-                             for _, table in _shard_tables(spec, [(s, hs)]))
-            # the t = 0 part is the shard's t = 0 f, each with all its pairs
-            assert zero == {key: prs for key, prs in full.items()
-                            if not nonzero_at(key, n - p - 1)}
-            # the t != 0 part is the shard's t != 0 f with f_{p^2-p-2} = 0,
-            # with all their pairs, and stands for q times as many f of each k
-            assert nonzero == {key: prs for key, prs in full.items()
-                               if nonzero_at(key, n - p - 1)
-                               and not nonzero_at(key, n - p - 2)}
-            orbits = Counter(pair_count(prs) for key, prs in full.items()
-                             if nonzero_at(key, n - p - 1))
-            assert orbits == Counter({k: q * c for k, c in
-                                      Counter(map(pair_count, nonzero.values())).items()})
-        shard_weight = {0: 1, 1: q - 1}
+        sub = [(1, False, True)] if p >= 5 else []
+        assert [(part.s, part.t_nonzero, part.u_nonzero) for part, _ in parts] == \
+            [(0, False, None), (0, True, None), (1, False, False if sub else None),
+             *sub, (1, True, None)]
+        e = math.gcd(p + 1, q - 1)
         assert [part.weight for part, _ in parts] == \
-            [shard_weight[part.s] * (q if part.t_nonzero else 1) for part, _ in parts]
+            [1, q * (q - 1) // e, q - 1, *[(q - 1) * q] * len(sub), (q - 1) * q]
+        assert part_problems(spec, parts) == []
+
+    @pytest.mark.parametrize("p,q", [(2, 4), (2, 64), (3, 3), (3, 9), (3, 27),
+                                     (3, 81), (3, 729), (3, 2187), (5, 5), (5, 25),
+                                     (7, 7)])
+    def test_enumerated_pairs_sum_over_the_parts(self, p, q):
+        spec = F(p, round(math.log(q, p)))
+        in_parts = sum(len(hs) for _, hs in census._parts(spec)) * q ** (p - 2)
+        assert enumerated_pairs(p, q) == in_parts == enumerated_by_formula(p, q)
 
     @pytest.mark.parametrize("p,q", [(3, 9), (5, 5)])
     def test_weight_one_for_t_nonzero_fails_verify(self, monkeypatch, p, q):
@@ -346,17 +419,35 @@ class TestShiftReduction:
         monkeypatch.setattr(census, "_parts", unweighted)
         assert not verify(run_census(p, q))
 
+    @pytest.mark.parametrize("p,q", [(3, 9), (3, 27), (5, 5)])
+    def test_shard_0_weight_without_scaling_fails_verify(self, monkeypatch, p, q):
+        """Shard 0's t != 0 part at weight q, not q (q-1)/e; (3, 3) has
+        (q-1)/e = 1 and cannot tell them apart."""
+        parts = census._parts
+        e = math.gcd(p + 1, q - 1)
+
+        def unscaled(spec):
+            return [(part._replace(weight=part.weight * e // (q - 1))
+                     if part.s == 0 and part.t_nonzero else part, hs)
+                    for part, hs in parts(spec)]
+
+        monkeypatch.setattr(census, "_parts", unscaled)
+        assert not verify(run_census(p, q))
+
     @pytest.mark.parametrize("p,q", [(3, 9), (5, 5)])
     def test_wrong_h_rule_fails_verify(self, monkeypatch, p, q):
         part_hs = census._part_hs
 
         def off_by_one(spec, s):
-            """h_{p-2} = y^2 + 1 in the t != 0 part instead of y^2."""
-            zero, nonzero = part_hs(spec, s)
+            """h_{p-2} = y^2 + 1 in the t != 0 parts instead of y^2."""
             low = spec.q ** (spec.p - 3)
-            digit = [(idx // low) % spec.q for idx in nonzero]
-            return zero, [idx + (spec.add_i(c, 1) - c) * low
-                          for idx, c in zip(nonzero, digit)]
+            out = []
+            for part, hs in part_hs(spec, s):
+                if part.t_nonzero:
+                    digit = [(idx // low) % spec.q for idx in hs]
+                    hs = [idx + (spec.add_i(c, 1) - c) * low for idx, c in zip(hs, digit)]
+                out.append((part, hs))
+            return out
 
         monkeypatch.setattr(census, "_part_hs", off_by_one)
         assert not verify(run_census(p, q))
@@ -379,6 +470,168 @@ class TestShiftReduction:
             assert sorted(seen) == sorted(used)
 
 
+class TestShiftInShard1:
+    """Shard 1's t = 0 f with u = f_{p^2-p-2} != 0, p >= 5: one f per
+    original-shift orbit, f_{p^2-p-3} = 0, all pairs from h_{p-3} = 0."""
+
+    @staticmethod
+    def sub_part_hs(monkeypatch, hs_of):
+        """Replace the h of shard 1's u != 0 part by ``hs_of(spec)``."""
+        part_hs = census._part_hs
+
+        def patched(spec, s):
+            return [(part, hs_of(spec) if part.u_nonzero else hs)
+                    for part, hs in part_hs(spec, s)]
+
+        monkeypatch.setattr(census, "_part_hs", patched)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_shift_keeps_u_and_moves_next_by_2uw(self, data):
+        spec = data.draw(st.sampled_from([F(5), F(5, 2), F(7)]))
+        p, n = spec.p, spec.p ** 2
+        elem = st.integers(0, spec.q - 1)
+        s = data.draw(st.integers(1, spec.q - 1))
+        h = [*data.draw(st.lists(elem, min_size=p - 2, max_size=p - 2)), 0]
+        g = [*data.draw(st.lists(elem, min_size=p - 2, max_size=p - 2)), s]
+        w = data.draw(elem)
+        f = compose(Poly(spec, (0, *g, 1)), Poly(spec, (0, *h, 1)))
+        fw = original_shift(MonicOriginal(f), spec.elem(w)).poly.encodings
+        f = f.encodings
+        sub, mul = spec.sub_i, spec.mul_i
+        u = f[n - p - 2]
+        # y = 0: t = 0, u = -s h_{p-2} and f_{p^2-p-3} = -s h_{p-3}
+        assert f[n - p - 1] == 0 and u == spec.neg_i(mul(s, h[-2]))
+        assert f[n - p - 3] == spec.neg_i(mul(s, h[-3]))
+        assert fw[n - p - 1] == 0 and fw[n - p - 2] == u
+        assert fw[n - p - 3] == sub(f[n - p - 3], mul(spec.scalar(2).val, mul(u, w)))
+
+    def test_p_3_slice_is_not_shift_free(self):
+        """For p = 3, C(6, 3) = 2 mod 3 moves f_3 by u w - s w^3 as well, so
+        the shift can fix f_3 and u != 0 at w != 0; the slice stays whole."""
+        spec = F(3, 2)
+        f = compose(Poly(spec, (0, 0, 1, 1)), Poly(spec, (0, 1, 0, 1)))
+        assert f.encodings[4] and not f.encodings[5]  # u != 0, t = 0
+        fixed = [w for w in range(1, spec.q)
+                 if original_shift(MonicOriginal(f), spec.elem(w)).poly.encodings[3]
+                 == f.encodings[3]]
+        assert fixed
+
+    def test_weight_without_q_fails_verify(self, monkeypatch):
+        parts = census._parts
+
+        def unweighted(spec):
+            return [(part._replace(weight=part.weight // spec.q)
+                     if part.u_nonzero else part, hs) for part, hs in parts(spec)]
+
+        monkeypatch.setattr(census, "_parts", unweighted)
+        assert not verify(run_census(5, 5))
+
+    def test_h_p_minus_3_left_free_fails_verify(self, monkeypatch):
+        self.sub_part_hs(monkeypatch, lambda spec: [c * 25 + i for c in range(1, 5)
+                                                    for i in range(25)])
+        assert not verify(run_census(5, 5))
+
+    def test_h_1_fixed_in_place_of_h_2_fails_the_part_check(self, monkeypatch):
+        """(5, 5)'s u != 0 f all have one pair, so verify cannot tell which
+        slice of them the part holds; the part check against the full shard
+        tables can."""
+        self.sub_part_hs(monkeypatch, lambda spec: [c * 25 + 5 * i for c in range(1, 5)
+                                                    for i in range(5)])
+        spec = F(5)
+        assert part_problems(spec, census._parts(spec)) != []
+
+    @pytest.mark.parametrize("c", range(1, 5))
+    def test_any_fixed_h_p_minus_3_is_a_section(self, monkeypatch, c):
+        """h_{p-3} = c in place of 0 is no fault: the shift moves
+        f_{p^2-p-3} = -h_{p-3} freely, so the part then holds the t = 0,
+        u != 0 f with f_{p^2-p-3} = -c, every pair included, and as many of
+        each k as with h_{p-3} = 0; the census is unchanged."""
+        spec = F(5)
+        n = 25  # one key byte per coefficient: f_j is key[j - 1]
+        (_, table), (_, zero) = _shard_tables(spec, [
+            (1, [b * 25 + 5 * c + i for b in range(1, 5) for i in range(5)]),
+            (1, [b * 25 + i for b in range(1, 5) for i in range(5)])])
+        ((_, full),) = _shard_tables(spec, every_h(spec, [1]))
+        assert table == {key: prs for key, prs in full.items()
+                         if not key[n - 7] and key[n - 8]
+                         and key[n - 9] == spec.neg_i(c)}
+        assert Counter(map(pair_count, table.values())) == \
+            Counter(map(pair_count, zero.values()))
+        self.sub_part_hs(monkeypatch, lambda spec: [b * 25 + 5 * c + i
+                                                    for b in range(1, 5) for i in range(5)])
+        r = run_census(5, 5)
+        assert verify(r) and class_partition_check(r)
+
+
+class TestScalingOrbits:
+    """Shard 0's t = 0 part is classified once per scaling orbit."""
+
+    @pytest.mark.parametrize("p,q", [(3, 3), (3, 9), (3, 27), (5, 5)])
+    def test_orbits_are_colliding_keys_of_one_k_and_class(self, census_reports,
+                                                          classifications, p, q):
+        spec, n = census_reports[(p, q)].field_spec, p * p
+        colliding = self.part_keys(spec)
+        orbit = census._scaling(spec)
+        classes = classifications[(p, q)]
+        for key, pairs in colliding.items():
+            f = poly_of_key(spec, key, p).poly
+            # a^(-p^2) f(a x) by composition
+            want = {key_of(compose(f, Poly(spec, (0, a)))
+                           * Poly(spec, (spec.pow_i(a, -n),)))
+                    for a in range(1, spec.q)}
+            got = orbit(key)
+            assert got == want
+            assert all(len(colliding[other]) == len(pairs)
+                       and classes[other].tag is classes[key].tag for other in got)
+
+    @staticmethod
+    def part_keys(spec):
+        hs = census._parts(spec)[0][1]
+        ((_, colliding),) = census._tabulate_shards(spec.p, spec.d, [(0, hs)])
+        return colliding
+
+    @staticmethod
+    def with_stray(monkeypatch, first, stray):
+        """Add ``stray`` to the scaling orbit of ``first``."""
+        scaling = census._scaling
+
+        def leaky(spec):
+            orbit = scaling(spec)
+            return lambda key: orbit(key) | ({stray} if key == first else set())
+
+        monkeypatch.setattr(census, "_scaling", leaky)
+
+    def test_orbit_member_with_wrong_class_fails_partition(self, monkeypatch):
+        spec = F(3, 3)
+        colliding = self.part_keys(spec)
+        first = next(iter(colliding))
+        tag = classify(poly_of_key(spec, first, 3)).tag
+        stray = next(key for key, prs in colliding.items()
+                     if len(prs) == len(colliding[first])
+                     and classify(poly_of_key(spec, key, 3)).tag is not tag)
+        self.with_stray(monkeypatch, first, stray)
+        r = run_census(3, 27)
+        # the counts hold and no orbit check fires; only the class is wrong
+        assert r.mismatches == [] and verify(r)
+        assert not class_partition_check(r)
+
+    @pytest.mark.parametrize("other_k", [True, False])
+    def test_scaled_key_of_other_pair_count_is_a_mismatch(self, monkeypatch, other_k):
+        spec = F(3, 3)
+        colliding = self.part_keys(spec)
+        first = next(iter(colliding))
+        k = len(colliding[first])
+        # a colliding key with another k, or the key of x^9, with one pair
+        stray = next(key for key, prs in colliding.items() if len(prs) != k) \
+            if other_k else bytes(8 * spec.d)
+        self.with_stray(monkeypatch, first, stray)
+        r = run_census(3, 27)
+        got = f"{len(colliding[stray])} pairs" if other_k else "at most 1 pair"
+        assert [(m.kind, m.where, m.observed, m.predicted) for m in r.mismatches] == \
+            [("scaling", str(poly_of_key(spec, stray, 3).poly), got, f"{k} pairs")]
+        assert not verify(r)
+
 class TestVerify:
     def test_all_fields_verify(self, census_reports):
         for r in census_reports.values():
@@ -395,6 +648,12 @@ class TestVerify:
         assert verify(r), r.mismatches
         assert class_partition_check(r)
         assert r.decomposable_observed == (2 * q * q + 1) // 3
+
+    def test_3_729(self):
+        """The largest census the tests run: a few seconds, under 300 MB."""
+        r = run_census(3, 729)
+        assert verify(r), r.mismatches
+        assert class_partition_check(r)
 
     def test_5_5_anchor(self, census_reports):
         r = census_reports[(5, 5)]
@@ -446,14 +705,26 @@ class TestHelpers:
         assert js["spectrum_observed"] == js["spectrum_predicted"]
         assert js["decomposable_observed"] == js["decomposable_predicted"] == 11
 
-    @pytest.mark.parametrize("p,q", [(2, 4), (3, 9)])
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 9), (5, 5)])
     def test_report_json_shards(self, census_reports, p, q):
+        # (3, 9): e = gcd(4, 8) = 4 values of y with y^4 = 1, so shard 0's
+        # t != 0 part has weight 9 * 8 / 4; 9 g per h, and 9 + 4 + 18 + 7 h.
+        # (5, 5): e = gcd(6, 4) = 2 (y = 1, 4), weight 5 * 4 / 2; 125 g per
+        # h, and 125 + 2 * 25 h in shard 0, then in shard 1 25 + 125 h with
+        # u = 0, 4 * 5 with u != 0 and h_2 = 0, and 3 * 25 with t != 0.
         shards, pairs = {
             (2, 4): ([{"s": 0, "weight": 1}, {"s": 1, "weight": 3}], 8),
             (3, 9): ([{"s": 0, "t_nonzero": False, "weight": 1},
-                      {"s": 0, "t_nonzero": True, "weight": 9},
+                      {"s": 0, "t_nonzero": True, "weight": 18},
                       {"s": 1, "t_nonzero": False, "weight": 8},
-                      {"s": 1, "t_nonzero": True, "weight": 72}], 3 * 81 + 15 * 9),
+                      {"s": 1, "t_nonzero": True, "weight": 72}],
+                     (9 + 4 + 18 + 7) * 9),
+            (5, 5): ([{"s": 0, "t_nonzero": False, "weight": 1},
+                      {"s": 0, "t_nonzero": True, "weight": 10},
+                      {"s": 1, "t_nonzero": False, "u_nonzero": False, "weight": 4},
+                      {"s": 1, "t_nonzero": False, "u_nonzero": True, "weight": 20},
+                      {"s": 1, "t_nonzero": True, "weight": 20}],
+                     (125 + 50 + 150 + 20 + 75) * 125),
         }[(p, q)]
         js = census_reports[(p, q)].to_json()
         assert js["shards"] == shards

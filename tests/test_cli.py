@@ -199,10 +199,12 @@ class TestCensus:
         assert code == 0
         assert "verify: ok" in out and "class partition: ok" in out
 
+    # the sum over the census parts: (3, 2187) has e = gcd(4, 2186) = 2,
+    # (5, 25) e = 6 and (7, 7) e = 2
     @pytest.mark.parametrize("p,q,pairs", [
-        (3, 2187, 3 * 2187 ** 2 + 4371 * 2187),
-        (5, 25, 3 * 25 ** 6 + 47 * 25 ** 5),
-        (7, 7, 3 * 7 ** 10 + 11 * 7 ** 9),
+        (3, 2187, 4 * 2187 ** 2),
+        (5, 25, 25 ** 6 + 29 * 25 ** 5 + (25 ** 3 + 49 * 25) * 25 ** 3),
+        (7, 7, 2 * 7 ** 10 + (7 ** 5 + 7 ** 4 + 6 * 7 ** 3) * 7 ** 5),
     ])
     def test_beyond_pair_limit_exits_1_at_once(self, p, q, pairs):
         res = run_child(["census", "--p", str(p), "--q", str(q)], timeout=10)
