@@ -46,7 +46,7 @@ holds q polynomials and exactly one f with f_{p^2-p-2} = 0.  There
 g_{p-1} = s - y^p != 0, so every decomposition of that f has
 h_{p-2} = C(p-1, 2) y^2 = y^2, as C(p-1, 2) = 1 mod p.
 
-Three more rules cut the work, for odd p.
+Five more rules cut the work, for odd p.
 
 (1) Shard 0, t != 0: scaling.  With s = 0, t = y^(p+1), and the scaling
 by a sends f_j to a^(j-p^2) f_j: it keeps shard 0, sends t to
@@ -83,26 +83,74 @@ an additive map of w whose kernel can have 3 elements.  p = 3 keeps
 its t = 0 slice whole.
 
 (3) Shard 0, t = 0: one classification per scaling orbit.  The scaling
-keeps s = 0 and t = 0 and maps this part's pairs onto themselves, so the
-part's colliding f fall into scaling orbits whose members share k and
-class.  ``run_census`` classifies one f per orbit, builds its scaled
-keys and gives its class to the rest.  A scaled key that is not a
-colliding key of the part with the same k is a ``scaling`` mismatch, so
-the invariance is checked on every orbit.
+keeps s = 0 and t = 0 and maps each of this shard's t = 0 parts (below)
+onto itself, so a part's colliding f fall into scaling orbits whose
+members share k and class.  ``run_census`` classifies one f per orbit,
+builds its scaled keys and gives its class to the rest.  A scaled key
+that is not a colliding key of the part with the same k is a ``scaling``
+mismatch, so the invariance is checked on every orbit.
+
+Two more shift sections hold for odd p in the t = 0 slices where
+g_{p-1} = 0.  Write v = f_{p^2-2p-1} and w2 = f_{p^2-2p-2}.  With
+g_{p-1} = 0, f = h^p + g_{p-2} h^(p-2) + ..., and f_j = 0 for
+p^2-2p < j < p^2-p: h^p has no monomial there, as p divides no such j,
+and the rest has degree at most p^2-2p.  So u = 0 and t = 0 there, and
+g_{p-3} h^(p-3) has degree p^2-3p < p^2-2p-2, so v and w2 come from
+g_{p-2} h^(p-2) alone.  The shift keeps these zeros, s and t: C(p^2, j)
+and C(p^2-p, j) are 0 mod p for those j, by Lucas, as p does not divide
+j.  By Lucas too, C(p^2, 2p+i), C(p^2-p, p+i) and C(p^2-2p, i) are
+0 mod p for 0 < i < p.
+
+(4) Shard s != 0, t = 0, the y^p = s slice: the shift, any odd p.  Here
+v = (p-2) y g_{p-2} and w2 = g_{p-2} ((p-2) h_{p-2} + C(p-2, 2) y^2).
+The shift keeps v, and moves w2 by C(p^2-2p-1, 1) v w = -v w.  No y = 0
+pair of the shard has a key with u = 0, f_j = 0 for p^2-2p < j < p^2-p,
+and v != 0.  With y = 0, g_{p-1} = s and u = -s h_{p-2} (the lemma
+above), so u = 0 forces h_{p-2} = 0.  If then h = x^p, f = g(x^p) has
+f_j = 0 unless p divides j, so v = 0.  Otherwise let i be the top index
+with h_i != 0, 1 <= i <= p-3; then s h^(p-1) = s x^(p^2-p) +
+s (p-1) h_i x^(p^2-2p+i) + lower, and no other term of f reaches that
+degree, so f_{p^2-2p+i} = -s h_i != 0.  So every
+pair of an f with t = 0, u = 0, those f_j = 0 and v != 0 is in the
+y^p = s slice, with g_{p-2} != 0, and the shift acts freely on these f:
+each orbit holds q of them and exactly one with w2 = 0, all of whose
+pairs have h_{p-2} = -C(p-2, 2) y^2 / (p-2) = (3/2) y^2 (0 for p = 3).
+The slice's pairs with g_{p-2} = 0 have v = 0 and stay at weight 1 with
+the rest of the shard's t = 0 pairs, whose f have v = 0, u != 0 or
+some f_j != 0 for p^2-2p < j < p^2-p.
+
+(5) Shard 0, t = 0, p >= 5: the shift.  Here y = 0 and g_{p-1} = 0, so
+v = 0 and w2 = (p-2) g_{p-2} h_{p-2}, and f_{p^2-2p-3} =
+(p-2) g_{p-2} h_{p-3}: h^(p-2) with y = 0 has (p-2) h_{p-3} at
+x^(p^2-2p-3) and nothing else there, h^p has no monomial there, as p
+does not divide 3, and p^2-3p < p^2-2p-3.  The shift keeps w2, as v = 0,
+and moves f_{p^2-2p-3} by C(p^2-2p-2, 1) w2 w = -2 w2 w.  So for
+w2 != 0, that is g_{p-2} != 0 and h_{p-2} != 0, the shift acts freely
+and each orbit holds exactly one f with f_{p^2-2p-3} = 0, all of whose
+pairs have h_{p-3} = 0.  The pairs with h_{p-2} = 0 or g_{p-2} = 0 have
+w2 = 0 and stay at weight 1.  The scaling multiplies w2 and
+f_{p^2-2p-3} by powers of a, so it maps both parts onto themselves and
+rule (3) covers both.  For p = 3 these f are additive, x^9 + A x^3 + B x,
+and the shift fixes each of them.
 
 Each shard s is therefore enumerated in key-disjoint parts through the
-same loop, which differ only in their set of h; each part's weight is
-multiplied by its shard's.  Shard 0 has a t = 0 part, y = 0, at weight 1,
-and a t != 0 part, y^(p+1) = 1 and h_{p-2} = y^2, at weight q (q-1)/e.
-Shard 1's t = 0 pairs take y = 0 or y^p = 1, all other coefficients
-free, at weight 1; for p >= 5 those with y = 0, h_{p-2} != 0 and
-h_{p-3} = 0 form their own part at weight q, and those with y = 0,
-h_{p-2} != 0 and h_{p-3} != 0 are not enumerated.  Shard 1's t != 0 part
-takes every other y with h_{p-2} = y^2 at weight q.  Shard 0 enumerates
-q^(2p-4) + e q^(2p-5) pairs and shard 1 (q-2) q^(2p-5) plus, in its t = 0
-part, 2 q^(2p-4) for p = 3 and (q^(p-2) + q^(p-3) + (q-1) q^(p-4)) q^(p-2)
-for p >= 5.  For p = 2, where p^2 - p - 2 = 0, there is no such
-normalization, and each shard is enumerated whole.
+same loop.  A part is a list of slices, each a set of h with g_{p-2}
+free, 0 or nonzero, and each part's weight is multiplied by its
+shard's.  Shard 0 has a t = 0 part, y = 0, at weight 1; for p >= 5 it
+takes every g where h_{p-2} = 0 and g_{p-2} = 0 elsewhere, and the
+y = 0, h_{p-2} != 0, h_{p-3} = 0, g_{p-2} != 0 pairs are a part of
+weight q.  Its t != 0 part, y^(p+1) = 1 and h_{p-2} = y^2, has weight
+q (q-1)/e.  Shard 1's t = 0 part at weight 1 takes y = 0 with every g
+(for p >= 5 only where h_{p-2} = 0) and y^p = 1 with g_{p-2} = 0; for
+p >= 5 the y = 0, h_{p-2} != 0, h_{p-3} = 0 pairs are a part of weight
+q, and for every odd p so are the y^p = 1, h_{p-2} = (3/2) y^2,
+g_{p-2} != 0 pairs.  Shard 1's t != 0 part takes every other y with
+h_{p-2} = y^2 at weight q.  So shard 0 enumerates e q^(2p-5) pairs plus
+q^(2p-4) for p = 3 and q^(2p-5) + (q-1) q^(2p-6) + (q-1)^2 q^(2p-7) for
+p >= 5, and shard 1 (q-2) q^(2p-5) + q^(2p-5) + (q-1) q^(2p-6) plus q^2
+for p = 3 and (q^(p-3) + (q-1) q^(p-4)) q^(p-2) for p >= 5.  For p = 2,
+where p^2 - p - 2 = 0, there is no such normalization, and each shard
+is enumerated whole.
 """
 
 from __future__ import annotations
@@ -113,6 +161,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import counting
@@ -137,22 +186,25 @@ class Part(NamedTuple):
     """An enumerated part of shard s, and how many f each of its f stands for.
 
     ``t_nonzero`` tells the t = 0 parts from the t != 0 part for odd p; it
-    is None for p = 2, whose shards are enumerated whole.  ``u_nonzero``
-    tells shard 1's two t = 0 parts apart for p >= 5 (u = f_{p^2-p-2}); it
-    is None elsewhere.
+    is None for p = 2, whose shards are enumerated whole.  ``fixed`` is the
+    j of the coefficient f_j that the original shift sets to 0 where the
+    part holds one f per shift orbit: p^2-p-2 in the t != 0 parts,
+    p^2-p-3, p^2-2p-2 and p^2-2p-3 in the t = 0 parts of rules (2), (4)
+    and (5) (module docstring).  It is None in the parts that hold every f
+    of their keys.
     """
 
     s: int
     t_nonzero: Optional[bool]
     weight: int
-    u_nonzero: Optional[bool] = None
+    fixed: Optional[int] = None
 
     def to_json(self) -> dict:
         out: dict = {"s": self.s}
         if self.t_nonzero is not None:
             out["t_nonzero"] = self.t_nonzero
-        if self.u_nonzero is not None:
-            out["u_nonzero"] = self.u_nonzero
+        if self.fixed is not None:
+            out["fixed"] = self.fixed
         out["weight"] = self.weight
         return out
 
@@ -162,11 +214,18 @@ def enumerated_pairs(p: int, q: int) -> int:
     if p == 2:
         return 2 * q ** (2 * p - 3)
     e = math.gcd(p + 1, q - 1)
-    # shard 1's t = 0 h: y = 0 or y^p = 1, less y = 0 with h_{p-2}, h_{p-3} != 0
-    t_zero = 2 * q ** (p - 2) if p == 3 else \
-        q ** (p - 2) + q ** (p - 3) + (q - 1) * q ** (p - 4)
-    return (q ** (2 * p - 4) + (e + q - 2) * q ** (2 * p - 5)
-            + t_zero * q ** (p - 2))
+    t_nonzero = (e + q - 2) * q ** (2 * p - 5)
+    # shard 1's y^p = 1 slice: g_{p-2} = 0, then g_{p-2} != 0 and one h_{p-2}
+    root = q ** (2 * p - 5) + (q - 1) * q ** (2 * p - 6)
+    if p == 3:
+        # the y = 0 slices of both shards, whole
+        return 2 * q ** 2 + t_nonzero + root
+    # shard 0's t = 0 part and its h_{p-2}, g_{p-2} != 0, h_{p-3} = 0 part;
+    # shard 1's y = 0 slice, h_{p-2} = 0 or h_{p-3} = 0
+    zero = (q ** (2 * p - 5) + (q - 1) * q ** (2 * p - 6)
+            + (q - 1) ** 2 * q ** (2 * p - 7))
+    y_zero = (q ** (p - 3) + (q - 1) * q ** (p - 4)) * q ** (p - 2)
+    return zero + y_zero + t_nonzero + root
 
 
 def unpack_pair(spec: FieldSpec, packed: int, p: int) -> Decomposition:
@@ -205,13 +264,18 @@ class CensusReport:
     class_spectrum: dict[str, dict[int, int]]
     decomposable_observed: int
     mismatches: list[Mismatch]
-    # the enumerated parts, in order, with their weights
+    # the enumerated parts, in order, with their weights, and the pairs
+    # each of them enumerated
     parts: list[Part]
-    pairs_enumerated: int
+    part_pairs: list[int]
     # colliding f and their packed pairs, kept for cross-checks; not part
     # of the serialized report
     field_spec: FieldSpec = field(repr=False)
     colliding_pairs: dict = field(repr=False)
+
+    @property
+    def pairs_enumerated(self) -> int:
+        return sum(self.part_pairs)
 
     def poly_of_key(self, key) -> MonicOriginal:
         return poly_of_key(self.field_spec, key, self.p)
@@ -233,7 +297,8 @@ class CensusReport:
                                for t, ks in self.class_spectrum.items()},
             "decomposable_observed": self.decomposable_observed,
             "decomposable_predicted": self.spectrum_predicted.d_total,
-            "shards": [part.to_json() for part in self.parts],
+            "shards": [{**part.to_json(), "pairs": n}
+                       for part, n in zip(self.parts, self.part_pairs)],
             "pairs_enumerated": self.pairs_enumerated,
             "mismatches": [m.to_json() for m in self.mismatches],
             "verified": verify(self),
@@ -250,8 +315,9 @@ def _digit_table(spec: FieldSpec) -> list[int]:
     return digits
 
 
-def _parts(spec: FieldSpec) -> list[tuple[Part, Sequence[int]]]:
-    """The census's enumerated parts, shard 0's first, each with its h indices.
+def _parts(spec: FieldSpec
+           ) -> list[tuple[Part, list[tuple[Sequence[int], Optional[bool]]]]]:
+    """The census's enumerated parts, shard 0's first, each with its slices.
 
     Shards 0 and 1 have weights 1 and q - 1.  For odd p each splits into
     the parts of ``_part_hs``, whose weights are multiplied by the shard's.
@@ -259,42 +325,60 @@ def _parts(spec: FieldSpec) -> list[tuple[Part, Sequence[int]]]:
     q = spec.q
     shards = {0: 1, 1: q - 1}
     if spec.p == 2:
-        return [(Part(s, None, w), range(q)) for s, w in shards.items()]
-    return [(part._replace(weight=w * part.weight), hs)
-            for s, w in shards.items() for part, hs in _part_hs(spec, s)]
+        return [(Part(s, None, w), [(range(q), None)]) for s, w in shards.items()]
+    return [(part._replace(weight=w * part.weight), slices)
+            for s, w in shards.items() for part, slices in _part_hs(spec, s)]
 
 
-def _part_hs(spec: FieldSpec, s: int) -> list[tuple[Part, Sequence[int]]]:
+def _part_hs(spec: FieldSpec, s: int
+             ) -> list[tuple[Part, list[tuple[Sequence[int], Optional[bool]]]]]:
     """Shard s's parts, s in {0, 1}, with their weights within the shard
-    and their h indices in increasing order (module docstring).
+    and their slices (module docstring).
 
-    Shard 0: y = h_{p-1} = 0 at weight 1 (t = 0), and the y with
-    y^(p+1) = 1 and h_{p-2} = y^2 at weight q (q-1)/e (t != 0).
-    Shard 1: y = 0 or y^p = 1 at weight 1 (t = 0), for p >= 5 less y = 0
-    with h_{p-2} != 0, whose h_{p-3} = 0 slice is a part of weight q; and
-    every other y with h_{p-2} = y^2 at weight q (t != 0).
+    A slice ``(hs, g_nonzero)`` takes the pairs whose h index is in
+    ``hs``, in increasing order, and whose g_{p-2} is free (None), 0
+    (False) or nonzero (True); a part's slices come in increasing h order.
+
+    Shard 0: y = h_{p-1} = 0 at weight 1 (t = 0), for p >= 5 with
+    g_{p-2} = 0 where h_{p-2} != 0, and the rest of those pairs with
+    h_{p-3} = 0 as a part of weight q; and the y with y^(p+1) = 1 and
+    h_{p-2} = y^2 at weight q (q-1)/e (t != 0).
+    Shard 1: y = 0, and y^p = 1 with g_{p-2} = 0, at weight 1 (t = 0),
+    for p >= 5 less y = 0 with h_{p-2} != 0, whose h_{p-3} = 0 slice is a
+    part of weight q; y^p = 1 with h_{p-2} = (3/2) y^2 and g_{p-2} != 0 at
+    weight q; and every other y with h_{p-2} = y^2 at weight q (t != 0).
     """
     p, q = spec.p, spec.q
+    n = p * p
     low = q ** (p - 3)  # indices of h_1..h_{p-3}
     span = q * low      # indices of h_1..h_{p-2}
+    # y = 0, h_{p-3} = 0 and h_{p-2} = c != 0, for p >= 5
+    sub = [c * low + i for c in range(1, q) for i in range(low // q)]
     if s == 0:
         ys = [y for y in range(1, q) if spec.pow_i(y, p + 1) == 1]
-        zero = [(Part(0, False, 1), range(span))]
+        if p == 3:
+            zero = [(Part(0, False, 1), [(range(span), None)])]
+        else:
+            zero = [(Part(0, False, 1),
+                     [(range(low), None), (range(low, span), False)]),
+                    (Part(0, False, q, n - 2 * p - 3), [(sub, True)])]
         weight = q * (q - 1) // len(ys)
     else:
         root = spec.pow_i(s, q // p)  # y^p = s, by the inverse Frobenius
         ys = [y for y in range(1, q) if y != root]
         top = range(root * span, (root + 1) * span)
+        # h_{p-2} = (3/2) y^2 at y = root; 3/2 mod p is an F_p encoding
+        first = top[0] + spec.mul_i(3 * (p + 1) // 2 % p, spec.mul_i(root, root)) * low
+        section = (Part(s, False, q, n - 2 * p - 2),
+                   [(range(first, first + low), True)])
         if p == 3:
-            zero = [(Part(s, False, 1), [*range(span), *top])]
+            zero = [(Part(s, False, 1), [(range(span), None), (top, False)]), section]
         else:
-            # y = 0, h_{p-3} = 0 and h_{p-2} = c != 0
-            sub = [c * low + i for c in range(1, q) for i in range(low // q)]
-            zero = [(Part(s, False, 1, False), [*range(low), *top]),
-                    (Part(s, False, q, True), sub)]
+            zero = [(Part(s, False, 1), [(range(low), None), (top, False)]),
+                    (Part(s, False, q, n - p - 3), [(sub, None)]), section]
         weight = q
     nonzero = [y * span + spec.mul_i(y, y) * low + i for y in ys for i in range(low)]
-    return zero + [(Part(s, True, weight), nonzero)]
+    return zero + [(Part(s, True, weight, n - p - 2), [(nonzero, None)])]
 
 
 def _scaling(spec: FieldSpec) -> Callable[[bytes], set[bytes]]:
@@ -321,26 +405,35 @@ def _scaling(spec: FieldSpec) -> Callable[[bytes], set[bytes]]:
     return orbit
 
 
-def _shard_tables(spec: FieldSpec, parts: Iterable[tuple[int, Iterable[int]]]
+def _shard_tables(spec: FieldSpec,
+                  parts: Iterable[tuple[int, Iterable[tuple[Sequence[int],
+                                                            Optional[bool]]]]]
                   ) -> Iterator[tuple[int, dict]]:
-    """Yield ``(s, table)`` for each ``(s, hs)`` in ``parts``, in order.
+    """Yield ``(s, table)`` for each ``(s, slices)`` in ``parts``, in order.
 
-    The table holds the pairs (g, h) of shard s whose h index is in ``hs``.
-    Shard s holds the pairs with h_{p-1}^p + g_{p-1} = s, which is the
-    coefficient f_{p^2-p} of f = g o h, so the shards are key-disjoint and
-    each holds q^(2p-3) pairs, q^(p-2) per h.  A table maps each f key to
-    its packed pair, or to the list of its packed pairs once a second pair
-    composes to it; within a key, pairs come in (h, g) order, h in the order
-    of ``hs``.  The inner coefficients f_1..f_{p^2-1} are held as one
-    integer in the key layout, one F_p digit per byte, so adding a piece is
-    one integer add.
+    The table holds the pairs (g, h) of shard s of each slice
+    ``(hs, g_nonzero)``: those whose h index is in ``hs`` and whose g_{p-2}
+    is free (None), 0 (False) or nonzero (True).  Shard s holds the pairs
+    with h_{p-1}^p + g_{p-1} = s, which is the coefficient f_{p^2-p} of
+    f = g o h, so the shards are key-disjoint and each holds q^(2p-3)
+    pairs, q^(p-2) per h.  A table maps each f key to its packed pair, or
+    to the list of its packed pairs once a second pair composes to it;
+    within a key, pairs come in (h, g) order, h in the order of the slices
+    and their ``hs``.  The inner coefficients f_1..f_{p^2-1} are held as
+    one integer in the key layout, one F_p digit per byte, so adding a
+    piece is one integer add.
 
-    For odd p, the q^(p-2) keys of one (s, h) come from h^p + g_{p-1} h^(p-1)
-    by adding, for each level 1 <= i <= p-2 and each F_p basis element z^k
-    of F_q, one of the p reduced multiples m z^k h^i.  A key byte then sums
-    at most d(p-2) + 2 digits of at most p - 1 each, so it needs
-    (p-1)(d(p-2)+2) <= 255, which holds for every field ``PAIR_LIMIT``
-    admits; one ``bytes.translate`` per key reduces every byte mod p.
+    For odd p, the keys of one (s, h) come from h^p + g_{p-1} h^(p-1) by
+    adding, for each level 1 <= i <= p-2 and each F_p basis element z^k
+    of F_q, one of the p reduced multiples m z^k h^i, so they come in g
+    index order.  g_{p-2} = 0 drops the top level, and g_{p-2} != 0 skips
+    the first q^(p-3) keys.  Per h, only what its slices use is built,
+    once: h^(p-1) only where some shard s has g_{p-1} = s - h_{p-1}^p != 0,
+    and the top level only where some slice lets g_{p-2} be nonzero.  A
+    key byte sums at most d(p-2) + 2 digits of at most p - 1 each, so it
+    needs (p-1)(d(p-2)+2) <= 255, which holds for every field
+    ``PAIR_LIMIT`` admits; one ``bytes.translate`` per key reduces every
+    byte mod p.
     """
     p, q = spec.p, spec.q
     n = p * p
@@ -353,7 +446,8 @@ def _shard_tables(spec: FieldSpec, parts: Iterable[tuple[int, Iterable[int]]]
     if p == 2:
         # g_1 = s - h_1^2 (an XOR of encodings) and f = x^4 + s*x^2 + g_1*h_1*x.
         squares = [mul_i(h, h) for h in range(q)]
-        for s, hs in parts:
+        for s, slices in parts:
+            hs = [h for part_hs, _ in slices for h in part_hs]
             top = digits[s] << shift
             gs = [s ^ squares[h] for h in hs]
             keys = [(digits[mul_i(g, h)] | top).to_bytes(nbytes, "little")
@@ -365,7 +459,9 @@ def _shard_tables(spec: FieldSpec, parts: Iterable[tuple[int, Iterable[int]]]
 
     mod_p = bytes(b % p for b in range(256))
     sub_i, pow_i = spec.sub_i, spec.pow_i
-    span = q ** (p - 2) * big_q
+    per_y = q ** (p - 2)  # the h indices, and the g indices, of one h_{p-1}
+    span = per_y * big_q
+    skip = q ** (p - 3)  # the keys with g_{p-2} = 0 come first
 
     def multiples(pw: list[int], c: int) -> tuple[int, ...]:
         """m*c*pw for m in F_p, in the key layout with each byte reduced;
@@ -376,41 +472,58 @@ def _shard_tables(spec: FieldSpec, parts: Iterable[tuple[int, Iterable[int]]]
                                     .translate(mod_p), "little")
                      for m in range(p))
 
-    def precompute(hidx: int) -> tuple:
+    def precompute(hidx: int, levels: int, top: bool) -> tuple:
         """h^p packed, by Frobenius h^p = sum h_i^p x^(ip); its coefficient
-        h_{p-1}^p at x^(p^2-p); the nonzero coefficients of h^(p-1) with
-        their shifts; and for each level 1 <= i < p-1 below the top and each
-        F_p basis element z^k of F_q, the p multiples m*z^k*h^i, m in F_p."""
+        h_{p-1}^p at x^(p^2-p); if ``top``, the nonzero coefficients of
+        h^(p-1) with their shifts; and for each level 1 <= i <= ``levels``
+        and each F_p basis element z^k of F_q, the p multiples m*z^k*h^i,
+        m in F_p."""
         inner = mo_index_to_inner(hidx, q, p)
         hp = sum(digits[pow_i(v, p)] << shift * (p * i - 1)
                  for i, v in enumerate(inner, 1))
         pows = [[0, *inner, 1]]
-        for _ in range(p - 2):
+        for _ in range((p - 1 if top else levels) - 1):
             pows.append(_mul_raw(spec, pows[-1], pows[0]))
-        top = tuple((shift * j, v) for j, v in enumerate(pows[-1][1:n]) if v)
-        basis = tuple(multiples(pw, p ** k) for pw in pows[:-1] for k in range(spec.d))
-        return hp, pow_i(inner[-1], p), top, basis
+        tops = tuple((shift * j, v) for j, v in enumerate(pows[-1][1:n]) if v) \
+            if top else ()
+        basis = tuple(multiples(pw, p ** k)
+                      for pw in pows[:levels] for k in range(spec.d))
+        return hp, pow_i(inner[-1], p), tops, basis
 
-    # Built once per h that some part of this call uses, for all its parts.
-    per_h: dict[int, tuple] = {}
+    # What each h of this call's parts needs over all of them: its levels,
+    # p-3 where every slice has g_{p-2} = 0 and p-2 elsewhere, and whether
+    # some shard s has g_{p-1} = s - h_{p-1}^p != 0.  It is built once.
+    parts = [(s, list(slices)) for s, slices in parts]
+    frobenius = [pow_i(y, p) for y in range(q)]
+    need: dict[int, tuple[int, bool]] = {}
+    for s, slices in parts:
+        for hs, g_nonzero in slices:
+            levels = p - 3 if g_nonzero is False else p - 2
+            for hidx in hs:
+                was, top = need.get(hidx, (0, False))
+                need[hidx] = (max(was, levels),
+                              top or frobenius[hidx // per_y] != s)
+    per_h = {hidx: precompute(hidx, *wants) for hidx, wants in need.items()}
 
     # Per (s, h), g_{p-1} = s - h_{p-1}^p is fixed and g_1..g_{p-2} run over
     # F_q digit by digit, g_1's lowest digit fastest, so the sums come in g
     # index order.
-    for s, hs in parts:
+    for s, slices in parts:
         table = {}
-        for hidx in hs:
-            pre = per_h.get(hidx)
-            if pre is None:
-                pre = per_h[hidx] = precompute(hidx)
-            hp, lead, top, basis = pre
-            c = sub_i(s, lead)
-            lows = [hp + sum(digits[mul_i(v, c)] << sh for sh, v in top)]
-            for mults in basis:
-                lows = [a + m for m in mults for a in lows]
-            keys = [v.to_bytes(nbytes, "little").translate(mod_p) for v in lows]
-            first = c * span + hidx
-            _group(table, keys, range(first, first + span, big_q))
+        for hs, g_nonzero in slices:
+            nmults = (p - 3 if g_nonzero is False else p - 2) * spec.d
+            skipped = skip if g_nonzero else 0
+            for hidx in hs:
+                hp, lead, top, basis = per_h[hidx]
+                c = sub_i(s, lead)
+                lows = [hp + sum(digits[mul_i(v, c)] << sh for sh, v in top)
+                        if c else hp]
+                for mults in basis[:nmults]:
+                    lows = [a + m for m in mults for a in lows]
+                keys = [v.to_bytes(nbytes, "little").translate(mod_p)
+                        for v in islice(lows, skipped, None)]
+                first = c * span + skipped * big_q + hidx
+                _group(table, keys, range(first, first + len(keys) * big_q, big_q))
         yield s, table
 
 
@@ -426,9 +539,10 @@ def _group(table: dict, keys: list, pairs) -> None:
                 old.append(pair)
 
 
-def _tabulate_shards(p: int, d: int, parts: list[tuple[int, Sequence[int]]]
+def _tabulate_shards(p: int, d: int,
+                     parts: list[tuple[int, list[tuple[Sequence[int], Optional[bool]]]]]
                      ) -> list[tuple[int, dict]]:
-    """Per ``(s, hs)`` part: its distinct f count and its colliding f.
+    """Per ``(s, slices)`` part: its distinct f count and its colliding f.
 
     A part's table is dropped once counted, so nothing of a non-colliding
     f outlives its part.
@@ -446,8 +560,8 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
 
     The parts of shards 0 and 1 are enumerated and weighted (module
     docstring), which gives the totals over all q^(2p-2) pairs.  Shard 0's
-    t = 0 part is classified once per scaling orbit, and each orbit is
-    checked to be colliding keys of that part with one pair count.
+    t = 0 parts are classified once per scaling orbit, and each orbit is
+    checked to be colliding keys of its part with one pair count.
     """
     d = _log_base(q, p)
     spec = field_new(p, d)
@@ -458,7 +572,7 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
                        f"shards 0 and 1 exceed {PAIR_LIMIT}")
 
     parts = _parts(spec)
-    jobs = [(part.s, hs) for part, hs in parts]
+    jobs = [(part.s, slices) for part, slices in parts]
     shards = (0, 1)
     workers = min(threads, len(shards), os.cpu_count() or 1)
     if workers > 1:
@@ -476,20 +590,20 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
     class_spectrum: dict[str, dict[int, int]] = {"F": {}, "S": {}, "M": {}}
     mismatches: list[Mismatch] = []
     colliding: dict = {}
-    distinct = pairs_enumerated = 0
+    part_pairs: list[int] = []
+    distinct = 0
     for (count, shard_colliding), (part, _) in zip(tables, parts):
         w = part.weight
         distinct += w * count
         singles = count - len(shard_colliding)
-        pairs_enumerated += singles
+        part_pairs.append(singles + sum(map(len, shard_colliding.values())))
         if singles:
             spectrum_observed[1] = spectrum_observed.get(1, 0) + w * singles
-        # shard 0's t = 0 part: one classification per scaling orbit
+        # shard 0's t = 0 parts: one classification per scaling orbit
         orbit = _scaling(spec) if part.s == 0 and part.t_nonzero is False else None
         orbit_class: dict = {}
         for key, pairs in shard_colliding.items():
             k = len(pairs)
-            pairs_enumerated += k
             spectrum_observed[k] = spectrum_observed.get(k, 0) + w
             cls = orbit_class.pop(key, None)
             if cls is None:
@@ -532,7 +646,7 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
         decomposable_observed=distinct,
         mismatches=mismatches,
         parts=[part for part, _ in parts],
-        pairs_enumerated=pairs_enumerated,
+        part_pairs=part_pairs,
         field_spec=spec,
         colliding_pairs=colliding,
     )

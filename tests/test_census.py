@@ -31,10 +31,46 @@ def enumerated_by_formula(p: int, q: int) -> int:
     if p == 2:
         return 2 * q
     e = math.gcd(p + 1, q - 1)
-    shard_1_t_zero = 2 * q ** (2 * p - 4) if p == 3 else \
-        (q ** (p - 2) + q ** (p - 3) + (q - 1) * q ** (p - 4)) * q ** (p - 2)
-    return (q ** (2 * p - 4) + e * q ** (2 * p - 5) + (q - 2) * q ** (2 * p - 5)
-            + shard_1_t_zero)
+    shard_0_t_zero = q ** (2 * p - 4) if p == 3 else \
+        q ** (2 * p - 5) + (q - 1) * q ** (2 * p - 6) + (q - 1) ** 2 * q ** (2 * p - 7)
+    shard_1_y_zero = q ** (2 * p - 4) if p == 3 else \
+        (q ** (p - 3) + (q - 1) * q ** (p - 4)) * q ** (p - 2)
+    shard_1_root = q ** (2 * p - 5) + (q - 1) * q ** (2 * p - 6)
+    return (shard_0_t_zero + e * q ** (2 * p - 5) + (q - 2) * q ** (2 * p - 5)
+            + shard_1_y_zero + shard_1_root)
+
+
+def represented_by(p: int, s: int, nonzero) -> tuple:
+    """(s, t_nonzero, fixed) of the part of shard s in {0, 1}, odd p, whose
+    f stand for f; ``nonzero(j)`` tells whether f_j != 0.
+
+    With n = p^2, t = f_{n-p-1}, u = f_{n-p-2}, v = f_{n-2p-1} and
+    w2 = f_{n-2p-2}: t != 0 goes to the t != 0 part; in shard 0, w2 != 0
+    for p >= 5 to the part that fixes f_{n-2p-3}; in shard 1, v != 0 with
+    f_j = 0 for n-2p < j < n-p to the part that fixes w2, else u != 0 for
+    p >= 5 to the part that fixes f_{n-p-3}; the rest to the t = 0 part at
+    weight 1.
+    """
+    n = p * p
+    if nonzero(n - p - 1):
+        return s, True, n - p - 2
+    if s == 0:
+        return (0, False, n - 2 * p - 3) if p > 3 and nonzero(n - 2 * p - 2) \
+            else (0, False, None)
+    if not any(map(nonzero, range(n - 2 * p + 1, n - p))) and nonzero(n - 2 * p - 1):
+        return 1, False, n - 2 * p - 2
+    if p > 3 and nonzero(n - p - 2):
+        return 1, False, n - p - 3
+    return 1, False, None
+
+
+def kept(p: int, label: tuple, nonzero, one) -> bool:
+    """Whether the part ``label`` holds f itself, not only stands for it:
+    f_fixed = 0, and t = 1 in shard 0's t != 0 part; ``one(j)`` tells
+    whether f_j = 1."""
+    s, t_nonzero, fixed = label
+    return (fixed is None or not nonzero(fixed)) and \
+        not (s == 0 and t_nonzero and not one(p * p - p - 1))
 
 
 def part_problems(spec, parts) -> list[str]:
@@ -42,49 +78,37 @@ def part_problems(spec, parts) -> list[str]:
     full shard tables.
 
     Each part must equal its filter of its shard's full table, every pair
-    included, and the f it stands for must be its weight (over its shard's)
-    times its own f for every pair count k.  With t = f_{p^2-p-1} and
-    u = f_{p^2-p-2}:
-
-    - shard 0, t = 0: all of them;
-    - shard 0, t != 0: t = 1 and u = 0, standing for every t != 0;
-    - shard 1, t = 0: all of them for p = 3; for p >= 5, u = 0, and apart
-      u != 0 with f_{p^2-p-3} = 0, standing for every u != 0;
-    - shard 1, t != 0: u = 0, standing for every t != 0.
+    included: the f that it stands for (``represented_by``) and holds
+    (``kept``).  The f it stands for must be its weight (over its shard's)
+    times its own f for every pair count k, and the parts must cover each
+    shard once.
     """
     p, q, d = spec.p, spec.q, spec.d
-    n = p * p
     one = bytes(spec.coeffs_of(1))
 
     def at(key, j):
         return key[(j - 1) * d:j * d]
 
-    def t(key):
-        return any(at(key, n - p - 1))
-
-    def u(key):
-        return any(at(key, n - p - 2))
-
     def rules(part):
         """(member, represented) predicates on the keys of the part's shard."""
-        if part.t_nonzero:
-            kept = (lambda key: at(key, n - p - 1) == one) if part.s == 0 else t
-            return (lambda key: kept(key) and not u(key)), t
-        if part.u_nonzero is None:
-            return (lambda key: not t(key)), (lambda key: not t(key))
-        if not part.u_nonzero:
-            return (lambda key: not t(key) and not u(key)), \
-                (lambda key: not t(key) and not u(key))
-        return (lambda key: not t(key) and u(key) and not any(at(key, n - p - 3))), \
-            (lambda key: not t(key) and u(key))
+        label = (part.s, part.t_nonzero, part.fixed)
+
+        def represented(key):
+            return represented_by(p, part.s, lambda j: any(at(key, j))) == label
+
+        def member(key):
+            return represented(key) and kept(p, label, lambda j: any(at(key, j)),
+                                             lambda j: at(key, j) == one)
+
+        return member, represented
 
     problems = []
     shard_weight = {0: 1, 1: q - 1}
     for s, full in _shard_tables(spec, every_h(spec, [0, 1])):
-        mine = [(part, hs) for part, hs in parts if part.s == s]
+        mine = [(part, slices) for part, slices in parts if part.s == s]
         total = Counter()
-        for (part, hs), (_, table) in zip(mine, _shard_tables(
-                spec, [(s, hs) for _, hs in mine])):
+        for (part, slices), (_, table) in zip(mine, _shard_tables(
+                spec, [(s, slices) for _, slices in mine])):
             member, represented = rules(part)
             if table != {key: prs for key, prs in full.items() if member(key)}:
                 problems.append(f"{part}: not its filter of shard {s}")
@@ -98,6 +122,42 @@ def part_problems(spec, parts) -> list[str]:
         if total != Counter(map(pair_count, full.values())):
             problems.append(f"shard {s}: parts do not cover it once")
     return problems
+
+
+def g_count(p: int, q: int, g_nonzero) -> int:
+    """The g of one (s, h) in a slice whose g_{p-2} is free, 0 or nonzero."""
+    return q ** (p - 2) if g_nonzero is None else \
+        q ** (p - 3) * (q - 1 if g_nonzero else 1)
+
+
+def replace_slices(monkeypatch, which, slices_of):
+    """Give each census part for which ``which(spec, part)`` holds the
+    slices ``slices_of(spec, part, slices)`` in place of its own."""
+    part_hs = census._part_hs
+
+    def patched(spec, s):
+        return [(part, slices_of(spec, part, slices) if which(spec, part) else slices)
+                for part, slices in part_hs(spec, s)]
+
+    monkeypatch.setattr(census, "_part_hs", patched)
+
+
+def at_weight_1(monkeypatch, fixed):
+    """Shard weight times 1, not q, for the part that fixes f_{fixed(p)}."""
+    parts = census._parts
+
+    def patched(spec):
+        return [(part._replace(weight=part.weight // spec.q)
+                 if part.fixed == fixed(spec.p) else part, slices)
+                for part, slices in parts(spec)]
+
+    monkeypatch.setattr(census, "_parts", patched)
+
+
+def g_left_free(monkeypatch, which):
+    """Every g_{p-2} in each slice of the parts for which ``which`` holds."""
+    replace_slices(monkeypatch, which,
+                   lambda spec, part, slices: [(hs, None) for hs, _ in slices])
 
 
 def reference_table(spec) -> dict[bytes, set[int]]:
@@ -145,7 +205,7 @@ class TestRunCensus:
         assert r.class_counts == {"F": 624, "S": 66, "M": 30}
 
     def test_too_large(self):
-        for p, q in [(5, 25), (7, 7), (3, 2187)]:
+        for p, q in [(5, 25), (7, 7), (3, 6561)]:
             with pytest.raises(TooLarge):
                 run_census(p, q)
 
@@ -159,7 +219,7 @@ class TestRunCensus:
 
     def test_threads_match_sequential(self, census_reports):
         # On two or more CPUs, two workers take shard 0 and shard 1.
-        # (5, 5) is the one census field with shard 1's u != 0 part
+        # (5, 5) is the one census field with the p >= 5 parts
         for p, q in [(2, 4), (3, 9), (5, 5)]:
             seq = census_reports[(p, q)]
             par = run_census(p, q, threads=2)
@@ -224,23 +284,26 @@ class TestTabulation:
             # in (h, g) index order, the order of enumeration within a shard
             assert pairs == sorted(ref[key], key=lambda pr: (pr % big_q, pr))
         # the report keeps the colliding f of the enumerated parts of shards 0
-        # and 1, in part order.  For odd p, with t = f_{p^2-p-1} and
-        # u = f_{p^2-p-2}: shard 0's f with t = 0, then those with t = 1 and
-        # u = 0; shard 1's f with t = 0 (for p >= 5 those with u = 0, then
-        # those with u != 0 and f_{p^2-p-3} = 0), then those with t != 0
-        # and u = 0
-        def enumerated(key):
-            f = poly_of_key(r.field_spec, key, p).poly.encodings
-            n = p * p
-            s, t, u = f[n - p], f[n - p - 1], f[n - p - 2]
-            if p == 2 or s > 1:
-                return s < 2
-            if t == 0:
-                return s == 0 or p == 3 or u == 0 or f[n - p - 3] == 0
-            return u == 0 and (s == 1 or t == 1)
+        # and 1 that each part holds (``represented_by`` and ``kept``), in part
+        # order, and within a part in the order of the full table
+        n = p * p
+        labels = [(part.s, part.t_nonzero, part.fixed) for part in r.parts]
 
+        def part_index(key):
+            f = poly_of_key(r.field_spec, key, p).poly.encodings
+            s = f[n - p]
+            if s > 1:
+                return None
+            if p == 2:
+                return s
+            label = represented_by(p, s, lambda j: f[j] != 0)
+            return labels.index(label) if kept(p, label, lambda j: f[j] != 0,
+                                               lambda j: f[j] == 1) else None
+
+        held = [(part_index(key), key, tuple(prs)) for key, prs in colliding.items()]
         assert list(r.colliding_pairs.items()) == \
-            [(key, tuple(prs)) for key, prs in colliding.items() if enumerated(key)]
+            [(key, prs) for i, key, prs in sorted((x for x in held if x[0] is not None),
+                                                  key=lambda x: x[0])]
 
     def test_byte_keys_at_q_256(self):
         spec = F(2, 8)
@@ -275,10 +338,10 @@ class TestTabulation:
                 admitted.append((p, d))
                 d += 1
         assert all((p - 1) * (d * (p - 2) + 2) <= 255 for p, d in admitted)
-        # (p, d): F_27, F_81, F_243, F_729, F_5 and F_2^16 among the admitted;
-        # F_2187, F_25 and F_7 are not
-        assert {(3, 3), (3, 4), (3, 5), (3, 6), (5, 1), (2, 16)} <= set(admitted)
-        assert not {(3, 7), (5, 2), (7, 1)} & set(admitted)
+        # (p, d): F_27, F_81, F_243, F_729, F_2187, F_5 and F_2^16 among the
+        # admitted; F_6561, F_25 and F_7 are not
+        assert {(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (5, 1), (2, 16)} <= set(admitted)
+        assert not {(3, 8), (5, 2), (7, 1)} & set(admitted)
 
 
 class TestShards:
@@ -391,13 +454,17 @@ class TestShiftReduction:
     def test_parts_hold_every_pair_of_their_keys(self, census_reports, p, q):
         spec = census_reports[(p, q)].field_spec
         parts = census._parts(spec)
-        sub = [(1, False, True)] if p >= 5 else []
-        assert [(part.s, part.t_nonzero, part.u_nonzero) for part, _ in parts] == \
-            [(0, False, None), (0, True, None), (1, False, False if sub else None),
-             *sub, (1, True, None)]
+        n = p * p
+        # the p >= 5 parts: shard 0's w2 != 0 and shard 1's u != 0 sections
+        sub_0 = [(0, False, n - 2 * p - 3)] if p >= 5 else []
+        sub_1 = [(1, False, n - p - 3)] if p >= 5 else []
+        assert [(part.s, part.t_nonzero, part.fixed) for part, _ in parts] == \
+            [(0, False, None), *sub_0, (0, True, n - p - 2), (1, False, None), *sub_1,
+             (1, False, n - 2 * p - 2), (1, True, n - p - 2)]
         e = math.gcd(p + 1, q - 1)
         assert [part.weight for part, _ in parts] == \
-            [1, q * (q - 1) // e, q - 1, *[(q - 1) * q] * len(sub), (q - 1) * q]
+            [1, *[q] * len(sub_0), q * (q - 1) // e, q - 1, *[(q - 1) * q] * len(sub_1),
+             (q - 1) * q, (q - 1) * q]
         assert part_problems(spec, parts) == []
 
     @pytest.mark.parametrize("p,q", [(2, 4), (2, 64), (3, 3), (3, 9), (3, 27),
@@ -405,7 +472,8 @@ class TestShiftReduction:
                                      (7, 7)])
     def test_enumerated_pairs_sum_over_the_parts(self, p, q):
         spec = F(p, round(math.log(q, p)))
-        in_parts = sum(len(hs) for _, hs in census._parts(spec)) * q ** (p - 2)
+        in_parts = sum(len(hs) * g_count(p, q, g_nonzero)
+                       for _, slices in census._parts(spec) for hs, g_nonzero in slices)
         assert enumerated_pairs(p, q) == in_parts == enumerated_by_formula(p, q)
 
     @pytest.mark.parametrize("p,q", [(3, 9), (5, 5)])
@@ -436,38 +504,65 @@ class TestShiftReduction:
 
     @pytest.mark.parametrize("p,q", [(3, 9), (5, 5)])
     def test_wrong_h_rule_fails_verify(self, monkeypatch, p, q):
-        part_hs = census._part_hs
-
-        def off_by_one(spec, s):
+        def off_by_one(spec, part, slices):
             """h_{p-2} = y^2 + 1 in the t != 0 parts instead of y^2."""
             low = spec.q ** (spec.p - 3)
             out = []
-            for part, hs in part_hs(spec, s):
-                if part.t_nonzero:
-                    digit = [(idx // low) % spec.q for idx in hs]
-                    hs = [idx + (spec.add_i(c, 1) - c) * low for idx, c in zip(hs, digit)]
-                out.append((part, hs))
+            for hs, g_nonzero in slices:
+                digit = [(idx // low) % spec.q for idx in hs]
+                out.append(([idx + (spec.add_i(c, 1) - c) * low
+                             for idx, c in zip(hs, digit)], g_nonzero))
             return out
 
-        monkeypatch.setattr(census, "_part_hs", off_by_one)
+        replace_slices(monkeypatch, lambda spec, part: part.t_nonzero, off_by_one)
         assert not verify(run_census(p, q))
 
     def test_workers_precompute_only_their_parts_h(self, monkeypatch):
-        seen = []
-        inner = census.mo_index_to_inner
+        """Each worker builds the per-h data of the h of its own parts, once
+        each, and only as far as its slices use: h^(p-1) only where some
+        shard s has g_{p-1} = s - h_{p-1}^p != 0, and h^(p-2), the top level,
+        only where some slice lets g_{p-2} be nonzero.  The powers built
+        are read off the ``_mul_raw`` products that follow each h."""
+        built = []
+        inner, mul_raw = census.mo_index_to_inner, census._mul_raw
 
-        def recording(hidx, q, p):
-            seen.append(hidx)
+        def recording_inner(hidx, q, p):
+            built.append([hidx, 1])
             return inner(hidx, q, p)
 
-        monkeypatch.setattr(census, "mo_index_to_inner", recording)
-        spec = F(3, 3)
-        for s in (0, 1):
-            shard = [(s, hs) for part, hs in census._parts(spec) if part.s == s]
-            seen.clear()
-            census._tabulate_shards(3, 3, shard)
-            used = {h for _, hs in shard for h in hs}
-            assert sorted(seen) == sorted(used)
+        def recording_mul(spec, a, b):
+            built[-1][1] += 1
+            return mul_raw(spec, a, b)
+
+        monkeypatch.setattr(census, "mo_index_to_inner", recording_inner)
+        monkeypatch.setattr(census, "_mul_raw", recording_mul)
+        for spec in (F(3, 3), F(5)):
+            p, q = spec.p, spec.q
+            per_y = q ** (p - 2)
+            for s in (0, 1):
+                shard = [(s, slices) for part, slices in census._parts(spec)
+                         if part.s == s]
+                built.clear()
+                census._tabulate_shards(p, spec.d, shard)
+                want: dict = {}
+                for _, slices in shard:
+                    for hs, g_nonzero in slices:
+                        for hidx in hs:
+                            y = hidx // per_y
+                            top = spec.pow_i(y, p) != s
+                            levels = p - 3 if g_nonzero is False else p - 2
+                            want[hidx] = max(want.get(hidx, 1), p - 1 if top else levels)
+                assert sorted(hidx for hidx, _ in built) == sorted(want)
+                powers = dict(built)
+                assert powers == want
+                # shard 0's t = 0 h (y = 0) and shard 1's y^p = 1 h build no
+                # h^(p-1)
+                no_top = range(per_y) if s == 0 else range(per_y, 2 * per_y)
+                assert all(powers[hidx] < p - 1 for hidx in no_top)
+                if p == 5 and s == 1:
+                    # nor h^(p-2), but for h_{p-2} = (3/2) y^2 = 4
+                    assert sorted(powers[hidx] for hidx in no_top) == \
+                        [2] * (per_y - q ** (p - 3)) + [3] * q ** (p - 3)
 
 
 class TestShiftInShard1:
@@ -477,13 +572,9 @@ class TestShiftInShard1:
     @staticmethod
     def sub_part_hs(monkeypatch, hs_of):
         """Replace the h of shard 1's u != 0 part by ``hs_of(spec)``."""
-        part_hs = census._part_hs
-
-        def patched(spec, s):
-            return [(part, hs_of(spec) if part.u_nonzero else hs)
-                    for part, hs in part_hs(spec, s)]
-
-        monkeypatch.setattr(census, "_part_hs", patched)
+        replace_slices(monkeypatch,
+                       lambda spec, part: part.fixed == spec.p ** 2 - spec.p - 3,
+                       lambda spec, part, slices: [(hs_of(spec), None)])
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -518,13 +609,7 @@ class TestShiftInShard1:
         assert fixed
 
     def test_weight_without_q_fails_verify(self, monkeypatch):
-        parts = census._parts
-
-        def unweighted(spec):
-            return [(part._replace(weight=part.weight // spec.q)
-                     if part.u_nonzero else part, hs) for part, hs in parts(spec)]
-
-        monkeypatch.setattr(census, "_parts", unweighted)
+        at_weight_1(monkeypatch, lambda p: p * p - p - 3)
         assert not verify(run_census(5, 5))
 
     def test_h_p_minus_3_left_free_fails_verify(self, monkeypatch):
@@ -550,8 +635,8 @@ class TestShiftInShard1:
         spec = F(5)
         n = 25  # one key byte per coefficient: f_j is key[j - 1]
         (_, table), (_, zero) = _shard_tables(spec, [
-            (1, [b * 25 + 5 * c + i for b in range(1, 5) for i in range(5)]),
-            (1, [b * 25 + i for b in range(1, 5) for i in range(5)])])
+            (1, [([b * 25 + 5 * c + i for b in range(1, 5) for i in range(5)], None)]),
+            (1, [([b * 25 + i for b in range(1, 5) for i in range(5)], None)])])
         ((_, full),) = _shard_tables(spec, every_h(spec, [1]))
         assert table == {key: prs for key, prs in full.items()
                          if not key[n - 7] and key[n - 8]
@@ -564,32 +649,163 @@ class TestShiftInShard1:
         assert verify(r) and class_partition_check(r)
 
 
+class TestShiftInRootSlice:
+    """Shard s != 0, t = 0, the y^p = s slice, any odd p: the f with
+    v = f_{n-2p-1} != 0 are one f per original-shift orbit, w2 = f_{n-2p-2}
+    = 0, all pairs from h_{p-2} = (3/2) y^2 and g_{p-2} != 0; n = p^2."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_shift_keeps_v_and_moves_w2_by_vw(self, data):
+        spec = data.draw(st.sampled_from([F(3, 2), F(5), F(5, 2), F(7)]))
+        p, q, n = spec.p, spec.q, spec.p ** 2
+        mul, add, sub = spec.mul_i, spec.add_i, spec.sub_i
+        elem = st.integers(0, q - 1)
+        y = data.draw(st.integers(1, q - 1))
+        three_halves_y2 = mul(3 * (p + 1) // 2 % p, mul(y, y))
+        h_top = three_halves_y2 if data.draw(st.booleans()) else data.draw(elem)
+        h = [*data.draw(st.lists(elem, min_size=p - 3, max_size=p - 3)), h_top, y]
+        g = [*data.draw(st.lists(elem, min_size=p - 2, max_size=p - 2)), 0]
+        w = data.draw(elem)
+        f = compose(Poly(spec, (0, *g, 1)), Poly(spec, (0, *h, 1)))
+        fw = original_shift(MonicOriginal(f), spec.elem(w)).poly.encodings
+        f = f.encodings
+        # s = y^p, and f_j = 0 for n-2p < j < n-p, t and u among them
+        assert f[n - p] == spec.pow_i(y, p) and not any(f[n - 2 * p + 1:n - p])
+        v, w2 = f[n - 2 * p - 1], f[n - 2 * p - 2]
+        assert v == mul(p - 2, mul(y, g[-2]))
+        assert w2 == mul(g[-2], add(mul(p - 2, h[-2]),
+                                    mul(math.comb(p - 2, 2) % p, mul(y, y))))
+        assert (w2 == 0) == (g[-2] == 0 or h[-2] == three_halves_y2)
+        assert fw[n - p] == f[n - p] and not any(fw[n - 2 * p + 1:n - p])
+        assert fw[n - 2 * p - 1] == v
+        assert fw[n - 2 * p - 2] == sub(w2, mul(v, w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_no_y_zero_pair_reaches_v_nonzero(self, data):
+        """y = 0 and u = 0 (h_{p-2} = 0): either h = x^p and f has only
+        f_j with p | j, or f_{n-2p+i} = -s h_i != 0 at the top i with
+        h_i != 0; either way f is no key of the section."""
+        spec = data.draw(st.sampled_from([F(7), F(11)]))
+        p, q, n = spec.p, spec.q, spec.p ** 2
+        elem = st.integers(0, q - 1)
+        s = data.draw(st.integers(1, q - 1))
+        low = data.draw(st.lists(elem, min_size=p - 3, max_size=p - 3))
+        h = [*(low if data.draw(st.booleans()) else [0] * (p - 3)), 0, 0]
+        g = [*data.draw(st.lists(elem, min_size=p - 2, max_size=p - 2)), s]
+        f = compose(Poly(spec, (0, *g, 1)), Poly(spec, (0, *h, 1))).encodings
+        assert f[n - p] == s and f[n - p - 1] == 0 and f[n - p - 2] == 0
+        if any(h):
+            i = max(j for j in range(1, p - 2) if h[j - 1])
+            assert f[n - 2 * p + i] == spec.neg_i(spec.mul_i(s, h[i - 1])) != 0
+        else:
+            assert not any(c for j, c in enumerate(f) if j % p)
+        assert any(f[n - 2 * p + 1:n - p]) or f[n - 2 * p - 1] == 0
+
+    @pytest.mark.parametrize("p,q", [(3, 9), (3, 27), (5, 5)])
+    def test_section_at_weight_1_fails_verify(self, monkeypatch, p, q):
+        at_weight_1(monkeypatch, lambda p: p * p - 2 * p - 2)
+        assert not verify(run_census(p, q))
+
+    @pytest.mark.parametrize("p,q", [(3, 9), (3, 27), (5, 5)])
+    def test_h_p_minus_2_at_y_squared_fails_the_part_check(self, monkeypatch, p, q):
+        """h_{p-2} = y^2 in place of (3/2) y^2.  Any fixed h_{p-2} picks one
+        f per free shift orbit, with all of its pairs, so ``verify`` cannot
+        tell; the part check against the full shard tables can."""
+        def y_squared(spec, part, slices):
+            low = spec.q ** (spec.p - 3)
+            first = spec.q * low + low  # y = 1, h_{p-2} = 1
+            return [(range(first, first + low), True)]
+
+        replace_slices(monkeypatch,
+                       lambda spec, part: part.fixed == spec.p ** 2 - 2 * spec.p - 2,
+                       y_squared)
+        spec = F(p, round(math.log(q, p)))
+        assert part_problems(spec, census._parts(spec)) != []
+
+    @pytest.mark.parametrize("p,q", [(3, 9), (5, 5)])
+    @pytest.mark.parametrize("fixed", [None, "section"])
+    def test_g_p_minus_2_left_free_fails_verify(self, monkeypatch, p, q, fixed):
+        """Every g_{p-2} in the section, or in the y^p = 1 slice of shard 1's
+        weight-1 t = 0 part."""
+        def which(spec, part):
+            want = None if fixed is None else spec.p ** 2 - 2 * spec.p - 2
+            return part.s == 1 and part.t_nonzero is False and part.fixed == want
+
+        g_left_free(monkeypatch, which)
+        assert not verify(run_census(p, q))
+
+
+class TestShiftInShard0:
+    """Shard 0, t = 0, p >= 5: the f with w2 = f_{n-2p-2} != 0 are one f per
+    original-shift orbit, f_{n-2p-3} = 0, all pairs from h_{p-3} = 0 with
+    g_{p-2}, h_{p-2} != 0; n = p^2."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_shift_keeps_w2_and_moves_next_by_2_w2_w(self, data):
+        spec = data.draw(st.sampled_from([F(5), F(5, 2), F(7)]))
+        p, q, n = spec.p, spec.q, spec.p ** 2
+        mul = spec.mul_i
+        elem = st.integers(0, q - 1)
+        h = [*data.draw(st.lists(elem, min_size=p - 2, max_size=p - 2)), 0]
+        g = [*data.draw(st.lists(elem, min_size=p - 2, max_size=p - 2)), 0]
+        w = data.draw(elem)
+        f = compose(Poly(spec, (0, *g, 1)), Poly(spec, (0, *h, 1)))
+        fw = original_shift(MonicOriginal(f), spec.elem(w)).poly.encodings
+        f = f.encodings
+        # s = 0, f_j = 0 for n-2p < j < n-p, and v = 0
+        assert f[n - p] == 0 and not any(f[n - 2 * p + 1:n - p]) and f[n - 2 * p - 1] == 0
+        w2 = f[n - 2 * p - 2]
+        assert w2 == mul(p - 2, mul(g[-2], h[-2]))
+        assert f[n - 2 * p - 3] == mul(p - 2, mul(g[-2], h[-3]))
+        assert fw[n - 2 * p - 1] == 0 and fw[n - 2 * p - 2] == w2
+        assert fw[n - 2 * p - 3] == spec.sub_i(f[n - 2 * p - 3], mul(2, mul(w2, w)))
+
+    def test_section_at_weight_1_fails_verify(self, monkeypatch):
+        at_weight_1(monkeypatch, lambda p: p * p - 2 * p - 3)
+        assert not verify(run_census(5, 5))
+
+    @pytest.mark.parametrize("fixed", [None, 12])
+    def test_g_p_minus_2_left_free_fails_verify(self, monkeypatch, fixed):
+        """Every g_{p-2} in the section, or where h_{p-2} != 0 in shard 0's
+        weight-1 t = 0 part."""
+        g_left_free(monkeypatch, lambda spec, part: part.s == 0
+                    and part.t_nonzero is False and part.fixed == fixed)
+        assert not verify(run_census(5, 5))
+
+
 class TestScalingOrbits:
-    """Shard 0's t = 0 part is classified once per scaling orbit."""
+    """Shard 0's t = 0 parts are classified once per scaling orbit."""
 
     @pytest.mark.parametrize("p,q", [(3, 3), (3, 9), (3, 27), (5, 5)])
     def test_orbits_are_colliding_keys_of_one_k_and_class(self, census_reports,
                                                           classifications, p, q):
         spec, n = census_reports[(p, q)].field_spec, p * p
-        colliding = self.part_keys(spec)
+        parts = self.part_keys(spec)
+        # (5, 5) has two: w2 = f_{n-2p-2} = 0, and w2 != 0 with f_{n-2p-3} = 0
+        assert len(parts) == (1 if p == 3 else 2)
         orbit = census._scaling(spec)
         classes = classifications[(p, q)]
-        for key, pairs in colliding.items():
-            f = poly_of_key(spec, key, p).poly
-            # a^(-p^2) f(a x) by composition
-            want = {key_of(compose(f, Poly(spec, (0, a)))
-                           * Poly(spec, (spec.pow_i(a, -n),)))
-                    for a in range(1, spec.q)}
-            got = orbit(key)
-            assert got == want
-            assert all(len(colliding[other]) == len(pairs)
-                       and classes[other].tag is classes[key].tag for other in got)
+        for colliding in parts:
+            for key, pairs in colliding.items():
+                f = poly_of_key(spec, key, p).poly
+                # a^(-p^2) f(a x) by composition
+                want = {key_of(compose(f, Poly(spec, (0, a)))
+                               * Poly(spec, (spec.pow_i(a, -n),)))
+                        for a in range(1, spec.q)}
+                got = orbit(key)
+                assert got == want
+                assert all(len(colliding[other]) == len(pairs)
+                           and classes[other].tag is classes[key].tag for other in got)
 
     @staticmethod
     def part_keys(spec):
-        hs = census._parts(spec)[0][1]
-        ((_, colliding),) = census._tabulate_shards(spec.p, spec.d, [(0, hs)])
-        return colliding
+        """The colliding f of each of shard 0's t = 0 parts."""
+        return [colliding for _, colliding in census._tabulate_shards(
+            spec.p, spec.d, [(0, slices) for part, slices in census._parts(spec)
+                             if part.s == 0 and part.t_nonzero is False])]
 
     @staticmethod
     def with_stray(monkeypatch, first, stray):
@@ -604,7 +820,7 @@ class TestScalingOrbits:
 
     def test_orbit_member_with_wrong_class_fails_partition(self, monkeypatch):
         spec = F(3, 3)
-        colliding = self.part_keys(spec)
+        (colliding,) = self.part_keys(spec)
         first = next(iter(colliding))
         tag = classify(poly_of_key(spec, first, 3)).tag
         stray = next(key for key, prs in colliding.items()
@@ -619,7 +835,7 @@ class TestScalingOrbits:
     @pytest.mark.parametrize("other_k", [True, False])
     def test_scaled_key_of_other_pair_count_is_a_mismatch(self, monkeypatch, other_k):
         spec = F(3, 3)
-        colliding = self.part_keys(spec)
+        (colliding,) = self.part_keys(spec)
         first = next(iter(colliding))
         k = len(colliding[first])
         # a colliding key with another k, or the key of x^9, with one pair
@@ -707,25 +923,59 @@ class TestHelpers:
 
     @pytest.mark.parametrize("p,q", [(2, 4), (3, 9), (5, 5)])
     def test_report_json_shards(self, census_reports, p, q):
+        # (2, 4): q^(2p-3) = 4 pairs per shard.
         # (3, 9): e = gcd(4, 8) = 4 values of y with y^4 = 1, so shard 0's
-        # t != 0 part has weight 9 * 8 / 4; 9 g per h, and 9 + 4 + 18 + 7 h.
-        # (5, 5): e = gcd(6, 4) = 2 (y = 1, 4), weight 5 * 4 / 2; 125 g per
-        # h, and 125 + 2 * 25 h in shard 0, then in shard 1 25 + 125 h with
-        # u = 0, 4 * 5 with u != 0 and h_2 = 0, and 3 * 25 with t != 0.
+        # t != 0 part has weight 9 * 8 / 4.  9 g per h, or 1 with g_1 = 0, or
+        # 8 with g_1 != 0: shard 0 has 9 h at y = 0 and 4 at t != 0; shard 1
+        # has 9 h at y = 0 and 9 at y = 1 with g_1 = 0 at weight 8, the h
+        # with y = 1 and h_1 = 0 with g_1 != 0 at weight 8 * 9 (fixing
+        # f_1), and 7 h at t != 0.
+        # (5, 5): e = gcd(6, 4) = 2 (y = 1, 4), weight 5 * 4 / 2.  125 g per
+        # h, or 25 with g_3 = 0, or 100 with g_3 != 0.  Shard 0 at y = 0: 25 h
+        # with h_3 = 0, 100 with h_3 != 0 and g_3 = 0; 20 with h_3 != 0 and
+        # h_2 = 0 with g_3 != 0 (fixing f_12); 2 * 25 h at t != 0.  Shard 1:
+        # 25 h at y = 0 with h_3 = 0 and 125 at y = 1 with g_3 = 0; 20 at
+        # y = 0 with h_3 != 0 and h_2 = 0 (fixing f_17); 25 at y = 1 with
+        # h_3 = 3/2 = 4 and g_3 != 0 (fixing f_13); 3 * 25 h at t != 0.
         shards, pairs = {
-            (2, 4): ([{"s": 0, "weight": 1}, {"s": 1, "weight": 3}], 8),
-            (3, 9): ([{"s": 0, "t_nonzero": False, "weight": 1},
-                      {"s": 0, "t_nonzero": True, "weight": 18},
-                      {"s": 1, "t_nonzero": False, "weight": 8},
-                      {"s": 1, "t_nonzero": True, "weight": 72}],
-                     (9 + 4 + 18 + 7) * 9),
-            (5, 5): ([{"s": 0, "t_nonzero": False, "weight": 1},
-                      {"s": 0, "t_nonzero": True, "weight": 10},
-                      {"s": 1, "t_nonzero": False, "u_nonzero": False, "weight": 4},
-                      {"s": 1, "t_nonzero": False, "u_nonzero": True, "weight": 20},
-                      {"s": 1, "t_nonzero": True, "weight": 20}],
-                     (125 + 50 + 150 + 20 + 75) * 125),
+            (2, 4): ([{"s": 0, "weight": 1, "pairs": 4},
+                      {"s": 1, "weight": 3, "pairs": 4}], 8),
+            (3, 9): ([{"s": 0, "t_nonzero": False, "weight": 1, "pairs": 9 * 9},
+                      {"s": 0, "t_nonzero": True, "fixed": 4, "weight": 18,
+                       "pairs": 4 * 9},
+                      {"s": 1, "t_nonzero": False, "weight": 8, "pairs": 9 * 9 + 9},
+                      {"s": 1, "t_nonzero": False, "fixed": 1, "weight": 72,
+                       "pairs": 8},
+                      {"s": 1, "t_nonzero": True, "fixed": 4, "weight": 72,
+                       "pairs": 7 * 9}],
+                     81 + 36 + 90 + 8 + 63),
+            (5, 5): ([{"s": 0, "t_nonzero": False, "weight": 1,
+                       "pairs": 25 * 125 + 100 * 25},
+                      {"s": 0, "t_nonzero": False, "fixed": 12, "weight": 5,
+                       "pairs": 20 * 100},
+                      {"s": 0, "t_nonzero": True, "fixed": 18, "weight": 10,
+                       "pairs": 50 * 125},
+                      {"s": 1, "t_nonzero": False, "weight": 4,
+                       "pairs": 25 * 125 + 125 * 25},
+                      {"s": 1, "t_nonzero": False, "fixed": 17, "weight": 20,
+                       "pairs": 20 * 125},
+                      {"s": 1, "t_nonzero": False, "fixed": 13, "weight": 20,
+                       "pairs": 25 * 100},
+                      {"s": 1, "t_nonzero": True, "fixed": 18, "weight": 20,
+                       "pairs": 75 * 125}],
+                     5625 + 2000 + 6250 + 6250 + 2500 + 2500 + 9375),
         }[(p, q)]
         js = census_reports[(p, q)].to_json()
         assert js["shards"] == shards
         assert js["pairs_enumerated"] == pairs
+
+    def test_shard_pairs_sum_to_pairs_enumerated(self, census_reports):
+        """Each part's ``pairs`` is what its slices enumerate, and they sum
+        to ``pairs_enumerated``."""
+        for (p, q), r in census_reports.items():
+            js = r.to_json()
+            assert sum(part["pairs"] for part in js["shards"]) == \
+                js["pairs_enumerated"] == enumerated_pairs(p, q)
+            assert [part["pairs"] for part in js["shards"]] == \
+                [sum(len(hs) * g_count(p, q, g_nonzero) for hs, g_nonzero in slices)
+                 for _, slices in census._parts(r.field_spec)]
