@@ -165,10 +165,10 @@ from itertools import islice
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import counting
-from .counting import Spectrum, _log_base
+from .counting import Spectrum
 from .decomp_core import (Decomposition, MonicOriginal, mo_index_to_inner,
                           mo_index_to_poly)
-from .gf import FieldSpec, field_new
+from .gf import FieldSpec, _log_base, field_new
 from .identify import CollisionTag, classify
 from .polyring import Poly, _mul_raw, format_poly
 

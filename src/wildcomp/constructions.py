@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .counting import NotAPower, _log_base
 from .decomp_core import Collision, Decomposition, DegreeMismatch, MonicOriginal
-from .gf import FieldElem, FieldSpec, projective_roots
+from .gf import FieldElem, FieldSpec, NotAPower, _log_base, projective_roots
 from .polyring import Poly, _mul_raw, _pow_raw
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .gf import NotPrime, _is_prime
+from .gf import NotAPower, NotPrime, _is_prime, _log_base
 
 # CPython's default limit on the digits of an int converted to text; the
 # total q^(2p-2) bounds every count, so it must stay printable.
@@ -19,10 +19,6 @@ DIGIT_LIMIT = 4300
 
 
 class NonIntegerResult(Exception):
-    pass
-
-
-class NotAPower(Exception):
     pass
 
 
@@ -48,19 +44,6 @@ def _exact(num: int, den: int) -> int:
     if r:
         raise NonIntegerResult(f"{num}/{den} is not an integer")
     return q
-
-
-def _log_base(q: int, r: int) -> int:
-    """d >= 1 with q = r^d."""
-    if r < 2 or q < r:
-        raise NotAPower(f"{q} is not a positive power of {r}")
-    d, rest = 0, q
-    while rest > 1:
-        rest, rem = divmod(rest, r)
-        if rem:
-            raise NotAPower(f"{q} is not a power of {r}")
-        d += 1
-    return d
 
 
 def _char_of(r: int) -> int:

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .counting import NotAPower, _log_base
-from .gf import FieldElem, FieldSpec, MixedFields
+from .gf import FieldElem, FieldSpec, MixedFields, NotAPower, _log_base
 from .polyring import NotMonic, Poly, _digits_raw, compose, evaluate
 
 

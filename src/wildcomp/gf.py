@@ -29,8 +29,9 @@ build the tables, and :mod:`wildcomp.polyring` imports them for every
 product and division over a prime field.
 
 ``projective_roots`` finds the roots of y^(r+1) + c1*y + c0, the only kind
-of polynomial whose roots the package needs, from one more O(q) table per
-field and r, built on first use: the preimages of z -> z^(r+1)/(z-1).
+of polynomial whose roots the package needs (``sqrt`` included), from one
+more O(q) table per field and r, built on first use: the preimages of
+z -> z^(r+1)/(z-1).  ``_log_base`` is the package's one prime-power helper.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ class DegenerateLeadingCoefficient(GFError):
     pass
 
 
+class NotAPower(Exception):
+    pass
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -90,6 +95,19 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _log_base(q: int, r: int) -> int:
+    """d >= 1 with q = r^d."""
+    if r < 2 or q < r:
+        raise NotAPower(f"{q} is not a positive power of {r}")
+    d, rest = 0, q
+    while rest > 1:
+        rest, rem = divmod(rest, r)
+        if rem:
+            raise NotAPower(f"{q} is not a power of {r}")
+        d += 1
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +543,9 @@ def pth_root(a: FieldElem, l: int) -> FieldElem:
 
 
 def sqrt(a: FieldElem) -> Optional[FieldElem]:
-    """Some b with b*b = a, or None for a non-square (odd q only)."""
-    spec = a.spec
-    if spec.p == 2:
-        return spec.elem(spec.pow_i(a.val, spec.q // 2))
-    if not a.val:
-        return a
-    la = spec._log[a.val]
-    return None if la % 2 else spec.elem(spec._exp[la // 2])
+    """Some b with b*b = a, from ``projective_roots``; None for non-squares."""
+    roots = projective_roots(a.spec, 1, 0, a.spec.neg_i(a.val))
+    return a.spec.elem(roots[0]) if roots else None
 
 
 def projective_roots(spec: FieldSpec, r: int, c1: int, c0: int) -> list[int]:
@@ -546,11 +559,10 @@ def projective_roots(spec: FieldSpec, r: int, c1: int, c0: int) -> list[int]:
     up in the field's table for r.
     """
     p, n, log, exp = spec.p, spec.q - 1, spec._log, spec._exp
-    ell = 0
-    while p ** ell < r:
-        ell += 1
-    if p ** ell != r:
-        raise ValueError(f"{r} is not a power of {p}")
+    try:
+        ell = 0 if r == 1 else _log_base(r, p)
+    except NotAPower:
+        raise ValueError(f"{r} is not a power of {p}") from None
     if not c0:
         return sorted({0, spec.pth_root_i(spec.neg_i(c1), ell)})
     if not c1:

@@ -16,10 +16,12 @@ operations.  h' = -y (x+w)^(m*-1) (x+w-b)^(m-1) has degree r - 2, and
 the quadratic (x+w)(x+w-b) and m are read off it; no gcd touches f'.
 ``classify`` combines them with the Frobenius test into the full
 trichotomy at degree p^2, and ``enumerate_decompositions`` lists every
-degree-p decomposition; for an unclassified f it divides only by the right
-components whose x^(p-1) coefficient is a root of P_f: one per root when
-f_(p^2-p-1) != 0, else q^(p-2) per root, at most BRUTE_FORCE_SPACE_LIMIT
-of them.  Every root these need comes from ``gf.projective_roots``.
+degree-p decomposition by dividing f only by the right components whose
+x^(p-1) coefficient is a root of P_f.  When f_(p^2-p-1) != 0, M members
+included, that is one per root and f is not classified; otherwise F and S
+members are answered from their construction, and the rest take q^(p-2)
+per root, at most BRUTE_FORCE_SPACE_LIMIT of them.  Every root these need
+comes from ``gf.projective_roots``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .constructions import (MultiplyParams, SimplyParams, _M_probe,
-                            _M_shifted, _S_probe, _S_shifted, build_M,
+                            _M_shifted, _S_probe, _S_shifted,
                             decompositions_S, frobenius_collision,
                             prime_power_exponent)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
@@ -297,8 +299,8 @@ def brute_force_decompositions(f: MonicOriginal) -> Optional[list[Decomposition]
     so y is a root of P_f(y) = y^(p+1) - f_(p^2-p) y - f_(p^2-p-1), found by
     ``projective_roots``.  When f_(p^2-p-1) != 0, every pair has
     g_(p-1) != 0 and y != 0, so h is the ``right_component`` of f at y and
-    f is divided once per root.  Otherwise f is divided by the q^(p-2) h
-    per root, if at most BRUTE_FORCE_SPACE_LIMIT.
+    f is divided once per root, completely.  Otherwise f is divided by the
+    q^(p-2) h per root, if at most BRUTE_FORCE_SPACE_LIMIT.
     """
     spec = f.spec
     p = spec.p
@@ -322,27 +324,26 @@ def brute_force_decompositions(f: MonicOriginal) -> Optional[list[Decomposition]
 def enumerate_decompositions(f: MonicOriginal) -> EnumeratedDecompositions:
     """The complete set of degree-p decompositions of f.
 
-    Classified polynomials are answered from their construction (2 pairs
-    for F and M, one per root t for S); unclassified ones by the root-filtered
-    ``brute_force_decompositions``.  ``complete`` is False only when it
+    An f with f_(p^2-p-1) != 0, every M member among them, is not
+    classified: ``brute_force_decompositions`` reads its pairs off right
+    components.  Otherwise F and S members come from their construction
+    (2 pairs for F, one per root t for S), and the rest from
+    ``brute_force_decompositions`` too.  ``complete`` is False only when it
     declines, beyond BRUTE_FORCE_SPACE_LIMIT candidates (never for p = 2,
     nor when f_(p^2-p-1) != 0).
     """
     p = f.spec.p
-    cls = classify(f)
-    if cls.tag is CollisionTag.FROBENIUS:
-        h = MonicOriginal(poly_pth_root(f.poly, 1))
-        return EnumeratedDecompositions(frobenius_collision(h, p), True)
-    if cls.tag is CollisionTag.SIMPLY:
-        sm = cls.simply
-        base = decompositions_S(SimplyParams(sm.u, sm.s, sm.eps, sm.m, p))
-        pairs = {shift_decomposition(d, sm.w) for d in base}
-        return EnumeratedDecompositions(Collision(f, frozenset(pairs)), True)
-    if cls.tag is CollisionTag.MULTIPLY:
-        mm = cls.multiply
-        _, base = build_M(MultiplyParams(mm.a, mm.b, mm.m, p))
-        pairs = {shift_decomposition(d, mm.w) for d in base}
-        return EnumeratedDecompositions(Collision(f, frozenset(pairs)), True)
+    if not f.poly.coefficient_encoding(p * p - p - 1):
+        cls = classify(f)
+        if cls.tag is CollisionTag.FROBENIUS:
+            h = MonicOriginal(poly_pth_root(f.poly, 1))
+            return EnumeratedDecompositions(frobenius_collision(h, p), True)
+        if cls.tag is CollisionTag.SIMPLY:
+            sm = cls.simply
+            base = decompositions_S(SimplyParams(sm.u, sm.s, sm.eps, sm.m, p))
+            pairs = {shift_decomposition(d, sm.w) for d in base}
+            return EnumeratedDecompositions(Collision(f, frozenset(pairs)),
+                                            True)
     pairs = brute_force_decompositions(f)
     return EnumeratedDecompositions(Collision(f, frozenset(pairs or ())),
                                     pairs is not None)

@@ -58,6 +58,9 @@ class Poly:
         enc = list(encodings)
         while enc and enc[-1] == 0:
             enc.pop()
+        if enc and (min(enc) < 0 or max(enc) >= spec.q):
+            bad = next(c for c in enc if not 0 <= c < spec.q)
+            raise ValueError(f"encoding {bad} out of range for {spec}")
         self.spec = spec
         self._c = tuple(enc)
 

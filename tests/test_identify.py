@@ -8,7 +8,7 @@ from wildcomp import (CollisionTag, Decomposition, DegreeMismatch,
                       MultiplyParams, SimplyParams, brute_force_decompositions,
                       build_M, build_S, classify, decompositions_S,
                       enumerate_decompositions, identify_multiply,
-                      identify_simply, original_shift)
+                      identify_simply, original_shift, shift_decomposition)
 from wildcomp import identify
 from wildcomp.decomp_core import MonicOriginal
 from wildcomp.polyring import Poly, derivative
@@ -342,6 +342,47 @@ class TestEnumerateDecompositions:
             assert pairs is not None and Decomposition(g, h) in pairs
             res = enumerate_decompositions(f)
             assert res.complete and Decomposition(g, h) in res.collision.decomps
+
+    def test_determined_f_needs_no_classify(self, monkeypatch):
+        """Every f with f_(p^2-p-1) != 0 is answered from right components,
+        M members included, without classifying f."""
+        def refuse(f):
+            raise AssertionError("classify called")
+
+        monkeypatch.setattr(identify, "classify", refuse)
+        rng = random.Random(41)
+        for spec in (F(2, 2), F(2, 3), F(3), F(3, 2), F(5), F(7), F(5, 2)):
+            p = spec.p
+            small = spec.q ** (p - 1) <= 1000
+            fs = [Decomposition(random_monic_original(rng, spec, p),
+                                random_monic_original(rng, spec, p)).compose()
+                  for _ in range(12)]
+            fs += [random_monic_original(rng, spec, p * p) for _ in range(12)]
+            if p >= 5:
+                fs += [build_M(random_multiply_params(rng, spec, p))[0]
+                       for _ in range(4)]
+            fs = [f for f in fs if f.poly.coefficient_encoding(p * p - p - 1)]
+            assert len(fs) >= 8
+            for f in fs:
+                res = enumerate_decompositions(f)
+                assert res.complete
+                if small:
+                    assert res.collision.decomps == full_scan_decompositions(f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_multiply_members_match_construction(self, data):
+        spec = data.draw(st.sampled_from([F(7), F(11), F(5, 2), F(13)]))
+        r = spec.p
+        b = data.draw(_elems(spec, 1))
+        a = data.draw(_elems(spec, 1).filter(lambda a: a != b ** r))
+        m = data.draw(st.sampled_from([m for m in range(2, r - 1) if m % r]))
+        w = data.draw(_elems(spec))
+        f, base = build_M(MultiplyParams(a, b, m, r))
+        res = enumerate_decompositions(original_shift(f, w))
+        assert res.complete
+        assert res.collision.decomps == {shift_decomposition(d, w)
+                                         for d in base}
 
     def test_p2_complete_at_the_field_limit(self):
         spec = F(2, 16)

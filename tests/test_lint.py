@@ -1,0 +1,61 @@
+"""Static checks on the package source: no assert statements, the layering
+of the intra-package imports, and one prime-power helper."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "wildcomp"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+# each module may import from at most these package modules
+LAYERS = {
+    "gf": set(),
+    "polyring": {"gf"},
+    "decomp_core": {"gf", "polyring"},
+    "constructions": {"gf", "polyring", "decomp_core"},
+    "counting": {"gf"},
+}
+
+
+def tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(), f"{module}.py")
+
+
+def package_imports(module: str) -> set:
+    """The package modules that ``module`` imports, by relative import."""
+    out = set()
+    for node in ast.walk(tree(module)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_assert_statements(module):
+    # behaviour must not change under python -O
+    lines = [node.lineno for node in ast.walk(tree(module))
+             if isinstance(node, ast.Assert)]
+    assert lines == [], f"assert in {module}.py at lines {lines}"
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_layered_imports(module):
+    assert package_imports(module) <= LAYERS[module]
+
+
+def test_counting_is_imported_only_from_the_top():
+    importers = {m for m in MODULES if "counting" in package_imports(m)}
+    assert importers <= {"census", "cli", "__init__"}
+
+
+def test_one_prime_power_helper():
+    defs = [path.relative_to(SRC) for path in SRC.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == "_log_base"]
+    assert defs == [Path("wildcomp/gf.py")]

@@ -76,6 +76,44 @@ class TestMul:
             assert _mul_raw(spec, a, b) == _mul_school(spec, a, b)
 
 
+def _trimmed(enc):
+    enc = list(enc)
+    while enc and enc[-1] == 0:
+        enc.pop()
+    return tuple(enc)
+
+
+@st.composite
+def raw_encodings(draw):
+    """A field and a list of ints in [-2q, 2q), about half of them in range."""
+    spec = draw(st.sampled_from([F(5), F(3, 2), F(2, 8)]))
+    q = spec.q
+    ints = st.one_of(st.integers(0, q - 1), st.integers(-2 * q, 2 * q - 1))
+    return spec, draw(st.lists(ints, max_size=8))
+
+
+class TestEncodingRange:
+    @pytest.mark.parametrize("build", [
+        lambda: Poly(F(5), (7, 1)),
+        lambda: Poly(F(5), (-1, 1)),
+        # an unchecked 12 indexed past F_9's log table in the product
+        lambda: Poly(F(3, 2), (12, 1)) * Poly(F(3, 2), (2, 1)),
+    ])
+    def test_out_of_range_raises(self, build):
+        with pytest.raises(ValueError, match="out of range"):
+            build()
+
+    @settings(max_examples=300)
+    @given(raw_encodings())
+    def test_raises_exactly_when_out_of_range(self, case):
+        spec, enc = case
+        if all(0 <= c < spec.q for c in enc):
+            assert Poly(spec, enc).encodings == _trimmed(enc)
+        else:
+            with pytest.raises(ValueError, match="out of range"):
+                Poly(spec, enc)
+
+
 class TestNegativeExponent:
     @pytest.mark.parametrize("build", [
         lambda spec: Poly.monomial(spec, -1),
