@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 on usage errors and on requests beyond the
 exhaustive-search limits (a census above PAIR_LIMIT, a field above
 FIELD_LIMIT, a count too long to print, a construct degree r^2 above
-MAX_PARSE_EXPONENT, an unclassified f whose decomposition search would
-divide by more than BRUTE_FORCE_SPACE_LIMIT right components), 2 on
+MAX_PARSE_EXPONENT, an unclassified f with x^(p^2-p-1) coefficient 0
+whose root y with y^p = f_(p^2-p) leaves more than
+BRUTE_FORCE_SPACE_LIMIT candidate right components), 2 on
 mathematically valid "no"/failure answers (no parameters recovered, no
 collision, census mismatch), so scripts can tell the two apart.  All
 numeric output is exact: integers in decimal, rationals as "num/den",
@@ -22,7 +23,7 @@ from typing import Optional, Sequence, Union
 from .census import run_census
 from .constructions import (MultiplyParams, SimplyParams, build_M,
                             decompositions_S, frobenius_collision)
-from .counting import count_decomposable, nu, spectrum
+from .counting import nu, spectrum
 from .decomp_core import Collision, MonicOriginal, original_shift
 from .gf import FieldSpec, parse_field
 from .identify import (BRUTE_FORCE_SPACE_LIMIT, CollisionTag, MultiplyMatch,
@@ -160,20 +161,19 @@ def _cmd_decompose(args) -> int:
         print("error: decompositions not enumerated: f is unclassified, "
               "its x^(p^2-p-1) coefficient is 0, and "
               f"the search is limited to {BRUTE_FORCE_SPACE_LIMIT} right "
-              "components, q^(p-2) per root y of y^(p+1) - f_(p^2-p)*y - "
-              "f_(p^2-p-1)", file=sys.stderr)
+              "components for the root y with y^p = f_(p^2-p)",
+              file=sys.stderr)
         return USAGE_ERROR
     return 0 if pairs else FAILURE
 
 
 def _cmd_count(args) -> int:
     spec_counts = spectrum(args.p, args.q)
-    d_total = count_decomposable(args.p, args.q)
     payload = {"p": args.p, "q": args.q,
                "c": {str(k): v for k, v in sorted(spec_counts.counts.items())},
-               "D": d_total}
+               "D": spec_counts.d_total}
     line = " ".join(f"c{k}={v}" for k, v in sorted(spec_counts.counts.items()))
-    _emit(args, payload, [f"{line} D={d_total}"])
+    _emit(args, payload, [f"{line} D={spec_counts.d_total}"])
     return 0
 
 

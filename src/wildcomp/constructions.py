@@ -11,10 +11,11 @@ S and M members are built by one builder each, ``_S_shifted`` and
 ``_M_shifted``, at the substitution x -> x + w: the original shift
 f^(w) = f(x+w) - f(w) of a member comes out directly, and w = 0 gives the
 polynomials of ``build_S`` and ``build_M``.  They work on encodings with
-the raw kernels of :mod:`wildcomp.polyring`.  ``_S_probe`` and
-``_M_probe`` give a few coefficients of a shifted member in closed form,
-in O(log r) field operations, so identification can reject a candidate
-before it rebuilds one.
+the raw kernels of :mod:`wildcomp.polyring`.  ``_S_probe`` gives two
+coefficients of a shifted S member in closed form, in O(log r) field
+operations, so identification can reject a candidate before it rebuilds
+one.  M needs no probe: identification reads the x^(r-1) coefficient y
+of a right component, and y tells a from a*.
 """
 
 from __future__ import annotations
@@ -274,51 +275,6 @@ def _M_shifted(params: MultiplyParams, w: int) -> list[int]:
                             _pow_raw(spec, big_hs, mstar)))
     out[0] = 0
     return out
-
-
-def _M_probe(params: MultiplyParams, w: int) -> list[tuple[int, int]]:
-    """(i, f_i) for coefficients of f = M(a,b,m)^(w), each in O(log r)
-    field operations: f_1, and for odd p f_D, D = r^2 - r - 2.
-
-    f' = M'(x+w), and ``M_derivative_factored`` gives the product form
-
-        M' = c Q^(m m* - 1) H^(m-1) (H*)^(m*-1),  c = m m* a a* b^(1-r),
-
-    of degree D, with Q = x(x-b) and H, H* monic.  So f_1 = M'(w), each
-    factor evaluated at w.  The x^(D-1) coefficient of f' is D f_D; that
-    of M'(x+w) is c (sigma + D w), where sigma sums the second
-    coefficients of the factors' powers: Q = x^2 - b x,
-    H = x^m - m a* b^(1-r) x^(m-1) + ... and H* = x^(m*) - m* a b^(1-r)
-    x^(m*-1) + ....  So, with D = -2 invertible in F_p for odd p,
-
-        f_D = c (w - D^(-1) ((m m* - 1) b + b^(1-r) (m (m-1) a* + m* (m*-1) a))).
-
-    f_1 = 0 for both roots a and a* = b^r - a when w(w - b) = 0, but f_D
-    tells them apart: c is the same for both, so their f_D differ by
-    c D^(-1) b^(1-r) (a - a*) (m (m-1) - m* (m*-1)), and
-    m (m-1) - m* (m*-1) = (m - m*)(r - 1) = -2m != 0 in F_p.
-    """
-    spec = params.spec
-    p, r, m, mstar = spec.p, params.r, params.m, params.m_star
-    a, b, astar = params.a.val, params.b.val, params.a_star.val
-    mul_i, add_i, sub_i, pow_i = spec.mul_i, spec.add_i, spec.sub_i, spec.pow_i
-    b1r = pow_i(b, 1 - r)
-    c = mul_i(mul_i(m * mstar % p, mul_i(a, astar)), b1r)
-    wb = sub_i(w, b)
-    wm, wms = pow_i(w, m), pow_i(w, mstar)
-    # H(w) and H*(w), with b^(-r) = b^(1-r) / b
-    binv_r = mul_i(b1r, spec.inv_i(b))
-    hw = add_i(wm, mul_i(mul_i(astar, binv_r), sub_i(pow_i(wb, m), wm)))
-    hsw = add_i(wms, mul_i(mul_i(a, binv_r), sub_i(pow_i(wb, mstar), wms)))
-    checks = [(1, mul_i(mul_i(c, pow_i(mul_i(w, wb), m * mstar - 1)),
-                        mul_i(pow_i(hw, m - 1), pow_i(hsw, mstar - 1))))]
-    d = r * r - r - 2
-    if d % p:
-        sigma = add_i(mul_i((m * mstar - 1) % p, b),
-                      mul_i(b1r, add_i(mul_i(m * (m - 1) % p, astar),
-                                       mul_i(mstar * (mstar - 1) % p, a))))
-        checks.append((d, mul_i(c, sub_i(w, mul_i(spec.inv_i(d % p), sigma)))))
-    return checks
 
 
 def build_M(params: MultiplyParams) -> tuple[MonicOriginal, Collision]:

@@ -142,15 +142,16 @@ def right_component(f: MonicOriginal, y: FieldElem) -> MonicOriginal:
     h is not checked: ``left_divide`` decides whether g exists.  For such a
     pair, H(t) = t^r h(1/t) = 1 + y t + ... has constant term 1, so
     H^r = 1 + O(t^r) is a Frobenius image and H^(r-1) = H^(-1) mod t^r.
-    h^r has terms only at multiples of x^r, and g_i h^i for i <= r-2 has
-    degree at most r^2-2r, so for 1 <= j <= r-1 the coefficient f_(r^2-r-j)
-    is g_(r-1) [t^j] H^(r-1), and j = 1 gives f_(r^2-r-1) = -g_(r-1) y.
-    Hence, with G_j = -y f_(r^2-r-j) / f_(r^2-r-1),
+    h^r = x^(r^2) + y^r x^(r^2-r) + ... has terms only at multiples of x^r,
+    and g_i h^i for i <= r-2 has degree at most r^2-2r, so
+    f_(r^2-r) = y^r + g_(r-1) and, for 1 <= j <= r-1, the coefficient
+    f_(r^2-r-j) is g_(r-1) [t^j] H^(r-1).  Hence, with
+    g_(r-1) = f_(r^2-r) - y^r and G_j = f_(r^2-r-j) / g_(r-1),
 
         H = (1 + G_1 t + ... + G_(r-1) t^(r-1))^(-1) mod t^r,
 
     O(r^2) field operations, and h = x^r + H_1 x^(r-1) + ... + H_(r-1) x.
-    Both f_(r^2-r-1) and y must be nonzero, else ValueError.
+    g_(r-1) must be nonzero, else ValueError.
     """
     if f.spec != y.spec:
         raise MixedFields("x^(r-1) coefficient from a different field")
@@ -165,12 +166,11 @@ def right_component(f: MonicOriginal, y: FieldElem) -> MonicOriginal:
     r = spec.p ** (e // 2)
     enc = f.poly.encodings
     top = n - r
-    if not enc[top - 1]:
-        raise ValueError("f has x^(r^2-r-1) coefficient 0")
-    if not y.val:
-        raise ValueError("y must be nonzero")
+    g_top = spec.sub_i(enc[top], spec.pow_i(y.val, r))
+    if not g_top:
+        raise ValueError("g_(r-1) = f_(r^2-r) - y^r is 0")
     mul_i, add_i = spec.mul_i, spec.add_i
-    c = spec.neg_i(mul_i(y.val, spec.inv_i(enc[top - 1])))
+    c = spec.inv_i(g_top)
     big_g = [mul_i(c, enc[top - j]) for j in range(1, r)]
     big_h = [1]
     for k in range(1, r):

@@ -5,23 +5,25 @@ parameters (and the shift w) from a raw polynomial, returning None on any
 failure path; a mandatory final reconstruction test keeps them sound on
 arbitrary input.  The reconstruction builds the shifted member S^(w) or
 M^(w) directly at x + w and compares it with f as given, so no degree-r^2
-Taylor shift is made.  Before it, each candidate must match a few
+Taylor shift is made.  Before it, each S candidate must match two
 coefficients of f given in closed form, in O(log r) field operations:
-the x coefficient S'(w) or M'(w) and one coefficient near the top, which
-for M tells the two candidate values of a apart.  ``identify_multiply``
-works from right components: every M member f has x^(r^2-r-1)
-coefficient -g_(r-1) y != 0, where y = h_(r-1) is a root of P_f, and
-``decomp_core.right_component`` builds h from y alone, in O(r^2) field
-operations.  h' = -y (x+w)^(m*-1) (x+w-b)^(m-1) has degree r - 2, and
-the quadratic (x+w)(x+w-b) and m are read off it; no gcd touches f'.
-``classify`` combines them with the Frobenius test into the full
-trichotomy at degree p^2, and ``enumerate_decompositions`` lists every
-degree-p decomposition by dividing f only by the right components whose
-x^(p-1) coefficient is a root of P_f.  When f_(p^2-p-1) != 0, M members
-included, that is one per root and f is not classified; otherwise F and S
-members are answered from their construction, and the rest take q^(p-2)
-per root, at most BRUTE_FORCE_SPACE_LIMIT of them.  Every root these need
-comes from ``gf.projective_roots``.
+the x coefficient S'(w) and one coefficient near the top.
+
+Both ``identify_multiply`` and ``enumerate_decompositions`` rest on one
+rule.  For f = g(h) of degree r^2, y = h_(r-1) is a root of
+P_f(y) = y^(r+1) - f_(r^2-r) y - f_(r^2-r-1), and whenever
+g_(r-1) = f_(r^2-r) - y^r != 0, ``decomp_core.right_component`` builds h
+from y alone, in O(r^2) field operations.  Every M member has
+g_(r-1) y != 0; h' = -y (x+w)^(m*-1) (x+w-b)^(m-1) has degree r - 2, the
+quadratic (x+w)(x+w-b) and m are read off it, no gcd touches f', and y
+tells the candidate a from a*.  ``classify`` combines the two
+identifications with the Frobenius test into the full trichotomy at
+degree p^2.  ``enumerate_decompositions`` divides f by the right
+component at every root of P_f but the one with y^p = f_(p^2-p), which
+is a root only when f_(p^2-p-1) = 0.  Only then is f classified: F and S
+members are answered from their construction, and otherwise that root's
+q^(p-2) candidates are scanned, at most BRUTE_FORCE_SPACE_LIMIT of them.
+Every root these need comes from ``gf.projective_roots``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .constructions import (MultiplyParams, SimplyParams, _M_probe,
-                            _M_shifted, _S_probe, _S_shifted,
+from .constructions import (MultiplyParams, SimplyParams, _M_shifted,
+                            _S_probe, _S_shifted,
                             decompositions_S, frobenius_collision,
                             prime_power_exponent)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
@@ -201,11 +203,13 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
     quadratic that the rebuild rejects.
 
     From the quadratic's roots come b and w, and the two candidate values
-    of a are the roots of y^2 - b^r y - m^(-2) b^(r-1) lc(f'), with
-    lc(f') = -f_(r^2-r-1).  A candidate is rebuilt, at x + w, only when
-    f_1 and (odd p) f_D, D = r^2 - r - 2, match their closed forms
-    (``constructions._M_probe``); f_D holds for only one of a and
-    a* = b^r - a.  The rebuild is the only arbiter.
+    of a are the roots of z^2 - b^r z - m^(-2) b^(r-1) lc(f'), with
+    lc(f') = -f_(r^2-r-1).  A candidate is rebuilt, at x + w, only when y
+    is h_(r-1) of one of its two decompositions, -m a* b^(1-r) or
+    -m* a b^(1-r).  For odd p that holds for only one of a and
+    a* = b^r - a: holding for both would force a = a*, which is skipped,
+    or m = m* in F_p, so p | m.  For p = 2 both may be rebuilt.  The
+    rebuild is the only arbiter.
 
     Before any root, f must pass the test every member passes,
     deg f' = r^2 - r - 2, read off the coefficients: f_(r^2-r-1) != 0, and
@@ -234,16 +238,17 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
         m = min(k + 1, r - k - 1)
         if m < 2 or m % p == 0:
             continue  # m^(-2) undefined when p | m
-        match = _multiply_from_quadratic(f, r, quad, m, lcf)
+        match = _multiply_from_quadratic(f, r, quad, m, lcf, spec.elem(y))
         if match is not None:
             return match
     return None
 
 
 def _multiply_from_quadratic(f: MonicOriginal, r: int, quad: Poly, m: int,
-                             lcf: FieldElem) -> Optional[MultiplyMatch]:
+                             lcf: FieldElem,
+                             y: FieldElem) -> Optional[MultiplyMatch]:
     """The (a, b, m, w) that ``identify_multiply`` reads off the shifted
-    quadratic (x+w)(x+w-b), m and lc(f'), or None."""
+    quadratic (x+w)(x+w-b), m, lc(f') and the root y, or None."""
     spec = f.spec
     roots = solve_quadratic(quad.coefficient(2), quad.coefficient(1),
                             quad.coefficient(0))
@@ -255,14 +260,15 @@ def _multiply_from_quadratic(f: MonicOriginal, r: int, quad: Poly, m: int,
     minv = spec.scalar(m).inv()
     br = b ** r
     c0 = -(minv * minv) * b ** (r - 1) * lcf
+    # y = -m a* b^(1-r) or -m* a b^(1-r) = m a b^(1-r), so z is a* or -a
+    z = -y * minv * b ** (r - 1)
     # a double root b^r / 2 is the case a = a*
     enc = f.poly.encodings
     for a in map(spec.elem, projective_roots(spec, 1, (-br).val, c0.val)):
-        if a.val == 0 or a == br:
+        if a.val == 0 or a == br or z not in (br - a, -a):
             continue
         params = MultiplyParams(a, b, m, r)
-        if (all(enc[i] == v for i, v in _M_probe(params, w.val))
-                and tuple(_M_shifted(params, w.val)) == enc):
+        if tuple(_M_shifted(params, w.val)) == enc:
             return MultiplyMatch(a, b, m, w)
     return None
 
@@ -297,28 +303,31 @@ def brute_force_decompositions(f: MonicOriginal) -> Optional[list[Decomposition]
 
     f_(p^2-p) = y^p + g_(p-1) and f_(p^2-p-1) = -g_(p-1) y with y = h_(p-1),
     so y is a root of P_f(y) = y^(p+1) - f_(p^2-p) y - f_(p^2-p-1), found by
-    ``projective_roots``.  When f_(p^2-p-1) != 0, every pair has
-    g_(p-1) != 0 and y != 0, so h is the ``right_component`` of f at y and
-    f is divided once per root, completely.  Otherwise f is divided by the
-    q^(p-2) h per root, if at most BRUTE_FORCE_SPACE_LIMIT.
+    ``projective_roots``.  At a root with y^p != f_(p^2-p), every pair has
+    g_(p-1) != 0, so h is the ``right_component`` of f at y and f is divided
+    once.  The one y with y^p = f_(p^2-p) is a root exactly when
+    f_(p^2-p-1) = 0; there f is divided by the q^(p-2) h with h_(p-1) = y,
+    if at most BRUTE_FORCE_SPACE_LIMIT.
     """
     spec = f.spec
     p = spec.p
     if f.degree != p * p:
         raise DegreeMismatch(f"decomposition needs degree {p * p}")
-    coef = f.poly.coefficient_encoding
-    roots = projective_roots(spec, p, spec.neg_i(coef(p * p - p)),
-                             spec.neg_i(coef(p * p - p - 1)))
-    if coef(p * p - p - 1):
-        hs = (right_component(f, spec.elem(y)) for y in roots)
-    else:
-        block = spec.q ** (p - 2)
-        if len(roots) * block > BRUTE_FORCE_SPACE_LIMIT:
+    top = f.poly.coefficient_encoding(p * p - p)
+    block = spec.q ** (p - 2)
+    pairs = []
+    for y in projective_roots(spec, p, spec.neg_i(top), spec.neg_i(
+            f.poly.coefficient_encoding(p * p - p - 1))):
+        if spec.pow_i(y, p) != top:
+            hs = [right_component(f, spec.elem(y))]
+        elif block > BRUTE_FORCE_SPACE_LIMIT:
             return None
-        hs = (mo_index_to_poly(spec, idx, p)
-              for y in roots for idx in range(y * block, (y + 1) * block))
-    return [Decomposition(g, h) for h in hs
-            if (g := left_divide(f, h)) is not None]
+        else:
+            hs = (mo_index_to_poly(spec, idx, p)
+                  for idx in range(y * block, (y + 1) * block))
+        pairs += [Decomposition(g, h) for h in hs
+                  if (g := left_divide(f, h)) is not None]
+    return pairs
 
 
 def enumerate_decompositions(f: MonicOriginal) -> EnumeratedDecompositions:
@@ -329,8 +338,9 @@ def enumerate_decompositions(f: MonicOriginal) -> EnumeratedDecompositions:
     components.  Otherwise F and S members come from their construction
     (2 pairs for F, one per root t for S), and the rest from
     ``brute_force_decompositions`` too.  ``complete`` is False only when it
-    declines, beyond BRUTE_FORCE_SPACE_LIMIT candidates (never for p = 2,
-    nor when f_(p^2-p-1) != 0).
+    declines: the root y with y^p = f_(p^2-p) has more than
+    BRUTE_FORCE_SPACE_LIMIT candidates h (never for p = 2, nor when
+    f_(p^2-p-1) != 0).
     """
     p = f.spec.p
     if not f.poly.coefficient_encoding(p * p - p - 1):

@@ -13,6 +13,7 @@ the field's log, antilog and Zech tables.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import Iterator, Optional, Sequence, Union
 
 from .gf import (DivisionByZero, FieldElem, FieldSpec, MixedFields,
@@ -56,6 +57,9 @@ class Poly:
 
     def __init__(self, spec: FieldSpec, encodings: Sequence[int] = ()):
         enc = list(encodings)
+        if not all(map(isinstance, enc, repeat(int))):
+            bad = next(c for c in enc if not isinstance(c, int))
+            raise ValueError(f"encoding {bad!r} is not an integer")
         while enc and enc[-1] == 0:
             enc.pop()
         if enc and (min(enc) < 0 or max(enc) >= spec.q):

@@ -140,6 +140,17 @@ class TestDecompose:
             "count": 1, "complete": True,
             "pairs": [["x^5+2*x^4+7*x^3+3*x", "x^5+9*x^4+4*x^2+x"]]}
 
+    def test_zero_y_complete(self, capsys):
+        # (x^3+77x^2+1234x) o (x^3+4321x) over F_3^8 has x^5 coefficient 0;
+        # only the root y with y^3 = f_6 needs a search, of 3^8 candidates
+        code, out, _ = run(capsys, "--json", "decompose", "--field", "3^8",
+                           "--poly", "x^9+77*x^6+5732*x^4+1478*x^3+2364*x^2"
+                           "+637*x")
+        assert code == 0
+        assert json.loads(out) == {
+            "count": 1, "complete": True,
+            "pairs": [["x^3+77*x^2+1234*x", "x^3+4321*x"]]}
+
     def test_incomplete_exits_1(self, capsys):
         # x^25 over F_25: unclassified with x^19 coefficient 0, and its 25^3
         # candidate right components exceed the search limit, so "none"

@@ -9,9 +9,10 @@ from wildcomp import (DegreeMismatch, HEqualsXr, InvalidParams,
                       MonicOriginal, MultiplyParams, NoValidM, Poly,
                       SimplyParams, build_M, build_S,
                       decompositions_S, derivative, frobenius_collision,
-                      original_shift, root_set_T, second_degree)
+                      original_shift, root_set_T, second_degree,
+                      shift_decomposition)
 
-from wildcomp.constructions import _M_probe, _M_shifted, _S_probe, _S_shifted
+from wildcomp.constructions import _M_shifted, _S_probe, _S_shifted
 
 from conftest import F, MO, P
 
@@ -297,16 +298,6 @@ class TestShiftedFrame:
         for i, v in checks:
             assert f.coefficient_encoding(i) == v, i
 
-    @settings(max_examples=60, deadline=None)
-    @given(shifted_m())
-    def test_m_probe_holds(self, params_w):
-        params, w = params_w
-        f = original_shift(build_M(params)[0], params.spec.elem(w)).poly
-        checks = _M_probe(params, w)
-        assert [i for i, _ in checks] == [1, params.r ** 2 - params.r - 2]
-        for i, v in checks:
-            assert f.coefficient_encoding(i) == v, i
-
     def test_every_shift_over_f7(self):
         # exhaustive in w for a few members, the top check included
         spec = F(7)
@@ -322,16 +313,21 @@ class TestShiftedFrame:
             for w in spec:
                 g = original_shift(f, w).poly
                 assert Poly(spec, _M_shifted(params, w.val)) == g
-                assert all(g.coefficient_encoding(i) == v
-                           for i, v in _M_probe(params, w.val))
 
-    def test_m_probe_tells_a_from_a_star(self):
-        # at w in {0, b} the x coefficient is 0 for both candidates; the top
-        # coefficient differs whenever a != a*
+    def test_y_tells_a_from_a_star(self):
+        # h_(r-1) of the two pairs is -m a* b^(1-r) and -m* a b^(1-r) at
+        # every shift; the twin a* has two other values unless a = a*
         spec = F(7)
+
+        def ys(params):
+            b1r = params.b ** (1 - params.r)
+            return {-spec.scalar(params.m) * params.a_star * b1r,
+                    -spec.scalar(params.m_star) * params.a * b1r}
+
         for params in itertools.islice(all_multiply_params(spec, 7), 0, None, 11):
+            col = build_M(params)[1]
+            for w in spec:
+                assert {shift_decomposition(d, w).h.poly.coefficient(6)
+                        for d in col} == ys(params)
             twin = MultiplyParams(params.a_star, params.b, params.m, 7)
-            for w in (0, params.b.val):
-                mine, other = _M_probe(params, w), _M_probe(twin, w)
-                assert mine[0] == other[0] == (1, 0)
-                assert (mine[1] == other[1]) == (params.a == params.a_star)
+            assert ys(params).isdisjoint(ys(twin)) == (params.a != params.a_star)

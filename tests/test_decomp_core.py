@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -199,14 +200,25 @@ class TestRightComponent:
         f = Decomposition(g, h).compose()
         assert right_component(f, h.poly.coefficient(r - 1)) == h
 
-    def test_rejects_zero_coefficient_and_zero_y(self):
+    def test_rejects_zero_g_coefficient(self):
+        # g_(r-1) = f_(r^2-r) - y^r = 0, with y != 0 and with y = 0
         spec = F(5)
         with pytest.raises(ValueError):
             right_component(MO(spec, "x^25+x^20+x"), spec.one)
-        f = Decomposition(MO(spec, "x^5+x^4"), MO(spec, "x^5+x^4")).compose()
-        assert f.poly.coefficient(19).val != 0
         with pytest.raises(ValueError):
-            right_component(f, spec.zero)
+            right_component(MO(spec, "x^25+x^19+x"), spec.zero)
+
+    def test_zero_y_gives_h_back(self):
+        # h_2 = 0 and g_2 != 0 over F_3^9, so f_5 = -g_2 h_2 = 0
+        spec = F(3, 9)
+        rng = random.Random(43)
+        for _ in range(5):
+            g = MonicOriginal(Poly(spec, (0, rng.randrange(spec.q),
+                                          rng.randrange(1, spec.q), 1)))
+            h = MonicOriginal(Poly(spec, (0, rng.randrange(spec.q), 0, 1)))
+            f = Decomposition(g, h).compose()
+            assert f.poly.coefficient(5).val == 0
+            assert right_component(f, spec.zero) == h
 
     def test_degree_must_be_a_power_of_p_squared(self):
         with pytest.raises(DegreeMismatch):

@@ -384,6 +384,28 @@ class TestEnumerateDecompositions:
         assert res.collision.decomps == {shift_decomposition(d, w)
                                          for d in base}
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_zero_y_pairs_follow_the_shift(self, data):
+        """Planted g o h with h_(p-1) = 0 and g_(p-1) != 0: the answers for f
+        and f^(w) are complete and correspond through the shift."""
+        spec = data.draw(st.sampled_from([F(3, 2), F(3, 3), F(5)]))
+        p = spec.p
+        inner = st.lists(st.integers(0, spec.q - 1),
+                         min_size=p - 2, max_size=p - 2)
+        g = MonicOriginal(Poly(spec, (0, *data.draw(inner),
+                                      data.draw(st.integers(1, spec.q - 1)),
+                                      1)))
+        h = MonicOriginal(Poly(spec, (0, *data.draw(inner), 0, 1)))
+        w = data.draw(_elems(spec))
+        f = Decomposition(g, h).compose()
+        res, shifted = (enumerate_decompositions(f),
+                        enumerate_decompositions(original_shift(f, w)))
+        assert res.complete and shifted.complete
+        assert Decomposition(g, h) in res.collision.decomps
+        assert shifted.collision.decomps == {shift_decomposition(d, w)
+                                             for d in res.collision}
+
     def test_p2_complete_at_the_field_limit(self):
         spec = F(2, 16)
         g, h = MO(spec, "x^2+7*x"), MO(spec, "x^2+11*x")

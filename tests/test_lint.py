@@ -1,5 +1,6 @@
 """Static checks on the package source: no assert statements, the layering
-of the intra-package imports, and one prime-power helper."""
+of the intra-package imports, one prime-power helper, and no private
+function that only tests call."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,16 @@ def test_one_prime_power_helper():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef) and node.name == "_log_base"]
     assert defs == [Path("wildcomp/gf.py")]
+
+
+def test_private_functions_are_used_in_src():
+    # a private helper that no package code calls is dead code kept alive
+    # only by its tests
+    trees = [ast.parse(path.read_text()) for path in SRC.rglob("*.py")]
+    private = {node.name for t in trees for node in t.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for t in trees for node in ast.walk(t)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(private - used) == []

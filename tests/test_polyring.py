@@ -103,6 +103,15 @@ class TestEncodingRange:
         with pytest.raises(ValueError, match="out of range"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        # one compared equal to Poly(F_9, (1, 1)), the other printed x+2.5
+        lambda: Poly(F(3, 2), (1.0, 1)),
+        lambda: Poly(F(5), (2.5, 1)),
+    ])
+    def test_non_integer_raises(self, build):
+        with pytest.raises(ValueError, match="not an integer"):
+            build()
+
     @settings(max_examples=300)
     @given(raw_encodings())
     def test_raises_exactly_when_out_of_range(self, case):
