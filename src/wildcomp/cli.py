@@ -3,13 +3,10 @@
 Exit codes: 0 on success, 1 on usage errors and on requests beyond the
 exhaustive-search limits (a census above PAIR_LIMIT, a field above
 FIELD_LIMIT, a count too long to print, a construct degree r^2 above
-MAX_PARSE_EXPONENT, an unclassified f with x^(p^2-p-1) coefficient 0
-whose root y with y^p = f_(p^2-p) leaves more than
-BRUTE_FORCE_SPACE_LIMIT candidate right components), 2 on
-mathematically valid "no"/failure answers (no parameters recovered, no
-collision, census mismatch), so scripts can tell the two apart.  All
-numeric output is exact: integers in decimal, rationals as "num/den",
-field elements as their integer encodings.
+MAX_PARSE_EXPONENT), 2 on mathematically valid "no"/failure answers (no
+parameters recovered, no collision, census mismatch), so scripts can tell
+the two apart.  All numeric output is exact: integers in decimal,
+rationals as "num/den", field elements as their integer encodings.
 """
 
 from __future__ import annotations
@@ -26,9 +23,9 @@ from .constructions import (MultiplyParams, SimplyParams, build_M,
 from .counting import nu, spectrum
 from .decomp_core import Collision, MonicOriginal, original_shift
 from .gf import FieldSpec, parse_field
-from .identify import (BRUTE_FORCE_SPACE_LIMIT, CollisionTag, MultiplyMatch,
-                       SimplyMatch, classify, enumerate_decompositions,
-                       identify_multiply, identify_simply)
+from .identify import (CollisionTag, MultiplyMatch, SimplyMatch, classify,
+                       enumerate_decompositions, identify_multiply,
+                       identify_simply)
 from .polyring import MAX_PARSE_EXPONENT, format_poly, parse_poly
 
 USAGE_ERROR = 1
@@ -153,17 +150,9 @@ def _cmd_decompose(args) -> int:
     res = enumerate_decompositions(f)
     pairs = _pairs_json(res.collision)
     payload = {"count": len(pairs), "pairs": pairs, "complete": res.complete}
-    lines = [f"{len(pairs)} decomposition(s)"
-             + ("" if res.complete else " (search skipped)")]
+    lines = [f"{len(pairs)} decomposition(s)"]
     lines += [f"g={g} h={h}" for g, h in pairs]
     _emit(args, payload, lines)
-    if not res.complete:
-        print("error: decompositions not enumerated: f is unclassified, "
-              "its x^(p^2-p-1) coefficient is 0, and "
-              f"the search is limited to {BRUTE_FORCE_SPACE_LIMIT} right "
-              "components for the root y with y^p = f_(p^2-p)",
-              file=sys.stderr)
-        return USAGE_ERROR
     return 0 if pairs else FAILURE
 
 

@@ -8,6 +8,7 @@ every composition identity in this package is phrased over them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterator, Optional
 
 from .gf import FieldElem, FieldSpec, MixedFields, NotAPower, _log_base
@@ -137,47 +138,61 @@ def left_divide(f: MonicOriginal, h: MonicOriginal) -> Optional[MonicOriginal]:
 
 def right_component(f: MonicOriginal, y: FieldElem) -> MonicOriginal:
     """The only h of degree r with x^(r-1) coefficient y that can give
-    f = g(h) with g_(r-1) != 0; deg f = r^2, r a power of p.
-
-    h is not checked: ``left_divide`` decides whether g exists.  For such a
-    pair, H(t) = t^r h(1/t) = 1 + y t + ... has constant term 1, so
-    H^r = 1 + O(t^r) is a Frobenius image and H^(r-1) = H^(-1) mod t^r.
-    h^r = x^(r^2) + y^r x^(r^2-r) + ... has terms only at multiples of x^r,
-    and g_i h^i for i <= r-2 has degree at most r^2-2r, so
-    f_(r^2-r) = y^r + g_(r-1) and, for 1 <= j <= r-1, the coefficient
-    f_(r^2-r-j) is g_(r-1) [t^j] H^(r-1).  Hence, with
-    g_(r-1) = f_(r^2-r) - y^r and G_j = f_(r^2-r-j) / g_(r-1),
-
-        H = (1 + G_1 t + ... + G_(r-1) t^(r-1))^(-1) mod t^r,
-
-    O(r^2) field operations, and h = x^r + H_1 x^(r-1) + ... + H_(r-1) x.
-    g_(r-1) must be nonzero, else ValueError.
+    f = g(h) with g_(r-1) != 0, deg f = r^2 and r a power of p: the
+    ``right_component_at`` i = r-1, since h^r = x^(r^2) + y^r x^(r^2-r) + ...
+    has terms only at multiples of x^r and g_i h^i for i <= r-2 has degree
+    at most r^2-2r, so g_(r-1) = f_(r^2-r) - y^r.
     """
     if f.spec != y.spec:
         raise MixedFields("x^(r-1) coefficient from a different field")
-    spec = f.spec
-    n = f.degree
+    spec, r = f.spec, isqrt(f.degree)
+    return right_component_at(f, r - 1, spec.sub_i(
+        f.poly.encodings[r * r - r], spec.pow_i(y.val, r)))
+
+
+def right_component_at(f: MonicOriginal, i: int, g_i: int) -> MonicOriginal:
+    """The only h of degree r that can give f = g(h) when g_i, an encoding,
+    is g's top nonzero coefficient below x^r.  deg f = r^2 for a power r of
+    p, else DegreeMismatch; g_i != 0, and r = p unless i = r-1, else
+    ValueError.
+
+    h is not checked: ``left_divide`` decides whether g exists.  With
+    H(t) = t^r h(1/t) = 1 + h_(r-1) t + ..., h^r has terms only at
+    multiples of x^r and g_i' h^i' for i' < i has degree below ir - r, so
+    f_(ir-k) = g_i [t^k] H^i for 1 <= k < r.  H^r = 1 + O(t^r) is a
+    Frobenius image, so H = S^a mod t^r with a i = 1 mod r and
+    S = 1 + sum_k (f_(ir-k) / g_i) t^k.  J.C.P. Miller's recurrence
+    k H_k = sum_(j=1..k) ((a+1) j - k) S_j H_(k-j) gives H in O(r^2)
+    field operations, and h = x^r + H_1 x^(r-1) + ... + H_(r-1) x.  At
+    i = r-1, a = -1 and k cancels: H = S^(-1) mod t^r for every r.
+    """
+    spec, r = f.spec, isqrt(f.degree)
     try:
-        e = _log_base(n, spec.p)
+        _log_base(r if r * r == f.degree else 0, spec.p)
     except NotAPower:
-        e = 1
-    if e % 2:
-        raise DegreeMismatch(f"degree {n} is not r^2 for a power r of {spec.p}")
-    r = spec.p ** (e // 2)
-    enc = f.poly.encodings
-    top = n - r
-    g_top = spec.sub_i(enc[top], spec.pow_i(y.val, r))
-    if not g_top:
-        raise ValueError("g_(r-1) = f_(r^2-r) - y^r is 0")
-    mul_i, add_i = spec.mul_i, spec.add_i
-    c = spec.inv_i(g_top)
-    big_g = [mul_i(c, enc[top - j]) for j in range(1, r)]
+        raise DegreeMismatch(f"degree {f.degree} is not r^2 for a power "
+                             f"r of {spec.p}") from None
+    if not (g_i and 0 < i < r and (i == r - 1 or r == spec.p)):
+        raise ValueError(f"g_{i} = {g_i} at r = {r}: g_i must be nonzero, "
+                         "0 < i < r, and r = p unless i = r-1")
+    mul_i, add_i, enc = spec.mul_i, spec.add_i, f.poly.encodings
+    c = spec.inv_i(g_i)
+    big_g = [mul_i(c, enc[i * r - j]) for j in range(1, r)]
     big_h = [1]
-    for k in range(1, r):
-        acc = 0
-        for j in range(k):
-            acc = add_i(acc, mul_i(big_g[j], big_h[k - 1 - j]))
-        big_h.append(spec.neg_i(acc))
+    if i == r - 1:
+        for k in range(1, r):
+            acc = 0
+            for j in range(k):
+                acc = add_i(acc, mul_i(big_g[j], big_h[k - 1 - j]))
+            big_h.append(spec.neg_i(acc))
+    else:
+        a1 = pow(i, -1, r) + 1
+        for k in range(1, r):
+            acc = 0
+            for j in range(1, k + 1):
+                acc = add_i(acc, mul_i((a1 * j - k) % r,
+                                       mul_i(big_g[j - 1], big_h[k - j])))
+            big_h.append(mul_i(acc, spec.inv_i(k)))
     return MonicOriginal(Poly(spec, [0, *big_h[:0:-1], 1]))
 
 

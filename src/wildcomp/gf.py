@@ -251,6 +251,8 @@ class FieldSpec:
         return v
 
     def elem(self, v: int) -> "FieldElem":
+        if not isinstance(v, int):
+            raise ValueError(f"encoding {v!r} is not an integer")
         if not 0 <= v < self.q:
             raise ValueError(f"encoding {v} out of range for {self}")
         return FieldElem(self, v)

@@ -18,12 +18,11 @@ g_(r-1) y != 0; h' = -y (x+w)^(m*-1) (x+w-b)^(m-1) has degree r - 2, the
 quadratic (x+w)(x+w-b) and m are read off it, no gcd touches f', and y
 tells the candidate a from a*.  ``classify`` combines the two
 identifications with the Frobenius test into the full trichotomy at
-degree p^2.  ``enumerate_decompositions`` divides f by the right
-component at every root of P_f but the one with y^p = f_(p^2-p), which
-is a root only when f_(p^2-p-1) = 0.  Only then is f classified: F and S
-members are answered from their construction, and otherwise that root's
-q^(p-2) candidates are scanned, at most BRUTE_FORCE_SPACE_LIMIT of them.
-Every root these need comes from ``gf.projective_roots``.
+degree p^2.  ``enumerate_decompositions`` classifies nothing: at each
+root y of P_f it fixes g's top coefficient g_i below x^p, from y or from
+f's top exponent outside pZ, and divides f by each of the at most p + 1
+h that ``decomp_core.right_component_at`` builds from (i, g_i).  Every
+root these need comes from ``gf.projective_roots``.
 """
 
 from __future__ import annotations
@@ -33,18 +32,13 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .constructions import (MultiplyParams, SimplyParams, _M_shifted,
-                            _S_probe, _S_shifted,
-                            decompositions_S, frobenius_collision,
-                            prime_power_exponent)
+                            _S_probe, _S_shifted, prime_power_exponent)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
-                          MonicOriginal, left_divide, mo_index_to_poly,
-                          right_component, shift_decomposition)
+                          MonicOriginal, left_divide, right_component,
+                          right_component_at)
 from .gf import FieldElem, projective_roots, solve_quadratic
 from .polyring import (NEG_INFINITY, Poly, derivative, exact_div, gcd,
                        max_power_dividing, poly_pth_root, second_degree)
-
-# The fallback divides by at most this many candidate right components.
-BRUTE_FORCE_SPACE_LIMIT = 1 << 13
 
 
 class CollisionTag(str, Enum):
@@ -298,62 +292,62 @@ def classify(f: MonicOriginal) -> CollisionClass:
     return CollisionClass(CollisionTag.NONE)
 
 
-def brute_force_decompositions(f: MonicOriginal) -> Optional[list[Decomposition]]:
-    """All (g, h) with f = g(h) and deg h = p, or None beyond the search limit.
+def brute_force_decompositions(f: MonicOriginal) -> list[Decomposition]:
+    """All (g, h) with f = g(h) and deg h = p, each candidate h divided
+    once by ``left_divide``.
 
-    f_(p^2-p) = y^p + g_(p-1) and f_(p^2-p-1) = -g_(p-1) y with y = h_(p-1),
-    so y is a root of P_f(y) = y^(p+1) - f_(p^2-p) y - f_(p^2-p-1), found by
-    ``projective_roots``.  At a root with y^p != f_(p^2-p), every pair has
-    g_(p-1) != 0, so h is the ``right_component`` of f at y and f is divided
-    once.  The one y with y^p = f_(p^2-p) is a root exactly when
-    f_(p^2-p-1) = 0; there f is divided by the q^(p-2) h with h_(p-1) = y,
-    if at most BRUTE_FORCE_SPACE_LIMIT.
+    y = h_(p-1) is a root of P_f(y) = y^(p+1) - f_(p^2-p) y - f_(p^2-p-1),
+    as f_(p^2-p) = y^p + g_(p-1) and f_(p^2-p-1) = -g_(p-1) y.  At a root
+    with y^p != f_(p^2-p), h is the ``right_component`` at y; at the one
+    with y^p = f_(p^2-p), g_(p-1) = 0 and ``_components_below_top`` gives h.
     """
-    spec = f.spec
-    p = spec.p
+    spec, p = f.spec, f.spec.p
     if f.degree != p * p:
         raise DegreeMismatch(f"decomposition needs degree {p * p}")
     top = f.poly.coefficient_encoding(p * p - p)
-    block = spec.q ** (p - 2)
-    pairs = []
+    hs = set()
     for y in projective_roots(spec, p, spec.neg_i(top), spec.neg_i(
             f.poly.coefficient_encoding(p * p - p - 1))):
         if spec.pow_i(y, p) != top:
-            hs = [right_component(f, spec.elem(y))]
-        elif block > BRUTE_FORCE_SPACE_LIMIT:
-            return None
+            hs.add(right_component(f, spec.elem(y)))
         else:
-            hs = (mo_index_to_poly(spec, idx, p)
-                  for idx in range(y * block, (y + 1) * block))
-        pairs += [Decomposition(g, h) for h in hs
-                  if (g := left_divide(f, h)) is not None]
-    return pairs
+            hs.update(_components_below_top(f))
+    return [Decomposition(g, h) for h in hs
+            if (g := left_divide(f, h)) is not None]
+
+
+def _components_below_top(f: MonicOriginal) -> list[MonicOriginal]:
+    """The candidate h for the pairs f = g(h) with g_(p-1) = 0, deg f = p^2.
+
+    f in F[x^p] gives h = f^(1/p) (g = x^p) and h = x^p.  Otherwise let g_i
+    and h_j be the top nonzero coefficients below x^p; i < p-1.  h^p has
+    terms only at multiples of p, and g_i h^i first leaves pZ at
+    e = (i-1)p + j, the top exponent outside pZ with f_e != 0, so
+    f_e = i g_i h_j; f_(kp) = h_k^p for i < k < p, and f_(ip) = h_i^p + g_i.
+    With c = f_e / i, j < i gives g_i = f_(ip) (h_i = 0); j > i gives
+    g_i = c / h_j, h_j = f_(jp)^(1/p) (y if j = p-1); j = i gives c / h_i
+    per root h_i of y^(p+1) - f_(ip) y + c.  h is ``right_component_at``.
+    """
+    spec, p, enc = f.spec, f.spec.p, f.poly.encodings
+    e = next((k for k in range(p * p - 1, 0, -1) if k % p and enc[k]), 0)
+    if not e:
+        return [MonicOriginal(poly_pth_root(f.poly, 1)),
+                MonicOriginal(Poly.monomial(spec, p))]
+    i, j = e // p + 1, e % p
+    if i >= p - 1:
+        return []
+    c = spec.mul_i(enc[e], spec.inv_i(i))
+    if j < i:
+        g_is = [enc[i * p]]
+    else:
+        h_js = ([spec.pth_root_i(enc[j * p], 1)] if j > i else
+                projective_roots(spec, p, spec.neg_i(enc[i * p]), c))
+        g_is = [spec.mul_i(c, spec.inv_i(h_j)) for h_j in h_js if h_j]
+    return [right_component_at(f, i, g_i) for g_i in g_is if g_i]
 
 
 def enumerate_decompositions(f: MonicOriginal) -> EnumeratedDecompositions:
-    """The complete set of degree-p decompositions of f.
-
-    An f with f_(p^2-p-1) != 0, every M member among them, is not
-    classified: ``brute_force_decompositions`` reads its pairs off right
-    components.  Otherwise F and S members come from their construction
-    (2 pairs for F, one per root t for S), and the rest from
-    ``brute_force_decompositions`` too.  ``complete`` is False only when it
-    declines: the root y with y^p = f_(p^2-p) has more than
-    BRUTE_FORCE_SPACE_LIMIT candidates h (never for p = 2, nor when
-    f_(p^2-p-1) != 0).
-    """
-    p = f.spec.p
-    if not f.poly.coefficient_encoding(p * p - p - 1):
-        cls = classify(f)
-        if cls.tag is CollisionTag.FROBENIUS:
-            h = MonicOriginal(poly_pth_root(f.poly, 1))
-            return EnumeratedDecompositions(frobenius_collision(h, p), True)
-        if cls.tag is CollisionTag.SIMPLY:
-            sm = cls.simply
-            base = decompositions_S(SimplyParams(sm.u, sm.s, sm.eps, sm.m, p))
-            pairs = {shift_decomposition(d, sm.w) for d in base}
-            return EnumeratedDecompositions(Collision(f, frozenset(pairs)),
-                                            True)
-    pairs = brute_force_decompositions(f)
-    return EnumeratedDecompositions(Collision(f, frozenset(pairs or ())),
-                                    pairs is not None)
+    """The complete set of degree-p decompositions of f, read off the roots
+    of P_f by ``brute_force_decompositions``; ``complete`` is always True."""
+    pairs = frozenset(brute_force_decompositions(f))
+    return EnumeratedDecompositions(Collision(f, pairs), True)

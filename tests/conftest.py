@@ -28,6 +28,19 @@ def random_monic_original(rng: random.Random, spec, degree: int) -> MonicOrigina
     return MonicOriginal(Poly(spec, (0, *inner, 1)))
 
 
+def planted_with_tops(rng, spec, i: int, j: int) -> tuple:
+    """Random (g, h) whose top nonzero coefficients below x^p sit at x^i in
+    g and at x^j in h; 0 gives x^p."""
+    p = spec.p
+
+    def original(top):
+        inner = [rng.randrange(spec.q) for _ in range(top - 1)]
+        inner += [rng.randrange(1, spec.q)] if top else []
+        return MonicOriginal(Poly(spec, (0, *inner, *[0] * (p - 1 - top), 1)))
+
+    return original(i), original(j)
+
+
 def modexp_x_to_q(modulus: Poly, e: int) -> Poly:
     """x^e mod modulus by square and multiply."""
     if modulus.degree < 1:

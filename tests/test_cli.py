@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wildcomp import Decomposition, field_new, format_poly
 from wildcomp.census import PAIR_LIMIT
 from wildcomp.cli import main
+
+from conftest import planted_with_tops
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -151,15 +155,31 @@ class TestDecompose:
             "count": 1, "complete": True,
             "pairs": [["x^3+77*x^2+1234*x", "x^3+4321*x"]]}
 
-    def test_incomplete_exits_1(self, capsys):
-        # x^25 over F_25: unclassified with x^19 coefficient 0, and its 25^3
-        # candidate right components exceed the search limit, so "none"
-        # would not be valid
+    def test_x25_over_f25_complete(self, capsys):
+        # x^25 over F_25: P_f = y^6 has the one root 0, where g_4 = 0 and f
+        # is in F[x^5]; its one pair is x^5 o x^5
         code, out, err = run(capsys, "--json", "decompose", "--field", "5^2",
                              "--poly", "x^25")
-        assert code == 1
-        assert json.loads(out) == {"count": 0, "pairs": [], "complete": False}
-        assert "limited to 8192 right components" in err
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"count": 1, "pairs": [["x^5", "x^5"]],
+                                   "complete": True}
+
+    @pytest.mark.parametrize("zero", ["h", "g", "both"])
+    @pytest.mark.parametrize("p,d", [(3, 10), (2, 16), (5, 3), (7, 2),
+                                     (13, 2)])
+    def test_planted_zero_top_coefficients(self, capsys, p, d, zero):
+        # planted g o h with h_(p-1) = 0, g_(p-1) = 0 or both, at fields
+        # whose q^(p-2) candidates per root a scan could not afford
+        spec = field_new(p, d)
+        g, h = planted_with_tops(random.Random(p * d), spec,
+                                 p - 1 - (zero != "h"), p - 1 - (zero != "g"))
+        f = Decomposition(g, h).compose()
+        code, out, _ = run(capsys, "--json", "decompose", "--field",
+                           f"{p}^{d}", "--poly", format_poly(f.poly))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["complete"] is True
+        assert [format_poly(g.poly), format_poly(h.poly)] in payload["pairs"]
 
 
 class TestNu:

@@ -165,6 +165,16 @@ class TestArith:
         with pytest.raises(MixedFields):
             F(2).one + F(3).one
 
+    @pytest.mark.parametrize("build", [
+        # an unchecked 1.0 indexed the log table in the product
+        lambda: F(3, 2).elem(1.0) * F(3, 2).elem(2),
+        lambda: F(3, 2).scalar(2.5),
+        lambda: F(3, 2).from_coeffs([1.5, 0]),
+    ])
+    def test_non_integer_encoding_raises(self, build):
+        with pytest.raises(ValueError, match="not an integer"):
+            build()
+
     @given(same_field_pairs())
     def test_inverse_law(self, pair):
         a, b = pair

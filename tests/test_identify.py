@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from wildcomp import (CollisionTag, Decomposition, DegreeMismatch,
                       MultiplyParams, SimplyParams, brute_force_decompositions,
                       build_M, build_S, classify, decompositions_S,
-                      enumerate_decompositions, identify_multiply,
+                      enumerate_decompositions, frobenius_collision,
+                      identify_multiply,
                       identify_simply, original_shift, shift_decomposition)
 from wildcomp import identify
 from wildcomp.decomp_core import MonicOriginal
 from wildcomp.polyring import Poly, derivative
 
 from conftest import (CENSUS_FIELDS, F, MO, count_roots_in_field,
-                      full_scan_decompositions, key_of, random_monic_original,
-                      t_poly)
+                      full_scan_decompositions, key_of, planted_with_tops,
+                      random_monic_original, t_poly)
 
 
 def random_simply_params(rng, spec, r):
@@ -321,11 +322,14 @@ class TestEnumerateDecompositions:
         with pytest.raises(DegreeMismatch):
             brute_force_decompositions(MO(F(2), "x^8"))
 
-    def test_fallback_skipped_flag(self):
-        # y^6 has the one root 0, and 25^3 candidates exceed 2^13
+    def test_x25_over_f25_one_pair(self):
+        # y^6 has the one root 0, where g_4 = 0 and x^25 is in F[x^5]:
+        # h = (x^25)^(1/5) and h = x^5 coincide
+        x5 = MO(F(5, 2), "x^5")
         res = enumerate_decompositions(MO(F(5, 2), "x^25"))
-        assert not res.complete and res.collision.k == 0
-        assert brute_force_decompositions(MO(F(5, 2), "x^25")) is None
+        assert res.complete and res.collision.decomps == {Decomposition(x5, x5)}
+        assert brute_force_decompositions(MO(F(5, 2), "x^25")) == [
+            Decomposition(x5, x5)]
 
     def test_determined_branch_complete_at_large_q(self):
         # f_6 = -g_2 h_2 != 0: one right component per root of P_f, so the
@@ -344,12 +348,13 @@ class TestEnumerateDecompositions:
             assert res.complete and Decomposition(g, h) in res.collision.decomps
 
     def test_determined_f_needs_no_classify(self, monkeypatch):
-        """Every f with f_(p^2-p-1) != 0 is answered from right components,
-        M members included, without classifying f."""
-        def refuse(f):
-            raise AssertionError("classify called")
+        """Every f is answered from the roots of P_f, M, S and F members
+        included, without classifying or identifying f."""
+        def refuse(*args):
+            raise AssertionError("classification called")
 
-        monkeypatch.setattr(identify, "classify", refuse)
+        for name in ("classify", "identify_simply", "identify_multiply"):
+            monkeypatch.setattr(identify, name, refuse)
         rng = random.Random(41)
         for spec in (F(2, 2), F(2, 3), F(3), F(3, 2), F(5), F(7), F(5, 2)):
             p = spec.p
@@ -358,11 +363,13 @@ class TestEnumerateDecompositions:
                                 random_monic_original(rng, spec, p)).compose()
                   for _ in range(12)]
             fs += [random_monic_original(rng, spec, p * p) for _ in range(12)]
+            fs += [build_S(random_simply_params(rng, spec, p)) for _ in range(4)]
+            fs += [frobenius_collision(MonicOriginal(Poly(spec, (
+                0, rng.randrange(1, spec.q), *[0] * (p - 2), 1))), p).f
+                for _ in range(2)]
             if p >= 5:
                 fs += [build_M(random_multiply_params(rng, spec, p))[0]
                        for _ in range(4)]
-            fs = [f for f in fs if f.poly.coefficient_encoding(p * p - p - 1)]
-            assert len(fs) >= 8
             for f in fs:
                 res = enumerate_decompositions(f)
                 assert res.complete
@@ -412,6 +419,81 @@ class TestEnumerateDecompositions:
         f = Decomposition(g, h).compose()
         res = enumerate_decompositions(f)
         assert res.complete and Decomposition(g, h) in res.collision.decomps
+
+
+def rule_cases(p: int) -> dict:
+    """The (i, j) of planted g o h for each case of the rule at the root
+    with g_(p-1) = 0 (``identify._components_below_top``), and of the
+    right component (g_(p-1) != 0).  i and j index the top nonzero
+    coefficient below x^p of g and of h; 0 stands for x^p itself."""
+    low = range(1, p - 1)
+    return {
+        "y != 0": [(i, p - 1) for i in low],
+        "y = 0, j > i": [(i, j) for i in low for j in low if j > i],
+        "y = 0, j < i": [(i, j) for i in low for j in low if j < i],
+        "y = 0, j = i": [(i, i) for i in low],
+        "F[x^p], y != 0": [(0, p - 1)],
+        "F[x^p], y = 0": [(0, j) for j in range(p - 1)] + [(i, 0) for i in low],
+        "g_(p-1) != 0": [(p - 1, j) for j in range(p)],
+    }
+
+
+class TestEveryCaseOfTheRule:
+    """``enumerate_decompositions`` on planted g o h for every case of the
+    rule, against the full q^(p-1) scan; on the census; and at fields
+    where a scan of q^(p-2) candidates per root is out of reach."""
+
+    # F_7's scan takes about 3 s per f: it runs two of the y = 0 cases
+    @pytest.mark.parametrize("spec,cases,reps", [
+        *[(F(p, d), None, 3) for p, d in [(2, 1), (2, 2), (2, 3), (3, 1),
+                                           (3, 2), (3, 3), (5, 1)]],
+        (F(7), ("y = 0, j < i", "y = 0, j = i"), 1),
+    ])
+    def test_planted_against_full_scan(self, spec, cases, reps):
+        p = spec.p
+        rng = random.Random(spec.q)
+        hit = set()
+        for case, tops in rule_cases(p).items():
+            if not tops or (cases and case not in cases):
+                continue
+            for _ in range(reps):
+                g, h = planted_with_tops(rng, spec, *rng.choice(tops))
+                f = Decomposition(g, h).compose()
+                res = enumerate_decompositions(f)
+                assert res.complete and Decomposition(g, h) in res.collision
+                assert res.collision.decomps == full_scan_decompositions(f), \
+                    (case, str(g), str(h))
+            hit.add(case)
+        want = {c for c, tops in rule_cases(p).items() if tops}
+        assert hit == (want & set(cases) if cases else want)
+
+    @pytest.mark.parametrize("text", ["x^25+x^2", "x^25+x^11", "x^25+x^16",
+                                      "x^25+x^21"])
+    def test_root_without_candidates(self, text):
+        # at y = 0 with g_4 = 0 the rule finds h_2 = f_10^(1/5) = 0, g_3 =
+        # f_15 = 0, i = 4 and i = 5: no candidate, and no pair
+        f = MO(F(5), text)
+        res = enumerate_decompositions(f)
+        assert res.collision.decomps == full_scan_decompositions(f) == set()
+
+    def test_census_colliding_pairs(self, census_reports):
+        for report in census_reports.values():
+            for key in report.colliding_pairs:
+                res = enumerate_decompositions(report.poly_of_key(key))
+                assert res.collision.decomps == report.decompositions_of_key(key)
+
+    @pytest.mark.parametrize("p,d", [(3, 10), (2, 16), (5, 3), (7, 2),
+                                     (13, 2)])
+    def test_large_fields_complete(self, p, d):
+        spec = F(p, d)
+        rng = random.Random(p * d)
+        for tops in rule_cases(p).values():
+            for i, j in tops[:1] + tops[-1:]:
+                g, h = planted_with_tops(rng, spec, i, j)
+                f = Decomposition(g, h).compose()
+                res = enumerate_decompositions(f)
+                assert res.complete and Decomposition(g, h) in res.collision
+                assert all(d.compose() == f for d in res.collision)
 
 
 @st.composite

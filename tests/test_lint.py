@@ -1,6 +1,6 @@
 """Static checks on the package source: no assert statements, the layering
-of the intra-package imports, one prime-power helper, and no private
-function that only tests call."""
+of the intra-package imports, one prime-power helper, no private function
+that only tests call, and no classification in decomposition enumeration."""
 
 import ast
 from pathlib import Path
@@ -73,3 +73,27 @@ def test_private_functions_are_used_in_src():
             for t in trees for node in ast.walk(t)
             if isinstance(node, (ast.Name, ast.Attribute))}
     assert sorted(private - used) == []
+
+
+def test_enumeration_never_classifies():
+    # decompositions come from the roots of P_f alone: neither enumeration
+    # nor an identify helper it calls names a classification or construction
+    forbidden = {"classify", "identify_simply", "identify_multiply",
+                 "decompositions_S", "frobenius_collision"}
+    defs = {node.name: node for node in tree("identify").body
+            if isinstance(node, ast.FunctionDef)}
+    todo, seen, named = ["enumerate_decompositions",
+                         "brute_force_decompositions"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                ref = node.id if isinstance(node, ast.Name) else node.attr
+                named.add(ref)
+                if ref in defs:
+                    todo.append(ref)
+    assert "_components_below_top" in seen
+    assert sorted(named & forbidden) == []
