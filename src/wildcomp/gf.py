@@ -19,14 +19,16 @@ construction, for a fixed generator g of the multiplicative group
 A product is ``_exp[log a + log b]`` and a sum is
 ``_exp[log a + _zech[log b - log a]]`` (Huber, IEEE Trans. IT 1990).
 Since -1 is encoded as p - 1, negation adds ``_log[p - 1]``.  The
-extension-field kernels in :mod:`wildcomp.polyring` run on these tables
-directly.
+polynomial kernels in :mod:`wildcomp.polyring` run on these tables
+directly, for every field.
 
-The F_p[z] kernels on plain integers mod p live here: ``_mul_packed``
-(one packed big-integer product) and ``_divrem_prime`` (classical
-division).  They test moduli for irreducibility, find the generator and
-build the tables, and :mod:`wildcomp.polyring` imports them for every
-product and division over a prime field.
+Field construction works on plain integers mod p, with two F_p[z]
+kernels: ``_mul_packed``, one packed big-integer product, and ``_zp_mod``,
+the remainder modulo a monic polynomial.  They test moduli for
+irreducibility, find the generator and build the tables.
+:mod:`wildcomp.polyring` imports ``_mul_packed`` for its one prime-field
+fork, the product over F_p; every other polynomial kernel runs on the
+tables.
 
 ``projective_roots`` finds the roots of y^(r+1) + c1*y + c0, the only kind
 of polynomial whose roots the package needs (``sqrt`` included), from one
@@ -142,43 +144,17 @@ def _mul_packed(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _trim([c % p for c in slots])
 
 
-def _divrem_prime(p: int, a: Sequence[int],
-                  b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Division over F_p on plain integers; len(a) >= len(b).
-
-    A quotient q1*x + q0, as in most Euclid steps, comes off the top two
-    coefficients, and r_i = a_i - q1*b_(i-1) - q0*b_i in one pass.  A longer
-    one takes the classical loop (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, Sec. 2.4) on -b, which reduces only each next leading
-    coefficient, and the remainder once at the end.
-    """
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    n = len(a) - db
-    if n <= 2:
-        shifted = (0, *b)
-        q1 = a[-1] * inv % p if n == 2 else 0
-        q0 = (a[db] - q1 * shifted[db]) * inv % p
-        r = [(ai - q1 * bl - q0 * bi) % p
-             for ai, bl, bi in zip(a, shifted, b[:db])]
-        return [q0, q1][:n], _trim(r)
+def _zp_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
+    """Remainder of a modulo the monic polynomial m, by the classical loop
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, Sec. 2.4)."""
+    dm = len(m) - 1
     r = list(a)
-    qout = [0] * n
-    negb = [(j, p - bj) for j, bj in enumerate(b[:db]) if bj]
-    for i in range(len(a) - 1, db - 1, -1):
+    for i in range(len(r) - 1, dm - 1, -1):
         c = r[i] % p
         if c:
-            f = c * inv % p
-            off = i - db
-            qout[off] = f
-            for j, nbj in negb:
-                r[off + j] += f * nbj
-    return qout, _trim([c % p for c in r[:db]])
-
-
-def _zp_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """Remainder of a modulo the monic polynomial m."""
-    return _divrem_prime(p, a, m)[1] if len(a) >= len(m) else _trim(list(a))
+            for j in range(dm):
+                r[i - dm + j] -= c * m[j]
+    return _trim([c % p for c in r[:dm]])
 
 
 def _zp_is_irreducible(m: Sequence[int], p: int) -> bool:
@@ -506,8 +482,8 @@ def field_new(p: int, d: int = 1,
     """
     if not isinstance(p, int) or p < 2:
         raise NotPrime(f"{p} is not prime")
-    if d < 1:
-        raise ValueError("extension degree must be at least 1")
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError(f"extension degree {d!r} is not an integer >= 1")
     # p >= 2, so d alone bounds p^d before the power is formed
     if d >= FIELD_LIMIT.bit_length() or p ** d > FIELD_LIMIT:
         raise FieldTooLarge(f"F_{p}^{d} is larger than the field limit of "
@@ -515,7 +491,10 @@ def field_new(p: int, d: int = 1,
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if modulus is not None:
-        mod = tuple(int(c) % p for c in modulus)
+        mod = tuple(modulus)
+        if not all(isinstance(c, int) for c in mod):
+            raise ValueError(f"modulus {list(mod)} has a non-integer coefficient")
+        mod = tuple(c % p for c in mod)
         if len(mod) != d + 1 or mod[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {d}")
         if d == 1:
@@ -541,6 +520,8 @@ def frobenius(a: FieldElem, e: int) -> FieldElem:
 
 def pth_root(a: FieldElem, l: int) -> FieldElem:
     """The unique b with b^(p^l) = a; always defined over a finite field."""
+    if l < 0:
+        raise ValueError("root order must be non-negative")
     return a.spec.elem(a.spec.pth_root_i(a.val, l))
 
 
@@ -558,8 +539,12 @@ def projective_roots(spec: FieldSpec, r: int, c1: int, c0: int) -> list[int]:
     off the logs.  Otherwise y = mu*z with mu = -c0/c1 turns the equation
     into z^(r+1) - u*z + u = 0 with u = c0*mu^(-(r+1)), whose roots are the
     preimages of u under z -> z^(r+1)/(z-1) (Bluher, FFA 10, 2004), looked
-    up in the field's table for r.
+    up in the field's table for r.  c1 and c0 are encodings, checked as
+    ``FieldSpec.elem`` checks them.
     """
+    for c in (c1, c0):
+        if not isinstance(c, int) or not 0 <= c < spec.q:
+            raise ValueError(f"encoding {c!r} out of range for {spec}")
     p, n, log, exp = spec.p, spec.q - 1, spec._log, spec._exp
     try:
         ell = 0 if r == 1 else _log_base(r, p)

@@ -3,11 +3,10 @@
 Coefficients are stored as integer field encodings (see :mod:`wildcomp.gf`)
 with no trailing zeros; the zero polynomial is the empty tuple and its
 degree is the sentinel ``NEG_INFINITY``.  All operations are exact.
-Over a prime field (``spec.d == 1``) products, division, derivatives and
-scalar multiples work on plain integers mod p; the product and division
-kernels, ``_mul_packed`` and ``_divrem_prime``, live in :mod:`wildcomp.gf`
-with the other F_p[z] helpers.  Over an extension field the kernels run on
-the field's log, antilog and Zech tables.
+Every kernel runs on the field's log, antilog and Zech tables, the same
+for every field, except the product over a prime field (``spec.d == 1``):
+``_mul_raw`` takes it as one packed big-integer product, ``_mul_packed`` in
+:mod:`wildcomp.gf`.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from itertools import repeat
 from typing import Iterator, Optional, Sequence, Union
 
 from .gf import (DivisionByZero, FieldElem, FieldSpec, MixedFields,
-                 _divrem_prime, _mul_packed, _trim)
+                 _mul_packed, _trim)
 
 NEG_INFINITY = float("-inf")
 
@@ -229,9 +228,6 @@ def _scale_raw(spec: FieldSpec, a: Sequence[int], cv: int) -> list[int]:
         return []
     if cv == 1:
         return list(a)
-    if spec.d == 1:
-        p = spec.p
-        return [c * cv % p for c in a]
     mul = spec.mul_i
     return [mul(c, cv) if c else 0 for c in a]
 
@@ -304,21 +300,18 @@ def _mul_karatsuba(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[
 def _divrem_raw(spec: FieldSpec, a: Sequence[int],
                 b: Sequence[int]) -> tuple[list[int], list[int]]:
     """Quotient (len(a) - deg b terms) and trimmed remainder of a by b;
-    zeros above b's leading term are dropped."""
+    zeros above b's leading term are dropped.
+
+    Classical division (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, Sec. 2.4) on the field's log, antilog and Zech tables, the
+    same for every field.
+    """
     if b and not b[-1]:
         b = _trim(list(b))
     if not b:
         raise DivisionByZero("polynomial division by zero")
     if len(a) < len(b):
         return [], _trim(list(a))
-    if spec.d == 1:
-        return _divrem_prime(spec.p, a, b)
-    return _divrem_zech(spec, a, b)
-
-
-def _divrem_zech(spec: FieldSpec, a: Sequence[int],
-                 b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Classical division on log/Zech tables; b trimmed, len(a) >= len(b)."""
     db = len(b) - 1
     r = list(a)
     qout = [0] * (len(a) - db)
@@ -389,17 +382,10 @@ def gcd(a: Poly, b: Poly) -> Poly:
 
 
 def derivative(f: Poly) -> Poly:
+    # the integer i is encoded as i mod p, its residue in the prime subfield
     spec = f.spec
-    p = spec.p
-    if spec.d == 1:
-        return Poly(spec, [c * i % p for i, c in enumerate(f._c[1:], 1)])
-    mul_i = spec.mul_i
-    out = []
-    for i in range(1, len(f._c)):
-        s = i % p
-        c = f._c[i]
-        out.append(mul_i(c, s) if (s and c) else 0)
-    return Poly(spec, out)
+    mul_i, p = spec.mul_i, spec.p
+    return Poly(spec, [mul_i(c, i % p) for i, c in enumerate(f._c[1:], 1)])
 
 
 def evaluate(f: Poly, a: FieldElem) -> FieldElem:

@@ -123,8 +123,8 @@ class TestDecompose:
         assert code == 2
 
     def test_unclassified_found_by_search(self, capsys):
-        # (x^2+7x)(x^2+11x) over F_256 is unclassified; for p = 2 the
-        # search divides by at most 3 right components
+        # (x^2+7x)(x^2+11x) over F_256 is unclassified; for p = 2 each of
+        # the at most 3 roots of P_f gives at most one right component
         code, out, _ = run(capsys, "decompose", "--field", "2^8",
                            "--poly", "x^4+66*x^2+49*x")
         assert code == 0
@@ -145,8 +145,9 @@ class TestDecompose:
             "pairs": [["x^5+2*x^4+7*x^3+3*x", "x^5+9*x^4+4*x^2+x"]]}
 
     def test_zero_y_complete(self, capsys):
-        # (x^3+77x^2+1234x) o (x^3+4321x) over F_3^8 has x^5 coefficient 0;
-        # only the root y with y^3 = f_6 needs a search, of 3^8 candidates
+        # (x^3+77x^2+1234x) o (x^3+4321x) over F_3^8 has x^5 coefficient 0,
+        # so P_f = y(y^3 - f_6); the pair is the right component at y = 0,
+        # and the root with y^3 = f_6 gives no candidate (i = p - 1)
         code, out, _ = run(capsys, "--json", "decompose", "--field", "3^8",
                            "--poly", "x^9+77*x^6+5732*x^4+1478*x^3+2364*x^2"
                            "+637*x")

@@ -56,6 +56,14 @@ class TestFieldNew:
     def test_cached(self):
         assert field_new(3, 2) is field_new(3, 2)
 
+    @pytest.mark.parametrize("p,d,modulus", [(3, 2.0, None), (5, True, None),
+                                             (3, 2, [1.5, 0, 1]),
+                                             (3, 2, [2.9, 0, 1])])
+    def test_non_integer_arguments(self, p, d, modulus):
+        # neither truncated into another field nor failing inside the build
+        with pytest.raises(ValueError):
+            field_new(p, d, modulus)
+
     def test_largest_fields_build(self):
         assert field_new(2, 16).q == FIELD_LIMIT
         assert field_new(65521).q == 65521
@@ -224,6 +232,10 @@ class TestPthRoot:
             for l in (1, 2, 3):
                 assert pth_root(a, l) ** (spec.p ** l) == a
 
+    def test_negative_order(self):
+        with pytest.raises(ValueError):
+            pth_root(F(3, 2).gen, -1)
+
 
 class TestSolveQuadratic:
     def test_split_over_f5(self):
@@ -310,6 +322,15 @@ class TestProjectiveRoots:
     def test_r_not_a_power_of_p(self, r):
         with pytest.raises(ValueError):
             projective_roots(F(2, 2), r, 1, 1)
+
+    @pytest.mark.parametrize("spec,r,c1,c0", [(F(5), 5, 7, 1), (F(3, 2), 1, 9, 1),
+                                              (F(3, 2), 3, -3, 1),
+                                              (F(5), 1, 2, 1.0)], ids=str)
+    def test_encoding_out_of_range(self, spec, r, c1, c0):
+        # neither an IndexError from the tables nor a root read off a
+        # wrapped-around log
+        with pytest.raises(ValueError, match="out of range"):
+            projective_roots(spec, r, c1, c0)
 
 
 class TestSqrt:

@@ -1,6 +1,7 @@
 """Static checks on the package source: no assert statements, the layering
-of the intra-package imports, one prime-power helper, no private function
-that only tests call, and no classification in decomposition enumeration."""
+of the intra-package imports, one prime-power helper, one field-selected
+fork in polyring, no private function that only tests call, and no
+classification in decomposition enumeration."""
 
 import ast
 from pathlib import Path
@@ -60,6 +61,23 @@ def test_one_prime_power_helper():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef) and node.name == "_log_base"]
     assert defs == [Path("wildcomp/gf.py")]
+
+
+def test_one_field_selected_fork_in_polyring():
+    # division, derivatives and scalar multiples share one kernel for every
+    # field; only the product takes the packed path over a prime field
+    forks = [fn.name for fn in ast.walk(tree("polyring"))
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Compare)
+             for side in [node.left, *node.comparators]
+             if isinstance(side, ast.Attribute) and side.attr == "d"
+             and isinstance(side.value, ast.Name) and side.value.id == "spec"]
+    assert forks == ["_mul_raw"]
+    prime_kernels = [(module, node.name) for module in MODULES
+                     for node in ast.walk(tree(module))
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name in {"_divrem_prime", "_divrem_zech"}]
+    assert prime_kernels == []
 
 
 def test_private_functions_are_used_in_src():

@@ -9,9 +9,10 @@ from wildcomp import (ConstantBase, DivisionByZero, NEG_INFINITY, NotMonic,
                       evaluate, exact_div, format_poly, gcd, is_squarefree,
                       max_power_dividing, parse_poly, poly_pth_root,
                       second_degree, taylor_expansion)
+from wildcomp.gf import _zp_mod
 from wildcomp.polyring import (KARATSUBA_THRESHOLD, MAX_PARSE_EXPONENT,
-                               _divrem_prime, _divrem_raw, _divrem_zech,
-                               _mul_packed, _mul_raw, _mul_school, _scale_raw)
+                               _divrem_raw, _mul_packed, _mul_raw, _mul_school,
+                               _scale_raw)
 
 from conftest import F, P, count_roots_in_field, modexp_x_to_q
 
@@ -273,17 +274,16 @@ def prime_divisions(draw):
 
 
 class TestPrimeDivision:
-    """The plain-integer kernel over F_p against the log/Zech kernel and a
+    """The log/Zech division kernel over F_p, from F_2 to F_65521, against a
     long-division loop on field operations."""
 
     @settings(max_examples=300)
     @given(prime_divisions())
-    def test_against_zech_and_long_division(self, pab):
+    def test_against_long_division(self, pab):
         p, a, b = pab
         spec = F(p)
-        q, r = _divrem_prime(p, a, b)
-        assert (q, r) == _divrem_zech(spec, a, b) == naive_divrem(spec, a, b)
-        assert _divrem_raw(spec, a, b) == (q, r)
+        q, r = _divrem_raw(spec, a, b)
+        assert (q, r) == naive_divrem(spec, a, b)
         assert len(q) == len(a) - len(b) + 1
         assert len(r) < len(b) and (not r or r[-1])
         # a = q*b + r
@@ -295,14 +295,22 @@ class TestPrimeDivision:
 
     @pytest.mark.parametrize("p", [13, 65521])
     def test_quotient_lengths(self, p):
-        # lengths 1 and 2 take the fused pass, 3 and more the loop
         spec = F(p)
         rng = random.Random(p)
         for db in [0, 1, 7, 60]:
             b = [rng.randrange(p) for _ in range(db)] + [rng.randrange(1, p)]
             for qlen in [1, 2, 3, 40]:
                 a = [rng.randrange(p) for _ in range(db + qlen - 1)] + [1]
-                assert _divrem_prime(p, a, b) == naive_divrem(spec, a, b)
+                assert _divrem_raw(spec, a, b) == naive_divrem(spec, a, b)
+
+    @settings(max_examples=200)
+    @given(prime_divisions())
+    def test_remainder_modulo_monic(self, pab):
+        # gf's plain-integer remainder, which builds the field tables
+        p, a, b = pab
+        m = b[:-1] + [1]
+        assert _zp_mod(a, m, p) == naive_divrem(F(p), a, m)[1]
+        assert _zp_mod(a[:len(m) - 1], m, p) == list(_trimmed(a[:len(m) - 1]))
 
 
 class TestExactDiv:
