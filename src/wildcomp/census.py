@@ -82,13 +82,18 @@ and C(6, 3) = 20 = 2 mod 3 adds 2 s w^3, so f_3 moves by u w - s w^3,
 an additive map of w whose kernel can have 3 elements.  p = 3 keeps
 its t = 0 slice whole.
 
-(3) Shard 0, t = 0: one classification per scaling orbit.  The scaling
-keeps s = 0 and t = 0 and maps each of this shard's t = 0 parts (below)
-onto itself, so a part's colliding f fall into scaling orbits whose
-members share k and class.  ``run_census`` classifies one f per orbit,
-builds its scaled keys and gives its class to the rest.  A scaled key
-that is not a colliding key of the part with the same k is a ``scaling``
-mismatch, so the invariance is checked on every orbit.
+(3) Shard 0, t = 0: scaling cosets.  Here y = 0 and g_{p-1} = 0, so
+c = f_{p^2-2p} = h_{p-2}^p + g_{p-2}, as g_i h^i has lower degree for
+i < p-2.  The scaling by a maps h_i to a^(i-p) h_i and g_i to
+a^(p(i-p)) g_i, so it maps each of this shard's t = 0 parts (below)
+onto itself, keeping k and the class, and sends a part's fibre c onto
+its fibre a^(-2p) c.  So a part is enumerated as its fibre c = 0 at its
+weight and, for each coset of the (2p)-th powers in F_q*, its fibre at
+the coset's smallest c at the coset's size, (q-1)/gcd(2p, q-1), times
+that weight; there are gcd(2p, q-1) = 2 cosets, as p does not divide
+q - 1.  As in (1), the bijection is between fibres, so no Burnside count
+is needed.  Per h, g_{p-2} = c - h_{p-2}^p, taken where the slice allows
+it: where it has g_{p-2} = 0, h_{p-2}^p = c selects h.
 
 Two more shift sections hold for odd p in the t = 0 slices where
 g_{p-1} = 0.  Write v = f_{p^2-2p-1} and w2 = f_{p^2-2p-2}.  With
@@ -129,26 +134,27 @@ w2 != 0, that is g_{p-2} != 0 and h_{p-2} != 0, the shift acts freely
 and each orbit holds exactly one f with f_{p^2-2p-3} = 0, all of whose
 pairs have h_{p-3} = 0.  The pairs with h_{p-2} = 0 or g_{p-2} = 0 have
 w2 = 0 and stay at weight 1.  The scaling multiplies w2 and
-f_{p^2-2p-3} by powers of a, so it maps both parts onto themselves and
-rule (3) covers both.  For p = 3 these f are additive, x^9 + A x^3 + B x,
-and the shift fixes each of them.
+f_{p^2-2p-3} by powers of a, and the shift keeps c, as C(p^2, 2p) = 0
+mod p and s = 0, so rule (3) cuts both parts.  For p = 3 these f are
+additive, x^9 + A x^3 + B x, and the shift fixes each of them.
 
 Each shard s is therefore enumerated in key-disjoint parts through the
-same loop.  A part is a list of slices, each a set of h with g_{p-2}
-free, 0 or nonzero, and each part's weight is multiplied by its
-shard's.  Shard 0 has a t = 0 part, y = 0, at weight 1; for p >= 5 it
-takes every g where h_{p-2} = 0 and g_{p-2} = 0 elsewhere, and the
-y = 0, h_{p-2} != 0, h_{p-3} = 0, g_{p-2} != 0 pairs are a part of
-weight q.  Its t != 0 part, y^(p+1) = 1 and h_{p-2} = y^2, has weight
-q (q-1)/e.  Shard 1's t = 0 part at weight 1 takes y = 0 with every g
-(for p >= 5 only where h_{p-2} = 0) and y^p = 1 with g_{p-2} = 0; for
-p >= 5 the y = 0, h_{p-2} != 0, h_{p-3} = 0 pairs are a part of weight
-q, and for every odd p so are the y^p = 1, h_{p-2} = (3/2) y^2,
-g_{p-2} != 0 pairs.  Shard 1's t != 0 part takes every other y with
-h_{p-2} = y^2 at weight q.  So shard 0 enumerates e q^(2p-5) pairs plus
-q^(2p-4) for p = 3 and q^(2p-5) + (q-1) q^(2p-6) + (q-1)^2 q^(2p-7) for
-p >= 5, and shard 1 (q-2) q^(2p-5) + q^(2p-5) + (q-1) q^(2p-6) plus q^2
-for p = 3 and (q^(p-3) + (q-1) q^(p-4)) q^(p-2) for p >= 5.  For p = 2,
+same loop.  A part is a list of slices, each a set of h with a range of
+allowed g_{p-2}, and each part's weight is multiplied by its shard's.
+Shard 0's t = 0 pairs, y = 0, are at weight 1; for p >= 5 they take
+every g where h_{p-2} = 0 and g_{p-2} = 0 elsewhere, and the y = 0,
+h_{p-2} != 0, h_{p-3} = 0, g_{p-2} != 0 pairs are at weight q.  Rule (3)
+cuts each of these into a c = 0 part and a coset part.  Shard 0's t != 0
+part, y^(p+1) = 1 and h_{p-2} = y^2, has weight q (q-1)/e.  Shard 1's
+t = 0 part at weight 1 takes y = 0 with every g (for p >= 5 only where
+h_{p-2} = 0) and y^p = 1 with g_{p-2} = 0; for p >= 5 the y = 0,
+h_{p-2} != 0, h_{p-3} = 0 pairs are a part of weight q, and for every
+odd p so are the y^p = 1, h_{p-2} = (3/2) y^2, g_{p-2} != 0 pairs.
+Shard 1's t != 0 part takes every other y with h_{p-2} = y^2 at weight
+q.  So, with G = gcd(2p, q-1) = 2, shard 0 enumerates e q^(2p-5) pairs
+plus (1 + G) q for p = 3 and (1 + 2G) q^(2p-6) + (q-1 + G (q-2)) q^(2p-7)
+for p >= 5, and shard 1 (q-2) q^(2p-5) + q^(2p-5) + (q-1) q^(2p-6) plus
+q^2 for p = 3 and (q^(p-3) + (q-1) q^(p-4)) q^(p-2) for p >= 5.  For p = 2,
 where p^2 - p - 2 = 0, there is no such normalization, and each shard
 is enumerated whole.
 """
@@ -161,8 +167,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
-from typing import Any, Callable, NamedTuple, Optional
+from itertools import groupby, islice
+from typing import Any, NamedTuple, Optional
 
 from . import counting
 from .counting import Spectrum
@@ -186,26 +192,24 @@ class Part(NamedTuple):
     """An enumerated part of shard s, and how many f each of its f stands for.
 
     ``t_nonzero`` tells the t = 0 parts from the t != 0 part for odd p; it
-    is None for p = 2, whose shards are enumerated whole.  ``fixed`` is the
-    j of the coefficient f_j that the original shift sets to 0 where the
-    part holds one f per shift orbit: p^2-p-2 in the t != 0 parts,
-    p^2-p-3, p^2-2p-2 and p^2-2p-3 in the t = 0 parts of rules (2), (4)
-    and (5) (module docstring).  It is None in the parts that hold every f
-    of their keys.
+    is None for p = 2, whose shards are enumerated whole.  ``c_nonzero``
+    tells, in shard 0's t = 0 parts, the fibre c = f_{p^2-2p} = 0 from the
+    coset fibres of rule (3) (module docstring); it is None elsewhere.
+    ``fixed`` is the j of the coefficient f_j that the original shift sets
+    to 0 where the part holds one f per shift orbit: p^2-p-2 in the t != 0
+    parts, p^2-p-3, p^2-2p-2 and p^2-2p-3 in the t = 0 parts of rules (2),
+    (4) and (5).  It is None in the parts that hold every f of their keys.
     """
 
     s: int
     t_nonzero: Optional[bool]
     weight: int
     fixed: Optional[int] = None
+    c_nonzero: Optional[bool] = None
 
     def to_json(self) -> dict:
-        out: dict = {"s": self.s}
-        if self.t_nonzero is not None:
-            out["t_nonzero"] = self.t_nonzero
-        if self.fixed is not None:
-            out["fixed"] = self.fixed
-        out["weight"] = self.weight
+        out = {k: v for k, v in self._asdict().items() if v is not None}
+        out["weight"] = out.pop("weight")
         return out
 
 
@@ -214,16 +218,19 @@ def enumerated_pairs(p: int, q: int) -> int:
     if p == 2:
         return 2 * q ** (2 * p - 3)
     e = math.gcd(p + 1, q - 1)
+    cosets = math.gcd(2 * p, q - 1)
     t_nonzero = (e + q - 2) * q ** (2 * p - 5)
     # shard 1's y^p = 1 slice: g_{p-2} = 0, then g_{p-2} != 0 and one h_{p-2}
     root = q ** (2 * p - 5) + (q - 1) * q ** (2 * p - 6)
     if p == 3:
-        # the y = 0 slices of both shards, whole
-        return 2 * q ** 2 + t_nonzero + root
-    # shard 0's t = 0 part and its h_{p-2}, g_{p-2} != 0, h_{p-3} = 0 part;
-    # shard 1's y = 0 slice, h_{p-2} = 0 or h_{p-3} = 0
-    zero = (q ** (2 * p - 5) + (q - 1) * q ** (2 * p - 6)
-            + (q - 1) ** 2 * q ** (2 * p - 7))
+        # shard 0's y = 0 slice, q pairs, one per h_1, in each kept fibre c;
+        # shard 1's y = 0 slice, whole
+        return (1 + cosets) * q + q ** 2 + t_nonzero + root
+    # shard 0's t = 0 parts per kept fibre c: h_{p-2} = 0, h_{p-2}^p = c, and
+    # h_{p-2}^p != 0, c with h_{p-3} = 0; shard 1's y = 0 slice, h_{p-2} = 0
+    # or h_{p-3} = 0
+    zero = ((1 + 2 * cosets) * q ** (2 * p - 6)
+            + (q - 1 + cosets * (q - 2)) * q ** (2 * p - 7))
     y_zero = (q ** (p - 3) + (q - 1) * q ** (p - 4)) * q ** (p - 2)
     return zero + y_zero + t_nonzero + root
 
@@ -316,7 +323,7 @@ def _digit_table(spec: FieldSpec) -> list[int]:
 
 
 def _parts(spec: FieldSpec
-           ) -> list[tuple[Part, list[tuple[Sequence[int], Optional[bool]]]]]:
+           ) -> list[tuple[Part, list[tuple[Sequence[int], Optional[range]]]]]:
     """The census's enumerated parts, shard 0's first, each with its slices.
 
     Shards 0 and 1 have weights 1 and q - 1.  For odd p each splits into
@@ -331,37 +338,29 @@ def _parts(spec: FieldSpec
 
 
 def _part_hs(spec: FieldSpec, s: int
-             ) -> list[tuple[Part, list[tuple[Sequence[int], Optional[bool]]]]]:
+             ) -> list[tuple[Part, list[tuple[Sequence[int], Optional[range]]]]]:
     """Shard s's parts, s in {0, 1}, with their weights within the shard
-    and their slices (module docstring).
+    and their slices, as the module docstring's last paragraph lists them.
 
-    A slice ``(hs, g_nonzero)`` takes the pairs whose h index is in
-    ``hs``, in increasing order, and whose g_{p-2} is free (None), 0
-    (False) or nonzero (True); a part's slices come in increasing h order.
-
-    Shard 0: y = h_{p-1} = 0 at weight 1 (t = 0), for p >= 5 with
-    g_{p-2} = 0 where h_{p-2} != 0, and the rest of those pairs with
-    h_{p-3} = 0 as a part of weight q; and the y with y^(p+1) = 1 and
-    h_{p-2} = y^2 at weight q (q-1)/e (t != 0).
-    Shard 1: y = 0, and y^p = 1 with g_{p-2} = 0, at weight 1 (t = 0),
-    for p >= 5 less y = 0 with h_{p-2} != 0, whose h_{p-3} = 0 slice is a
-    part of weight q; y^p = 1 with h_{p-2} = (3/2) y^2 and g_{p-2} != 0 at
-    weight q; and every other y with h_{p-2} = y^2 at weight q (t != 0).
+    A slice ``(hs, gs)`` takes the pairs whose h index is in ``hs``, in
+    increasing order, and whose g_{p-2} is in the range ``gs``; a part's
+    slices come in nondecreasing h order.
     """
     p, q = spec.p, spec.q
     n = p * p
     low = q ** (p - 3)  # indices of h_1..h_{p-3}
     span = q * low      # indices of h_1..h_{p-2}
+    any_g, zero_g, nonzero_g = range(q), range(1), range(1, q)
     # y = 0, h_{p-3} = 0 and h_{p-2} = c != 0, for p >= 5
     sub = [c * low + i for c in range(1, q) for i in range(low // q)]
     if s == 0:
         ys = [y for y in range(1, q) if spec.pow_i(y, p + 1) == 1]
         if p == 3:
-            zero = [(Part(0, False, 1), [(range(span), None)])]
+            zero = [(Part(0, False, 1), [(range(span), any_g)])]
         else:
-            zero = [(Part(0, False, 1),
-                     [(range(low), None), (range(low, span), False)]),
-                    (Part(0, False, q, n - 2 * p - 3), [(sub, True)])]
+            zero = [(Part(0, False, 1), [(range(low), any_g), (range(low, span), zero_g)]),
+                    (Part(0, False, q, n - 2 * p - 3), [(sub, nonzero_g)])]
+        zero = [cut for part, slices in zero for cut in _coset_fibres(spec, part, slices)]
         weight = q * (q - 1) // len(ys)
     else:
         root = spec.pow_i(s, q // p)  # y^p = s, by the inverse Frobenius
@@ -370,50 +369,47 @@ def _part_hs(spec: FieldSpec, s: int
         # h_{p-2} = (3/2) y^2 at y = root; 3/2 mod p is an F_p encoding
         first = top[0] + spec.mul_i(3 * (p + 1) // 2 % p, spec.mul_i(root, root)) * low
         section = (Part(s, False, q, n - 2 * p - 2),
-                   [(range(first, first + low), True)])
+                   [(range(first, first + low), nonzero_g)])
         if p == 3:
-            zero = [(Part(s, False, 1), [(range(span), None), (top, False)]), section]
+            zero = [(Part(s, False, 1), [(range(span), any_g), (top, zero_g)]), section]
         else:
-            zero = [(Part(s, False, 1), [(range(low), None), (top, False)]),
-                    (Part(s, False, q, n - p - 3), [(sub, None)]), section]
+            zero = [(Part(s, False, 1), [(range(low), any_g), (top, zero_g)]),
+                    (Part(s, False, q, n - p - 3), [(sub, any_g)]), section]
         weight = q
     nonzero = [y * span + spec.mul_i(y, y) * low + i for y in ys for i in range(low)]
-    return zero + [(Part(s, True, weight, n - p - 2), [(nonzero, None)])]
+    return zero + [(Part(s, True, weight, n - p - 2), [(nonzero, any_g)])]
 
 
-def _scaling(spec: FieldSpec) -> Callable[[bytes], set[bytes]]:
-    """The map from a key of f to the keys of a^(-p^2) f(a x), a in F_q*.
-
-    The scaling sends f_j to a^(j-p^2) f_j, so a key's nonzero
-    coefficients are read once and each is scaled by a table of the
-    a^(j-p^2), built here.
-    """
-    p, q, d = spec.p, spec.q, spec.d
-    n = p * p
-    shift = 8 * d
-    mul_i = spec.mul_i
-    digits = _digit_table(spec)
-    powers = [[spec.pow_i(a, j - n) for a in range(1, q)] for j in range(n)]
-
-    def orbit(key: bytes) -> set[bytes]:
-        rows = [[digits[mul_i(c, v)] << shift * (j - 1) for v in powers[j]]
-                for j in range(1, n)
-                if (c := spec.encode_coeffs(key[(j - 1) * d:j * d]))]
-        # x^(p^2), with no nonzero coefficient, is its own orbit
-        return {sum(col).to_bytes(len(key), "little") for col in zip(*rows)} or {key}
-
-    return orbit
+def _coset_fibres(spec: FieldSpec, part: Part,
+                  slices: list[tuple[Sequence[int], range]]
+                  ) -> Iterator[tuple[Part, list[tuple[Sequence[int], range]]]]:
+    """A t = 0 part of shard 0 as its c = 0 part and its coset part, rule
+    (3) of the module docstring.  c^m, m = (q-1)/gcd(2p, q-1), names c's
+    coset, and each slice yields one slice per h_{p-2} and c whose
+    g_{p-2} = c - h_{p-2}^p it allows, in increasing (h, g_{p-2}) order."""
+    p, q = spec.p, spec.q
+    low = q ** (p - 3)
+    m = (q - 1) // math.gcd(2 * p, q - 1)
+    reps = sorted({spec.pow_i(c, m): c for c in range(q - 1, 0, -1)}.values())
+    for c_nonzero, cs, w in ((False, [0], 1), (True, reps, m)):
+        cut = []
+        for hs, gs in slices:
+            for r, group in groupby(hs, lambda hidx: hidx // low % q):
+                group, r_p = list(group), spec.pow_i(r, p)
+                cut += [(group, range(g, g + 1)) for g in sorted(
+                    g for g in {spec.sub_i(c, r_p) for c in cs} if g in gs)]
+        yield part._replace(weight=w * part.weight, c_nonzero=c_nonzero), cut
 
 
 def _shard_tables(spec: FieldSpec,
                   parts: Iterable[tuple[int, Iterable[tuple[Sequence[int],
-                                                            Optional[bool]]]]]
+                                                            Optional[range]]]]]
                   ) -> Iterator[tuple[int, dict]]:
     """Yield ``(s, table)`` for each ``(s, slices)`` in ``parts``, in order.
 
-    The table holds the pairs (g, h) of shard s of each slice
-    ``(hs, g_nonzero)``: those whose h index is in ``hs`` and whose g_{p-2}
-    is free (None), 0 (False) or nonzero (True).  Shard s holds the pairs
+    The table holds the pairs (g, h) of shard s of each slice ``(hs, gs)``:
+    those whose h index is in ``hs`` and whose g_{p-2} is in the range
+    ``gs`` (None for p = 2, which has no g_{p-2}).  Shard s holds the pairs
     with h_{p-1}^p + g_{p-1} = s, which is the coefficient f_{p^2-p} of
     f = g o h, so the shards are key-disjoint and each holds q^(2p-3)
     pairs, q^(p-2) per h.  A table maps each f key to its packed pair, or
@@ -426,20 +422,20 @@ def _shard_tables(spec: FieldSpec,
     For odd p, the keys of one (s, h) come from h^p + g_{p-1} h^(p-1) by
     adding, for each level 1 <= i <= p-2 and each F_p basis element z^k
     of F_q, one of the p reduced multiples m z^k h^i, so they come in g
-    index order.  g_{p-2} = 0 drops the top level, and g_{p-2} != 0 skips
-    the first q^(p-3) keys.  Per h, only what its slices use is built,
-    once: h^(p-1) only where some shard s has g_{p-1} = s - h_{p-1}^p != 0,
-    and the top level only where some slice lets g_{p-2} be nonzero.  A
-    key byte sums at most d(p-2) + 2 digits of at most p - 1 each, so it
-    needs (p-1)(d(p-2)+2) <= 255, which holds for every field
-    ``PAIR_LIMIT`` admits; one ``bytes.translate`` per key reduces every
-    byte mod p.
+    index order.  The top level, g_{p-2} h^(p-2), runs over the digits
+    that ``gs`` uses, and the keys outside ``gs`` are skipped.  Per h, only
+    what its slices use is built, once: h^(p-1) only where some shard s
+    has g_{p-1} = s - h_{p-1}^p != 0, and the top level only where some
+    slice lets g_{p-2} be nonzero.  A key byte sums at most d(p-2) + 2
+    digits of at most p - 1 each, so it needs (p-1)(d(p-2)+2) <= 255,
+    which holds for every field ``PAIR_LIMIT`` admits; one
+    ``bytes.translate`` per key reduces every byte mod p.
     """
-    p, q = spec.p, spec.q
+    p, q, d = spec.p, spec.q, spec.d
     n = p * p
     big_q = q ** (p - 1)
-    shift = 8 * spec.d
-    nbytes = (n - 1) * spec.d
+    shift = 8 * d
+    nbytes = (n - 1) * d
     mul_i = spec.mul_i
     digits = _digit_table(spec)
 
@@ -461,7 +457,8 @@ def _shard_tables(spec: FieldSpec,
     sub_i, pow_i = spec.sub_i, spec.pow_i
     per_y = q ** (p - 2)  # the h indices, and the g indices, of one h_{p-1}
     span = per_y * big_q
-    skip = q ** (p - 3)  # the keys with g_{p-2} = 0 come first
+    skip = q ** (p - 3)  # the g indices below g_{p-2}
+    lower = (p - 3) * d  # the basis multiples of the levels below the top
 
     def multiples(pw: list[int], c: int) -> tuple[int, ...]:
         """m*c*pw for m in F_p, in the key layout with each byte reduced;
@@ -497,8 +494,8 @@ def _shard_tables(spec: FieldSpec,
     frobenius = [pow_i(y, p) for y in range(q)]
     need: dict[int, tuple[int, bool]] = {}
     for s, slices in parts:
-        for hs, g_nonzero in slices:
-            levels = p - 3 if g_nonzero is False else p - 2
+        for hs, gs in slices:
+            levels = p - 2 if any(gs) else p - 3
             for hidx in hs:
                 was, top = need.get(hidx, (0, False))
                 need[hidx] = (max(was, levels),
@@ -510,19 +507,29 @@ def _shard_tables(spec: FieldSpec,
     # index order.
     for s, slices in parts:
         table = {}
-        for hs, g_nonzero in slices:
-            nmults = (p - 3 if g_nonzero is False else p - 2) * spec.d
-            skipped = skip if g_nonzero else 0
+        for hs, gs in slices:
+            # g_{p-2}'s F_p digits k that are not 0 throughout gs, and the
+            # values they take, in increasing order; the range gs is one run
+            # of them, and so are its keys
+            steps = [(k, ds) for k in range(d)
+                     if (ds := sorted({v // p ** k % p for v in gs})) != [0]]
+            values = [0]
+            for k, ds in steps:
+                values = [a + m * p ** k for m in ds for a in values]
+            start = values.index(gs.start) * skip
             for hidx in hs:
                 hp, lead, top, basis = per_h[hidx]
                 c = sub_i(s, lead)
                 lows = [hp + sum(digits[mul_i(v, c)] << sh for sh, v in top)
                         if c else hp]
-                for mults in basis[:nmults]:
+                for mults in basis[:lower]:
+                    lows = [a + m for m in mults for a in lows]
+                for k, ds in steps:
+                    mults = [basis[lower + k][m] for m in ds]
                     lows = [a + m for m in mults for a in lows]
                 keys = [v.to_bytes(nbytes, "little").translate(mod_p)
-                        for v in islice(lows, skipped, None)]
-                first = c * span + skipped * big_q + hidx
+                        for v in islice(lows, start, start + len(gs) * skip)]
+                first = c * span + gs.start * skip * big_q + hidx
                 _group(table, keys, range(first, first + len(keys) * big_q, big_q))
         yield s, table
 
@@ -540,7 +547,7 @@ def _group(table: dict, keys: list, pairs) -> None:
 
 
 def _tabulate_shards(p: int, d: int,
-                     parts: list[tuple[int, list[tuple[Sequence[int], Optional[bool]]]]]
+                     parts: list[tuple[int, list[tuple[Sequence[int], Optional[range]]]]]
                      ) -> list[tuple[int, dict]]:
     """Per ``(s, slices)`` part: its distinct f count and its colliding f.
 
@@ -559,9 +566,9 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
     """Tabulate the degree-p compositions over F_q and check them.
 
     The parts of shards 0 and 1 are enumerated and weighted (module
-    docstring), which gives the totals over all q^(2p-2) pairs.  Shard 0's
-    t = 0 parts are classified once per scaling orbit, and each orbit is
-    checked to be colliding keys of its part with one pair count.
+    docstring), which gives the totals over all q^(2p-2) pairs.  Every
+    colliding f of every part is classified, and counts for its part's
+    weight.
     """
     d = _log_base(q, p)
     spec = field_new(p, d)
@@ -599,23 +606,10 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
         part_pairs.append(singles + sum(map(len, shard_colliding.values())))
         if singles:
             spectrum_observed[1] = spectrum_observed.get(1, 0) + w * singles
-        # shard 0's t = 0 parts: one classification per scaling orbit
-        orbit = _scaling(spec) if part.s == 0 and part.t_nonzero is False else None
-        orbit_class: dict = {}
         for key, pairs in shard_colliding.items():
             k = len(pairs)
             spectrum_observed[k] = spectrum_observed.get(k, 0) + w
-            cls = orbit_class.pop(key, None)
-            if cls is None:
-                cls = classify(poly_of_key(spec, key, p))
-                for other in (orbit(key) - {key} if orbit else ()):
-                    got = len(shard_colliding.get(other, ()))
-                    if got == k:
-                        orbit_class[other] = cls
-                    else:
-                        mismatches.append(Mismatch(
-                            "scaling", format_poly(poly_of_key(spec, other, p).poly),
-                            f"{got} pairs" if got else "at most 1 pair", f"{k} pairs"))
+            cls = classify(poly_of_key(spec, key, p))
             if cls.tag is CollisionTag.NONE:
                 mismatches.append(Mismatch(
                     "classification", format_poly(poly_of_key(spec, key, p).poly),

@@ -32,8 +32,8 @@ tables.
 
 ``projective_roots`` finds the roots of y^(r+1) + c1*y + c0, the only kind
 of polynomial whose roots the package needs (``sqrt`` included), from one
-more O(q) table per field and r, built on first use: the preimages of
-z -> z^(r+1)/(z-1).  ``_log_base`` is the package's one prime-power helper.
+more O(q) table per field and l mod d for r = p^l, built on first use: the
+preimages of z -> z^(r+1)/(z-1).  ``_log_base`` is the package's one prime-power helper.
 """
 
 from __future__ import annotations
@@ -367,21 +367,23 @@ class FieldSpec:
         self._log = log
         self._zech = zech
 
-    def _root_table(self, r: int) -> tuple[list[int], list[int]]:
-        """The preimages of each u under z -> z^(r+1)/(z-1), z not in {0, 1},
-        as chains: first[u] is one, after[z] the one after z, and 0 ends a
-        chain.  Built once per r from the logs."""
-        table = self._roots.get(r)
+    def _root_table(self, ell: int) -> tuple[list[int], list[int]]:
+        """The preimages of each u under z -> z^(r+1)/(z-1), r = p^ell,
+        z not in {0, 1}, as chains: first[u] is one, after[z] the one after
+        z, and 0 ends a chain.  z^r depends only on ell mod d, so the table
+        is built once per ell mod d, from the logs."""
+        ell %= self.d
+        table = self._roots.get(ell)
         if table is None:
             p, q, log, exp = self.p, self.q, self._log, self._exp
-            n, e = q - 1, r + 1
+            n, e = q - 1, p ** ell + 1
             first, after = [0] * q, [0] * q
             for z in range(2, q):
                 # z - 1 only changes z's lowest digit
                 u = exp[(e * log[z] - log[z - z % p + (z - 1) % p]) % n]
                 after[z] = first[u]
                 first[u] = z
-            table = self._roots[r] = (first, after)
+            table = self._roots[ell] = (first, after)
         return table
 
 
@@ -539,8 +541,8 @@ def projective_roots(spec: FieldSpec, r: int, c1: int, c0: int) -> list[int]:
     off the logs.  Otherwise y = mu*z with mu = -c0/c1 turns the equation
     into z^(r+1) - u*z + u = 0 with u = c0*mu^(-(r+1)), whose roots are the
     preimages of u under z -> z^(r+1)/(z-1) (Bluher, FFA 10, 2004), looked
-    up in the field's table for r.  c1 and c0 are encodings, checked as
-    ``FieldSpec.elem`` checks them.
+    up in the field's table for r = p^l, one per l mod d.  c1 and c0 are
+    encodings, checked as ``FieldSpec.elem`` checks them.
     """
     for c in (c1, c0):
         if not isinstance(c, int) or not 0 <= c < spec.q:
@@ -562,7 +564,7 @@ def projective_roots(spec: FieldSpec, r: int, c1: int, c0: int) -> list[int]:
         t = a // g * pow((r + 1) // g, -1, m) % m
         return sorted(exp[t + j * m] for j in range(g))
     lmu = (log[spec.neg_i(c0)] - log[c1]) % n
-    first, after = spec._root_table(r)
+    first, after = spec._root_table(ell)
     roots = []
     z = first[exp[(log[c0] - (r + 1) * lmu) % n]]
     while z:

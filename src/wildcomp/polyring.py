@@ -86,6 +86,8 @@ class Poly:
                  coeff: Optional[FieldElem] = None) -> "Poly":
         if i < 0:
             raise ValueError("monomial exponent must be non-negative")
+        if coeff is not None and coeff.spec != spec:
+            raise MixedFields("coefficient from a different field")
         c = 1 if coeff is None else coeff.val
         return cls(spec, (0,) * i + (c,))
 

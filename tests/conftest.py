@@ -97,7 +97,7 @@ def key_of(f) -> bytes:
 
 def every_h(spec, shards) -> list:
     """``_shard_tables`` parts for the given shards, each with every pair."""
-    return [(s, [(range(spec.q ** (spec.p - 1)), None)]) for s in shards]
+    return [(s, [(range(spec.q ** (spec.p - 1)), range(spec.q))]) for s in shards]
 
 
 def shard_union(spec) -> dict:

@@ -14,7 +14,7 @@ from wildcomp.census import (PAIR_LIMIT, TooLarge, _shard_tables,
                              unpack_pair)
 from wildcomp.decomp_core import MonicOriginal, original_shift
 from wildcomp.gf import _is_prime
-from wildcomp.identify import CollisionTag
+from wildcomp.identify import CollisionTag, enumerate_decompositions
 from wildcomp.polyring import Poly, compose
 
 from conftest import CENSUS_FIELDS, F, every_h, key_of, pair_count, shard_union
@@ -31,8 +31,14 @@ def enumerated_by_formula(p: int, q: int) -> int:
     if p == 2:
         return 2 * q
     e = math.gcd(p + 1, q - 1)
-    shard_0_t_zero = q ** (2 * p - 4) if p == 3 else \
-        q ** (2 * p - 5) + (q - 1) * q ** (2 * p - 6) + (q - 1) ** 2 * q ** (2 * p - 7)
+    # shard 0's t = 0 parts: the fibre c = f_{n-2p} = 0 and one fibre per
+    # coset of the (2p)-th powers.  For p >= 5 a fibre takes h_{p-2} = 0
+    # with g_{p-2} = c, h_{p-2}^p = c with g_{p-2} = 0, and h_{p-2}^p != 0, c
+    # with h_{p-3} = 0 and g_{p-2} = c - h_{p-2}^p
+    fibre_0, fibre_c = (q, q) if p == 3 else \
+        (q ** (2 * p - 6) + (q - 1) * q ** (2 * p - 7),
+         2 * q ** (2 * p - 6) + (q - 2) * q ** (2 * p - 7))
+    shard_0_t_zero = fibre_0 + math.gcd(2 * p, q - 1) * fibre_c
     shard_1_y_zero = q ** (2 * p - 4) if p == 3 else \
         (q ** (p - 3) + (q - 1) * q ** (p - 4)) * q ** (p - 2)
     shard_1_root = q ** (2 * p - 5) + (q - 1) * q ** (2 * p - 6)
@@ -40,37 +46,50 @@ def enumerated_by_formula(p: int, q: int) -> int:
             + shard_1_y_zero + shard_1_root)
 
 
-def represented_by(p: int, s: int, nonzero) -> tuple:
-    """(s, t_nonzero, fixed) of the part of shard s in {0, 1}, odd p, whose
-    f stand for f; ``nonzero(j)`` tells whether f_j != 0.
+def represented_by(p: int, s: int, coeff) -> tuple:
+    """(s, t_nonzero, fixed, c_nonzero) of the part of shard s in {0, 1},
+    odd p, whose f stand for f; ``coeff(j)`` is f_j's encoding.
 
-    With n = p^2, t = f_{n-p-1}, u = f_{n-p-2}, v = f_{n-2p-1} and
-    w2 = f_{n-2p-2}: t != 0 goes to the t != 0 part; in shard 0, w2 != 0
-    for p >= 5 to the part that fixes f_{n-2p-3}; in shard 1, v != 0 with
-    f_j = 0 for n-2p < j < n-p to the part that fixes w2, else u != 0 for
-    p >= 5 to the part that fixes f_{n-p-3}; the rest to the t = 0 part at
-    weight 1.
+    With n = p^2, t = f_{n-p-1}, u = f_{n-p-2}, v = f_{n-2p-1},
+    w2 = f_{n-2p-2} and c = f_{n-2p}: t != 0 goes to the t != 0 part; in
+    shard 0, w2 != 0 for p >= 5 to the parts that fix f_{n-2p-3}, the rest
+    to the parts at weight 1, each split by c = 0 or not; in shard 1,
+    v != 0 with f_j = 0 for n-2p < j < n-p to the part that fixes w2, else
+    u != 0 for p >= 5 to the part that fixes f_{n-p-3}; the rest to the
+    t = 0 part at weight 1.
     """
     n = p * p
-    if nonzero(n - p - 1):
-        return s, True, n - p - 2
+    if coeff(n - p - 1):
+        return s, True, n - p - 2, None
     if s == 0:
-        return (0, False, n - 2 * p - 3) if p > 3 and nonzero(n - 2 * p - 2) \
-            else (0, False, None)
-    if not any(map(nonzero, range(n - 2 * p + 1, n - p))) and nonzero(n - 2 * p - 1):
-        return 1, False, n - 2 * p - 2
-    if p > 3 and nonzero(n - p - 2):
-        return 1, False, n - p - 3
-    return 1, False, None
+        fixed = n - 2 * p - 3 if p > 3 and coeff(n - 2 * p - 2) else None
+        return 0, False, fixed, coeff(n - 2 * p) != 0
+    if not any(map(coeff, range(n - 2 * p + 1, n - p))) and coeff(n - 2 * p - 1):
+        return 1, False, n - 2 * p - 2, None
+    if p > 3 and coeff(n - p - 2):
+        return 1, False, n - p - 3, None
+    return 1, False, None, None
 
 
-def kept(p: int, label: tuple, nonzero, one) -> bool:
+def coset_representatives(spec) -> set[int]:
+    """The smallest element of each coset c H of H = {a^(2p)} in F_q*."""
+    powers = {spec.pow_i(a, 2 * spec.p) for a in range(1, spec.q)}
+    reps, covered = set(), set()
+    for c in range(1, spec.q):
+        if c not in covered:
+            reps.add(c)
+            covered |= {spec.mul_i(c, h) for h in powers}
+    return reps
+
+
+def kept(p: int, label: tuple, coeff, reps) -> bool:
     """Whether the part ``label`` holds f itself, not only stands for it:
-    f_fixed = 0, and t = 1 in shard 0's t != 0 part; ``one(j)`` tells
-    whether f_j = 1."""
-    s, t_nonzero, fixed = label
-    return (fixed is None or not nonzero(fixed)) and \
-        not (s == 0 and t_nonzero and not one(p * p - p - 1))
+    f_fixed = 0, t = 1 in shard 0's t != 0 part, and c = f_{p^2-2p} in
+    ``reps`` in shard 0's coset parts."""
+    s, t_nonzero, fixed, c_nonzero = label
+    return (fixed is None or not coeff(fixed)) and \
+        not (s == 0 and t_nonzero and coeff(p * p - p - 1) != 1) and \
+        not (c_nonzero and coeff(p * p - 2 * p) not in reps)
 
 
 def part_problems(spec, parts) -> list[str]:
@@ -84,21 +103,20 @@ def part_problems(spec, parts) -> list[str]:
     shard once.
     """
     p, q, d = spec.p, spec.q, spec.d
-    one = bytes(spec.coeffs_of(1))
+    reps = coset_representatives(spec)
 
-    def at(key, j):
-        return key[(j - 1) * d:j * d]
+    def at(key):
+        return lambda j: spec.encode_coeffs(key[(j - 1) * d:j * d])
 
     def rules(part):
         """(member, represented) predicates on the keys of the part's shard."""
-        label = (part.s, part.t_nonzero, part.fixed)
+        label = (part.s, part.t_nonzero, part.fixed, part.c_nonzero)
 
         def represented(key):
-            return represented_by(p, part.s, lambda j: any(at(key, j))) == label
+            return represented_by(p, part.s, at(key)) == label
 
         def member(key):
-            return represented(key) and kept(p, label, lambda j: any(at(key, j)),
-                                             lambda j: at(key, j) == one)
+            return represented(key) and kept(p, label, at(key), reps)
 
         return member, represented
 
@@ -124,10 +142,10 @@ def part_problems(spec, parts) -> list[str]:
     return problems
 
 
-def g_count(p: int, q: int, g_nonzero) -> int:
-    """The g of one (s, h) in a slice whose g_{p-2} is free, 0 or nonzero."""
-    return q ** (p - 2) if g_nonzero is None else \
-        q ** (p - 3) * (q - 1 if g_nonzero else 1)
+def g_count(p: int, q: int, gs) -> int:
+    """The g of one (s, h) in a slice whose g_{p-2} is in ``gs``, None for
+    p = 2."""
+    return q ** (p - 2) if gs is None else q ** (p - 3) * len(gs)
 
 
 def replace_slices(monkeypatch, which, slices_of):
@@ -157,7 +175,7 @@ def at_weight_1(monkeypatch, fixed):
 def g_left_free(monkeypatch, which):
     """Every g_{p-2} in each slice of the parts for which ``which`` holds."""
     replace_slices(monkeypatch, which,
-                   lambda spec, part, slices: [(hs, None) for hs, _ in slices])
+                   lambda spec, part, slices: [(hs, range(spec.q)) for hs, _ in slices])
 
 
 def reference_table(spec) -> dict[bytes, set[int]]:
@@ -287,7 +305,9 @@ class TestTabulation:
         # and 1 that each part holds (``represented_by`` and ``kept``), in part
         # order, and within a part in the order of the full table
         n = p * p
-        labels = [(part.s, part.t_nonzero, part.fixed) for part in r.parts]
+        labels = [(part.s, part.t_nonzero, part.fixed, part.c_nonzero)
+                  for part in r.parts]
+        reps = coset_representatives(r.field_spec)
 
         def part_index(key):
             f = poly_of_key(r.field_spec, key, p).poly.encodings
@@ -296,9 +316,8 @@ class TestTabulation:
                 return None
             if p == 2:
                 return s
-            label = represented_by(p, s, lambda j: f[j] != 0)
-            return labels.index(label) if kept(p, label, lambda j: f[j] != 0,
-                                               lambda j: f[j] == 1) else None
+            label = represented_by(p, s, f.__getitem__)
+            return labels.index(label) if kept(p, label, f.__getitem__, reps) else None
 
         held = [(part_index(key), key, tuple(prs)) for key, prs in colliding.items()]
         assert list(r.colliding_pairs.items()) == \
@@ -455,16 +474,21 @@ class TestShiftReduction:
         spec = census_reports[(p, q)].field_spec
         parts = census._parts(spec)
         n = p * p
-        # the p >= 5 parts: shard 0's w2 != 0 and shard 1's u != 0 sections
-        sub_0 = [(0, False, n - 2 * p - 3)] if p >= 5 else []
-        sub_1 = [(1, False, n - p - 3)] if p >= 5 else []
-        assert [(part.s, part.t_nonzero, part.fixed) for part, _ in parts] == \
-            [(0, False, None), *sub_0, (0, True, n - p - 2), (1, False, None), *sub_1,
-             (1, False, n - 2 * p - 2), (1, True, n - p - 2)]
+        # the p >= 5 parts: shard 0's w2 != 0 and shard 1's u != 0 sections;
+        # shard 0's t = 0 parts each as the fibre c = 0 and the coset fibres
+        sub_0 = [(0, False, n - 2 * p - 3, False), (0, False, n - 2 * p - 3, True)] \
+            if p >= 5 else []
+        sub_1 = [(1, False, n - p - 3, None)] if p >= 5 else []
+        assert [(part.s, part.t_nonzero, part.fixed, part.c_nonzero)
+                for part, _ in parts] == \
+            [(0, False, None, False), (0, False, None, True), *sub_0,
+             (0, True, n - p - 2, None), (1, False, None, None), *sub_1,
+             (1, False, n - 2 * p - 2, None), (1, True, n - p - 2, None)]
         e = math.gcd(p + 1, q - 1)
+        coset = (q - 1) // 2  # the coset size; there are gcd(2p, q - 1) = 2
         assert [part.weight for part, _ in parts] == \
-            [1, *[q] * len(sub_0), q * (q - 1) // e, q - 1, *[(q - 1) * q] * len(sub_1),
-             (q - 1) * q, (q - 1) * q]
+            [1, coset, *[q, q * coset][:len(sub_0)], q * (q - 1) // e, q - 1,
+             *[(q - 1) * q] * len(sub_1), (q - 1) * q, (q - 1) * q]
         assert part_problems(spec, parts) == []
 
     @pytest.mark.parametrize("p,q", [(2, 4), (2, 64), (3, 3), (3, 9), (3, 27),
@@ -472,8 +496,8 @@ class TestShiftReduction:
                                      (7, 7)])
     def test_enumerated_pairs_sum_over_the_parts(self, p, q):
         spec = F(p, round(math.log(q, p)))
-        in_parts = sum(len(hs) * g_count(p, q, g_nonzero)
-                       for _, slices in census._parts(spec) for hs, g_nonzero in slices)
+        in_parts = sum(len(hs) * g_count(p, q, gs)
+                       for _, slices in census._parts(spec) for hs, gs in slices)
         assert enumerated_pairs(p, q) == in_parts == enumerated_by_formula(p, q)
 
     @pytest.mark.parametrize("p,q", [(3, 9), (5, 5)])
@@ -508,10 +532,10 @@ class TestShiftReduction:
             """h_{p-2} = y^2 + 1 in the t != 0 parts instead of y^2."""
             low = spec.q ** (spec.p - 3)
             out = []
-            for hs, g_nonzero in slices:
+            for hs, gs in slices:
                 digit = [(idx // low) % spec.q for idx in hs]
                 out.append(([idx + (spec.add_i(c, 1) - c) * low
-                             for idx, c in zip(hs, digit)], g_nonzero))
+                             for idx, c in zip(hs, digit)], gs))
             return out
 
         replace_slices(monkeypatch, lambda spec, part: part.t_nonzero, off_by_one)
@@ -546,19 +570,19 @@ class TestShiftReduction:
                 census._tabulate_shards(p, spec.d, shard)
                 want: dict = {}
                 for _, slices in shard:
-                    for hs, g_nonzero in slices:
+                    for hs, gs in slices:
                         for hidx in hs:
                             y = hidx // per_y
                             top = spec.pow_i(y, p) != s
-                            levels = p - 3 if g_nonzero is False else p - 2
+                            levels = p - 2 if any(gs) else p - 3
                             want[hidx] = max(want.get(hidx, 1), p - 1 if top else levels)
                 assert sorted(hidx for hidx, _ in built) == sorted(want)
                 powers = dict(built)
                 assert powers == want
                 # shard 0's t = 0 h (y = 0) and shard 1's y^p = 1 h build no
-                # h^(p-1)
+                # h^(p-1); the coset fibres of shard 0 use only some y = 0 h
                 no_top = range(per_y) if s == 0 else range(per_y, 2 * per_y)
-                assert all(powers[hidx] < p - 1 for hidx in no_top)
+                assert all(powers[hidx] < p - 1 for hidx in no_top if hidx in powers)
                 if p == 5 and s == 1:
                     # nor h^(p-2), but for h_{p-2} = (3/2) y^2 = 4
                     assert sorted(powers[hidx] for hidx in no_top) == \
@@ -574,7 +598,7 @@ class TestShiftInShard1:
         """Replace the h of shard 1's u != 0 part by ``hs_of(spec)``."""
         replace_slices(monkeypatch,
                        lambda spec, part: part.fixed == spec.p ** 2 - spec.p - 3,
-                       lambda spec, part, slices: [(hs_of(spec), None)])
+                       lambda spec, part, slices: [(hs_of(spec), range(spec.q))])
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -635,8 +659,8 @@ class TestShiftInShard1:
         spec = F(5)
         n = 25  # one key byte per coefficient: f_j is key[j - 1]
         (_, table), (_, zero) = _shard_tables(spec, [
-            (1, [([b * 25 + 5 * c + i for b in range(1, 5) for i in range(5)], None)]),
-            (1, [([b * 25 + i for b in range(1, 5) for i in range(5)], None)])])
+            (1, [([b * 25 + 5 * c + i for b in range(1, 5) for i in range(5)], range(5))]),
+            (1, [([b * 25 + i for b in range(1, 5) for i in range(5)], range(5))])])
         ((_, full),) = _shard_tables(spec, every_h(spec, [1]))
         assert table == {key: prs for key, prs in full.items()
                          if not key[n - 7] and key[n - 8]
@@ -716,7 +740,7 @@ class TestShiftInRootSlice:
         def y_squared(spec, part, slices):
             low = spec.q ** (spec.p - 3)
             first = spec.q * low + low  # y = 1, h_{p-2} = 1
-            return [(range(first, first + low), True)]
+            return [(range(first, first + low), range(1, spec.q))]
 
         replace_slices(monkeypatch,
                        lambda spec, part: part.fixed == spec.p ** 2 - 2 * spec.p - 2,
@@ -776,77 +800,78 @@ class TestShiftInShard0:
         assert not verify(run_census(5, 5))
 
 
-class TestScalingOrbits:
-    """Shard 0's t = 0 parts are classified once per scaling orbit."""
+class TestScalingCosets:
+    """Shard 0's t = 0 parts: the fibre c = f_{n-2p} = 0 and one fibre per
+    coset of the (2p)-th powers in F_q*, weighted by the coset's size; the
+    scaling maps the fibre c onto the fibre a^(-2p) c; n = p^2."""
 
-    @pytest.mark.parametrize("p,q", [(3, 3), (3, 9), (3, 27), (5, 5)])
-    def test_orbits_are_colliding_keys_of_one_k_and_class(self, census_reports,
-                                                          classifications, p, q):
-        spec, n = census_reports[(p, q)].field_spec, p * p
-        parts = self.part_keys(spec)
-        # (5, 5) has two: w2 = f_{n-2p-2} = 0, and w2 != 0 with f_{n-2p-3} = 0
-        assert len(parts) == (1 if p == 3 else 2)
-        orbit = census._scaling(spec)
-        classes = classifications[(p, q)]
-        for colliding in parts:
-            for key, pairs in colliding.items():
-                f = poly_of_key(spec, key, p).poly
-                # a^(-p^2) f(a x) by composition
-                want = {key_of(compose(f, Poly(spec, (0, a)))
-                               * Poly(spec, (spec.pow_i(a, -n),)))
-                        for a in range(1, spec.q)}
-                got = orbit(key)
-                assert got == want
-                assert all(len(colliding[other]) == len(pairs)
-                           and classes[other].tag is classes[key].tag for other in got)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_scaling_moves_the_fibre_and_keeps_k_and_class(self, data):
+        spec = data.draw(st.sampled_from([F(3, 2), F(3, 3), F(5), F(5, 2)]))
+        p, q, n = spec.p, spec.q, spec.p ** 2
+        # zeros often, so that p = 5 reaches colliding f too
+        elem = st.one_of(st.just(0), st.integers(0, q - 1))
+        inner = st.lists(elem, min_size=p - 2, max_size=p - 2)
+        # y = h_{p-1} = 0 and g_{p-1} = 0: shard 0, t = 0
+        h, g = [*data.draw(inner), 0], [*data.draw(inner), 0]
+        a = data.draw(st.integers(1, q - 1))
+        f = compose(Poly(spec, (0, *g, 1)), Poly(spec, (0, *h, 1)))
+        # a^(-p^2) f(a x) by composition
+        scaled = compose(f, Poly(spec, (0, a))) * Poly(spec, (spec.pow_i(a, -n),))
+        c, c_scaled = f.encodings[n - 2 * p], scaled.encodings[n - 2 * p]
+        assert c == spec.add_i(spec.pow_i(h[-2], p), g[-2])
+        assert scaled.encodings[n - p] == scaled.encodings[n - p - 1] == 0
+        assert c_scaled == spec.mul_i(spec.pow_i(a, -2 * p), c)
+        f, scaled = MonicOriginal(f), MonicOriginal(scaled)
+        assert len(enumerate_decompositions(scaled).collision.decomps) == \
+            len(enumerate_decompositions(f).collision.decomps)
+        assert classify(scaled).tag is classify(f).tag
+
+    @pytest.mark.parametrize("p,q", [(3, 9), (3, 27), (5, 5)])
+    def test_weight_1_for_the_coset_size_fails_verify(self, monkeypatch, p, q):
+        parts = census._parts
+
+        def unweighted(spec):
+            return [(part._replace(weight=part.weight * 2 // (spec.q - 1))
+                     if part.c_nonzero else part, slices) for part, slices in parts(spec)]
+
+        monkeypatch.setattr(census, "_parts", unweighted)
+        assert not verify(run_census(p, q))
 
     @staticmethod
-    def part_keys(spec):
-        """The colliding f of each of shard 0's t = 0 parts."""
-        return [colliding for _, colliding in census._tabulate_shards(
-            spec.p, spec.d, [(0, slices) for part, slices in census._parts(spec)
-                             if part.s == 0 and part.t_nonzero is False])]
+    def only_fibres(monkeypatch, keep):
+        """Keep the slices of the coset parts whose fibre c passes ``keep``."""
+        def fibres(spec, part, slices):
+            low = spec.q ** (spec.p - 3)
+            return [(hs, gs) for hs, gs in slices if keep(spec.add_i(
+                gs.start, spec.pow_i(hs[0] // low % spec.q, spec.p)))]
 
-    @staticmethod
-    def with_stray(monkeypatch, first, stray):
-        """Add ``stray`` to the scaling orbit of ``first``."""
-        scaling = census._scaling
+        replace_slices(monkeypatch, lambda spec, part: part.c_nonzero, fibres)
 
-        def leaky(spec):
-            orbit = scaling(spec)
-            return lambda key: orbit(key) | ({stray} if key == first else set())
+    @pytest.mark.parametrize("p,q", [(3, 9), (3, 27), (5, 5)])
+    def test_one_coset_missing_fails_verify(self, monkeypatch, p, q):
+        self.only_fibres(monkeypatch, lambda c: c == 1)
+        assert not verify(run_census(p, q))
 
-        monkeypatch.setattr(census, "_scaling", leaky)
+    @pytest.mark.parametrize("p,q", [(3, 9), (3, 27), (5, 5)])
+    def test_cosets_of_pth_powers_fail_the_part_check(self, monkeypatch, p, q):
+        """The p-th powers are all of F_q*, so their one coset would keep
+        the fibre c = 1 alone at weight q - 1.  Every c != 0 fibre of these
+        parts has the same (k, class) histogram, so ``verify`` cannot tell;
+        the part check against the full shard tables can."""
+        self.only_fibres(monkeypatch, lambda c: c == 1)
+        parts = census._parts
 
-    def test_orbit_member_with_wrong_class_fails_partition(self, monkeypatch):
-        spec = F(3, 3)
-        (colliding,) = self.part_keys(spec)
-        first = next(iter(colliding))
-        tag = classify(poly_of_key(spec, first, 3)).tag
-        stray = next(key for key, prs in colliding.items()
-                     if len(prs) == len(colliding[first])
-                     and classify(poly_of_key(spec, key, 3)).tag is not tag)
-        self.with_stray(monkeypatch, first, stray)
-        r = run_census(3, 27)
-        # the counts hold and no orbit check fires; only the class is wrong
-        assert r.mismatches == [] and verify(r)
-        assert not class_partition_check(r)
+        def one_coset(spec):
+            return [(part._replace(weight=part.weight * 2) if part.c_nonzero else part,
+                     slices) for part, slices in parts(spec)]
 
-    @pytest.mark.parametrize("other_k", [True, False])
-    def test_scaled_key_of_other_pair_count_is_a_mismatch(self, monkeypatch, other_k):
-        spec = F(3, 3)
-        (colliding,) = self.part_keys(spec)
-        first = next(iter(colliding))
-        k = len(colliding[first])
-        # a colliding key with another k, or the key of x^9, with one pair
-        stray = next(key for key, prs in colliding.items() if len(prs) != k) \
-            if other_k else bytes(8 * spec.d)
-        self.with_stray(monkeypatch, first, stray)
-        r = run_census(3, 27)
-        got = f"{len(colliding[stray])} pairs" if other_k else "at most 1 pair"
-        assert [(m.kind, m.where, m.observed, m.predicted) for m in r.mismatches] == \
-            [("scaling", str(poly_of_key(spec, stray, 3).poly), got, f"{k} pairs")]
-        assert not verify(r)
+        monkeypatch.setattr(census, "_parts", one_coset)
+        spec = F(p, round(math.log(q, p)))
+        assert part_problems(spec, census._parts(spec)) != []
+        assert verify(run_census(p, q))
+
 
 class TestVerify:
     def test_all_fields_verify(self, census_reports):
@@ -930,17 +955,25 @@ class TestHelpers:
         # has 9 h at y = 0 and 9 at y = 1 with g_1 = 0 at weight 8, the h
         # with y = 1 and h_1 = 0 with g_1 != 0 at weight 8 * 9 (fixing
         # f_1), and 7 h at t != 0.
+        # Shard 0's t = 0 pairs come in the fibre c = f_{p^2-2p} = 0 and in
+        # the fibres c = 1 and c = 2 (one per coset of the squares, the
+        # (2p)-th powers) at weight (q-1)/2, with g_{p-2} = c - h_{p-2}^p:
+        # at (3, 9) 9 h with one g_1 each per fibre.
         # (5, 5): e = gcd(6, 4) = 2 (y = 1, 4), weight 5 * 4 / 2.  125 g per
-        # h, or 25 with g_3 = 0, or 100 with g_3 != 0.  Shard 0 at y = 0: 25 h
-        # with h_3 = 0, 100 with h_3 != 0 and g_3 = 0; 20 with h_3 != 0 and
-        # h_2 = 0 with g_3 != 0 (fixing f_12); 2 * 25 h at t != 0.  Shard 1:
+        # h, or 25 with g_3 fixed.  Shard 0 at y = 0, per fibre c: 25 h with
+        # h_3 = 0, and for c != 0 the 25 with h_3^5 = c, with 25 g each; at
+        # weight q, fixing f_12, the 20 or 15 h with h_2 = 0 and
+        # h_3^5 != 0, c with 25 g each; 2 * 25 h at t != 0.  Shard 1:
         # 25 h at y = 0 with h_3 = 0 and 125 at y = 1 with g_3 = 0; 20 at
         # y = 0 with h_3 != 0 and h_2 = 0 (fixing f_17); 25 at y = 1 with
         # h_3 = 3/2 = 4 and g_3 != 0 (fixing f_13); 3 * 25 h at t != 0.
         shards, pairs = {
             (2, 4): ([{"s": 0, "weight": 1, "pairs": 4},
                       {"s": 1, "weight": 3, "pairs": 4}], 8),
-            (3, 9): ([{"s": 0, "t_nonzero": False, "weight": 1, "pairs": 9 * 9},
+            (3, 9): ([{"s": 0, "t_nonzero": False, "c_nonzero": False, "weight": 1,
+                       "pairs": 9},
+                      {"s": 0, "t_nonzero": False, "c_nonzero": True, "weight": 4,
+                       "pairs": 2 * 9},
                       {"s": 0, "t_nonzero": True, "fixed": 4, "weight": 18,
                        "pairs": 4 * 9},
                       {"s": 1, "t_nonzero": False, "weight": 8, "pairs": 9 * 9 + 9},
@@ -948,11 +981,15 @@ class TestHelpers:
                        "pairs": 8},
                       {"s": 1, "t_nonzero": True, "fixed": 4, "weight": 72,
                        "pairs": 7 * 9}],
-                     81 + 36 + 90 + 8 + 63),
-            (5, 5): ([{"s": 0, "t_nonzero": False, "weight": 1,
-                       "pairs": 25 * 125 + 100 * 25},
-                      {"s": 0, "t_nonzero": False, "fixed": 12, "weight": 5,
-                       "pairs": 20 * 100},
+                     9 + 18 + 36 + 90 + 8 + 63),
+            (5, 5): ([{"s": 0, "t_nonzero": False, "c_nonzero": False, "weight": 1,
+                       "pairs": 25 * 25},
+                      {"s": 0, "t_nonzero": False, "c_nonzero": True, "weight": 2,
+                       "pairs": 2 * (25 + 25) * 25},
+                      {"s": 0, "t_nonzero": False, "c_nonzero": False, "fixed": 12,
+                       "weight": 5, "pairs": 20 * 25},
+                      {"s": 0, "t_nonzero": False, "c_nonzero": True, "fixed": 12,
+                       "weight": 10, "pairs": 2 * 15 * 25},
                       {"s": 0, "t_nonzero": True, "fixed": 18, "weight": 10,
                        "pairs": 50 * 125},
                       {"s": 1, "t_nonzero": False, "weight": 4,
@@ -963,7 +1000,7 @@ class TestHelpers:
                        "pairs": 25 * 100},
                       {"s": 1, "t_nonzero": True, "fixed": 18, "weight": 20,
                        "pairs": 75 * 125}],
-                     5625 + 2000 + 6250 + 6250 + 2500 + 2500 + 9375),
+                     625 + 2500 + 500 + 750 + 6250 + 6250 + 2500 + 2500 + 9375),
         }[(p, q)]
         js = census_reports[(p, q)].to_json()
         assert js["shards"] == shards
@@ -977,5 +1014,5 @@ class TestHelpers:
             assert sum(part["pairs"] for part in js["shards"]) == \
                 js["pairs_enumerated"] == enumerated_pairs(p, q)
             assert [part["pairs"] for part in js["shards"]] == \
-                [sum(len(hs) * g_count(p, q, g_nonzero) for hs, g_nonzero in slices)
+                [sum(len(hs) * g_count(p, q, gs) for hs, gs in slices)
                  for _, slices in census._parts(r.field_spec)]

@@ -231,15 +231,16 @@ class TestCensus:
         assert code == 0
         assert "verify: ok" in out and "class partition: ok" in out
 
-    # the sum over the census parts: 3q^2 + eq - 1 for p = 3, and for p >= 5
-    # shard 0's t = 0 parts, shard 1's y = 0 parts, the t != 0 parts and
-    # shard 1's y^p = 1 parts.  (3, 6561) has e = gcd(4, 6560) = 4, (5, 25)
-    # e = 6 and (7, 7) e = 2
+    # the sum over the census parts: 2q^2 + (e+3)q - 1 for p = 3, and for
+    # p >= 5 shard 0's t = 0 parts, (1 + 2G) q^(2p-6) + (q-1 + G(q-2))
+    # q^(2p-7) with G = 2 scaling cosets, shard 1's y = 0 parts, the t != 0
+    # parts and shard 1's y^p = 1 parts.  (3, 6561) has e = gcd(4, 6560) = 4,
+    # (5, 25) e = 6 and (7, 7) e = 2
     @pytest.mark.parametrize("p,q,pairs", [
-        (3, 6561, 3 * 6561 ** 2 + 4 * 6561 - 1),
-        (5, 25, 25 ** 5 + 24 * 25 ** 4 + 24 ** 2 * 25 ** 3
+        (3, 6561, 2 * 6561 ** 2 + 7 * 6561 - 1),
+        (5, 25, 5 * 25 ** 4 + (24 + 2 * 23) * 25 ** 3
          + (25 ** 2 + 24 * 25) * 25 ** 3 + 29 * 25 ** 5 + 25 ** 5 + 24 * 25 ** 4),
-        (7, 7, 7 ** 9 + 6 * 7 ** 8 + 6 ** 2 * 7 ** 7
+        (7, 7, 5 * 7 ** 8 + (6 + 2 * 5) * 7 ** 7
          + (7 ** 4 + 6 * 7 ** 3) * 7 ** 5 + 7 * 7 ** 9 + 7 ** 9 + 6 * 7 ** 8),
     ])
     def test_beyond_pair_limit_exits_1_at_once(self, p, q, pairs):

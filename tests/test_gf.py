@@ -318,6 +318,16 @@ class TestProjectiveRoots:
                 assert projective_roots(spec, 2, c1, u) == \
                     roots_by_evaluation(spec, 2, c1, u)
 
+    def test_one_table_per_power_mod_d(self):
+        """r = p^l gives the same roots as r = p^(l mod d), so at most d
+        tables are kept, and the answers are unchanged."""
+        spec = field_new(2, 4)
+        answers = [projective_roots(spec, 2 ** ell, 1, 1) for ell in range(1, 41)]
+        assert answers == [roots_by_evaluation(spec, 2 ** ell, 1, 1)
+                           for ell in range(1, 41)]
+        assert answers[4:] == answers[:-4]
+        assert len(spec._roots) <= spec.d
+
     @pytest.mark.parametrize("r", [0, 6, 9])
     def test_r_not_a_power_of_p(self, r):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildcomp import (ConstantBase, DivisionByZero, NEG_INFINITY, NotMonic,
-                      Poly, ZeroPolynomial, compose, derivative, divrem,
+from wildcomp import (ConstantBase, DivisionByZero, MixedFields, NEG_INFINITY,
+                      NotMonic, Poly, ZeroPolynomial, compose, derivative, divrem,
                       evaluate, exact_div, format_poly, gcd, is_squarefree,
                       max_power_dividing, parse_poly, poly_pth_root,
                       second_degree, taylor_expansion)
@@ -142,6 +142,18 @@ class TestNegativeExponent:
         assert Poly.monomial(spec, 2) == Poly(spec, (0, 0, 1))
         assert f.shift_up(0) == f
         assert f.shift_up(2) == Poly(spec, (0, 0, 1, 2, 3))
+
+
+class TestMonomialField:
+    @pytest.mark.parametrize("other", [F(13), F(5, 2)], ids=str)
+    def test_coefficient_from_another_field(self, other):
+        # 3 is in range over F_5, so only the field check can refuse it
+        with pytest.raises(MixedFields):
+            Poly.monomial(F(5), 1, other.elem(3))
+
+    def test_same_field_coefficient(self):
+        spec = F(5)
+        assert Poly.monomial(spec, 1, F(5).elem(3)) == Poly(spec, (0, 3))
 
 
 def naive_product(spec, a, b):
