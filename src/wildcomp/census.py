@@ -270,7 +270,9 @@ class CensusReport:
     class_counts: dict[str, int]
     class_spectrum: dict[str, dict[int, int]]
     decomposable_observed: int
-    mismatches: list[Mismatch]
+    # the colliding f that ``classify`` tags none; the count mismatches
+    # are derived (``mismatches``)
+    unclassified: list[Mismatch]
     # the enumerated parts, in order, with their weights, and the pairs
     # each of them enumerated
     parts: list[Part]
@@ -283,6 +285,26 @@ class CensusReport:
     @property
     def pairs_enumerated(self) -> int:
         return sum(self.part_pairs)
+
+    @property
+    def mismatches(self) -> list[Mismatch]:
+        """The unclassified colliding f, then every spectrum, mass and
+        decomposable-total mismatch of the counts against the closed forms
+        and the q^(2p-2) pairs."""
+        obs, pred = self.spectrum_observed, self.spectrum_predicted
+        out = list(self.unclassified)
+        for k in sorted(set(obs) | set(pred.counts)):
+            if obs.get(k, 0) != pred.c(k):
+                out.append(Mismatch("spectrum", f"k={k}", obs.get(k, 0), pred.c(k)))
+        mass = sum(k * c for k, c in obs.items())
+        total = self.q ** (2 * self.p - 2)
+        if mass != total:
+            out.append(Mismatch("mass", "sum k*c_k", mass, total))
+        for where, want in (("sum c_k", sum(obs.values())), ("D", pred.d_total)):
+            if self.decomposable_observed != want:
+                out.append(Mismatch("decomposable", where,
+                                    self.decomposable_observed, want))
+        return out
 
     def poly_of_key(self, key) -> MonicOriginal:
         return poly_of_key(self.field_spec, key, self.p)
@@ -572,7 +594,6 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
     """
     d = _log_base(q, p)
     spec = field_new(p, d)
-    total_pairs = q ** (2 * p - 2)
     enumerated = enumerated_pairs(p, q)
     if enumerated > PAIR_LIMIT:
         raise TooLarge(f"{enumerated} composition pairs to enumerate in "
@@ -595,7 +616,7 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
     # Parts are key-disjoint; each enumerated f counts for its part's weight.
     spectrum_observed: dict[int, int] = {}
     class_spectrum: dict[str, dict[int, int]] = {"F": {}, "S": {}, "M": {}}
-    mismatches: list[Mismatch] = []
+    unclassified: list[Mismatch] = []
     colliding: dict = {}
     part_pairs: list[int] = []
     distinct = 0
@@ -611,7 +632,7 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
             spectrum_observed[k] = spectrum_observed.get(k, 0) + w
             cls = classify(poly_of_key(spec, key, p))
             if cls.tag is CollisionTag.NONE:
-                mismatches.append(Mismatch(
+                unclassified.append(Mismatch(
                     "classification", format_poly(poly_of_key(spec, key, p).poly),
                     "none", "a collision class"))
                 continue
@@ -619,26 +640,15 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
             per_k[k] = per_k.get(k, 0) + w
         colliding.update(shard_colliding)
 
-    predicted = counting.spectrum(p, q)
-    for k in sorted(set(spectrum_observed) | set(predicted.counts)):
-        obs = spectrum_observed.get(k, 0)
-        pred = predicted.c(k)
-        if obs != pred:
-            mismatches.append(Mismatch("spectrum", f"k={k}", obs, pred))
-
-    mass = sum(k * c for k, c in spectrum_observed.items())
-    if mass != total_pairs:
-        mismatches.append(Mismatch("mass", "sum k*c_k", mass, total_pairs))
-
     return CensusReport(
         p=p,
         q=q,
         spectrum_observed=spectrum_observed,
-        spectrum_predicted=predicted,
+        spectrum_predicted=counting.spectrum(p, q),
         class_counts={t: sum(ks.values()) for t, ks in class_spectrum.items()},
         class_spectrum=class_spectrum,
         decomposable_observed=distinct,
-        mismatches=mismatches,
+        unclassified=unclassified,
         parts=[part for part, _ in parts],
         part_pairs=part_pairs,
         field_spec=spec,
@@ -648,18 +658,7 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
 
 def verify(report: CensusReport) -> bool:
     """True when the observed census matches every prediction and invariant."""
-    if report.mismatches:
-        return False
-    total = report.q ** (2 * report.p - 2)
-    obs = report.spectrum_observed
-    if sum(k * c for k, c in obs.items()) != total:
-        return False
-    if report.decomposable_observed != sum(obs.values()):
-        return False
-    if report.decomposable_observed != report.spectrum_predicted.d_total:
-        return False
-    return all(obs.get(k, 0) == report.spectrum_predicted.c(k)
-               for k in set(obs) | set(report.spectrum_predicted.counts))
+    return not report.mismatches
 
 
 def class_partition_check(report: CensusReport) -> bool:

@@ -260,7 +260,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--threads", type=int, default=1,
                     help="worker processes, one per enumerated shard, so at "
                          "most two and capped at the CPU count; 1 or less "
-                         "runs in this process")
+                         "runs in this process; shard 0 holds few of the "
+                         "pairs, so two workers run slower than one")
     sp.set_defaults(func=_cmd_census)
     return parser
 

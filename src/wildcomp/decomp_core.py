@@ -136,25 +136,13 @@ def left_divide(f: MonicOriginal, h: MonicOriginal) -> Optional[MonicOriginal]:
     return MonicOriginal(Poly(f.spec, enc))
 
 
-def right_component(f: MonicOriginal, y: FieldElem) -> MonicOriginal:
-    """The only h of degree r with x^(r-1) coefficient y that can give
-    f = g(h) with g_(r-1) != 0, deg f = r^2 and r a power of p: the
-    ``right_component_at`` i = r-1, since h^r = x^(r^2) + y^r x^(r^2-r) + ...
-    has terms only at multiples of x^r and g_i h^i for i <= r-2 has degree
-    at most r^2-2r, so g_(r-1) = f_(r^2-r) - y^r.
-    """
-    if f.spec != y.spec:
-        raise MixedFields("x^(r-1) coefficient from a different field")
-    spec, r = f.spec, isqrt(f.degree)
-    return right_component_at(f, r - 1, spec.sub_i(
-        f.poly.encodings[r * r - r], spec.pow_i(y.val, r)))
-
-
 def right_component_at(f: MonicOriginal, i: int, g_i: int) -> MonicOriginal:
     """The only h of degree r that can give f = g(h) when g_i, an encoding,
     is g's top nonzero coefficient below x^r.  deg f = r^2 for a power r of
     p, else DegreeMismatch; g_i != 0, and r = p unless i = r-1, else
-    ValueError.
+    ValueError.  At i = r-1, g_(r-1) = f_(r^2-r) - y^r for y = h_(r-1),
+    since h^r = x^(r^2) + y^r x^(r^2-r) + ... has terms only at multiples
+    of x^r and g_i' h^i' for i' <= r-2 has degree at most r^2-2r.
 
     h is not checked: ``left_divide`` decides whether g exists.  With
     H(t) = t^r h(1/t) = 1 + h_(r-1) t + ..., h^r has terms only at

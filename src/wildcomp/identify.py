@@ -10,32 +10,32 @@ coefficients of f given in closed form, in O(log r) field operations:
 the x coefficient S'(w) and one coefficient near the top.
 
 Both ``identify_multiply`` and ``enumerate_decompositions`` rest on one
-rule.  For f = g(h) of degree r^2, y = h_(r-1) is a root of
-P_f(y) = y^(r+1) - f_(r^2-r) y - f_(r^2-r-1), and whenever
-g_(r-1) = f_(r^2-r) - y^r != 0, ``decomp_core.right_component`` builds h
-from y alone, in O(r^2) field operations.  Every M member has
+rule, and read its candidates from one generator, ``_candidates``.  For
+f = g(h) of degree r^2, y = h_(r-1) is a root of
+P_f(y) = y^(r+1) - f_(r^2-r) y - f_(r^2-r-1), and each root fixes g's top
+coefficient g_i below x^r: g_(r-1) = f_(r^2-r) - y^r when it is nonzero,
+else, for r = p, one read off f's top exponent outside pZ.
+``decomp_core.right_component_at`` builds h from (i, g_i) in O(r^2)
+field operations, at most p + 1 h per root.  Every M member has
 g_(r-1) y != 0; h' = -y (x+w)^(m*-1) (x+w-b)^(m-1) has degree r - 2, the
 quadratic (x+w)(x+w-b) and m are read off it, no gcd touches f', and y
 tells the candidate a from a*.  ``classify`` combines the two
 identifications with the Frobenius test into the full trichotomy at
-degree p^2.  ``enumerate_decompositions`` classifies nothing: at each
-root y of P_f it fixes g's top coefficient g_i below x^p, from y or from
-f's top exponent outside pZ, and divides f by each of the at most p + 1
-h that ``decomp_core.right_component_at`` builds from (i, g_i).  Every
-root these need comes from ``gf.projective_roots``.
+degree p^2.  ``enumerate_decompositions`` classifies nothing: it divides
+f by each candidate h.  Every root these need comes from
+``gf.projective_roots``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .constructions import (MultiplyParams, SimplyParams, _M_shifted,
                             _S_probe, _S_shifted, prime_power_exponent)
 from .decomp_core import (Collision, Decomposition, DegreeMismatch,
-                          MonicOriginal, left_divide, right_component,
-                          right_component_at)
+                          MonicOriginal, left_divide, right_component_at)
 from .gf import FieldElem, projective_roots, solve_quadratic
 from .polyring import (NEG_INFINITY, Poly, derivative, exact_div, gcd,
                        max_power_dividing, poly_pth_root, second_degree)
@@ -101,9 +101,7 @@ def identify_simply(f: MonicOriginal, r: int) -> Optional[SimplyMatch]:
         if rem or ell == 0 or (r - 1) % ell:
             return None
         m = (r - 1) // ell
-        denom = f.poly.coefficient_encoding(n - ell * r)
-        if denom == 0:
-            return None
+        denom = f.poly.coefficient_encoding(d2)
         s_enc = spec.neg_i(spec.mul_i(
             f.poly.coefficient_encoding(n - ell * r - ell), spec.inv_i(denom)))
         if s_enc == 0:
@@ -119,18 +117,15 @@ def identify_simply(f: MonicOriginal, r: int) -> Optional[SimplyMatch]:
         s_enc = 1
         u_enc = spec.neg_i(spec.mul_i(
             ell % spec.p, f.poly.coefficient_encoding(n - ell * r - ell)))
-    if u_enc == 0 or s_enc == 0:
-        return None
+    # f_(d2) != 0, p does not divide ell | r - 1, and f_(n-ell*r-ell) is
+    # f_(d2) or -s f_(d2): so u != 0 and the w denominator is nonzero
     if m == 1:
         w_enc = 0
     else:
-        denom = f.poly.coefficient_encoding(n - ell * r - ell)
-        if denom == 0:
-            return None
-        w_enc = spec.mul_i(
-            m % spec.p,
-            spec.mul_i(f.poly.coefficient_encoding(n - ell * r - ell - 1),
-                       spec.inv_i(denom)))
+        low = n - ell * r - ell
+        w_enc = spec.mul_i(m % spec.p, spec.mul_i(
+            f.poly.coefficient_encoding(low - 1),
+            spec.inv_i(f.poly.coefficient_encoding(low))))
     u, s = spec.elem(u_enc), spec.elem(s_enc)
     params = SimplyParams(u, s, eps, m, r)
     enc = f.poly.encodings
@@ -182,9 +177,10 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
     decomposition g o h (``shift_decomposition`` of ``build_M``'s pair)
     with g_(r-1) = m a != 0 and y = h_(r-1) = -m a* b^(1-r) != 0, so
     f_(r^2-r-1) = -g_(r-1) y != 0 and y is a nonzero root of
-    P_f(y) = y^(r+1) - f_(r^2-r) y - f_(r^2-r-1); and h is the
-    ``right_component`` of f at y.  Since h = (1-c) x^r + c x^(m*) (x-b)^m
-    with c = a* b^(-r), shifted by w, its derivative is
+    P_f(y) = y^(r+1) - f_(r^2-r) y - f_(r^2-r-1); and h is the candidate
+    that ``_candidates`` builds at y, whose x^(r-1) coefficient is y.
+    Since h = (1-c) x^r + c x^(m*) (x-b)^m with c = a* b^(-r), shifted by
+    w, its derivative is
 
         h' = -y (x+w)^(m*-1) (x+w-b)^(m-1),
 
@@ -207,7 +203,8 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
 
     Before any root, f must pass the test every member passes,
     deg f' = r^2 - r - 2, read off the coefficients: f_(r^2-r-1) != 0, and
-    f_i = 0 for r^2 - r - 1 < i < r^2 with p not dividing i.
+    f_i = 0 for r^2 - r - 1 < i < r^2 with p not dividing i.  So no root
+    of P_f has g_(r-1) = 0, and each candidate comes from its own root.
     """
     spec = f.spec
     p = spec.p
@@ -222,9 +219,7 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
     if not enc[top] or any(enc[i] for i in range(top + 1, r * r) if i % p):
         return None
     lcf = spec.elem(spec.neg_i(enc[top]))
-    for y in projective_roots(spec, r, spec.neg_i(enc[top + 1]),
-                              spec.neg_i(enc[top])):
-        h = right_component(f, spec.elem(y))
+    for h in _candidates(f, r):
         split = _two_root_split(derivative(h.poly))
         if split is None:
             continue
@@ -232,7 +227,8 @@ def identify_multiply(f: MonicOriginal, r: int) -> Optional[MultiplyMatch]:
         m = min(k + 1, r - k - 1)
         if m < 2 or m % p == 0:
             continue  # m^(-2) undefined when p | m
-        match = _multiply_from_quadratic(f, r, quad, m, lcf, spec.elem(y))
+        match = _multiply_from_quadratic(f, r, quad, m, lcf,
+                                         h.poly.coefficient(r - 1))
         if match is not None:
             return match
     return None
@@ -293,27 +289,36 @@ def classify(f: MonicOriginal) -> CollisionClass:
 
 
 def brute_force_decompositions(f: MonicOriginal) -> list[Decomposition]:
-    """All (g, h) with f = g(h) and deg h = p, each candidate h divided
-    once by ``left_divide``.
-
-    y = h_(p-1) is a root of P_f(y) = y^(p+1) - f_(p^2-p) y - f_(p^2-p-1),
-    as f_(p^2-p) = y^p + g_(p-1) and f_(p^2-p-1) = -g_(p-1) y.  At a root
-    with y^p != f_(p^2-p), h is the ``right_component`` at y; at the one
-    with y^p = f_(p^2-p), g_(p-1) = 0 and ``_components_below_top`` gives h.
-    """
-    spec, p = f.spec, f.spec.p
+    """All (g, h) with f = g(h) and deg h = p: each of the ``_candidates``
+    h divided once by ``left_divide``."""
+    p = f.spec.p
     if f.degree != p * p:
         raise DegreeMismatch(f"decomposition needs degree {p * p}")
-    top = f.poly.coefficient_encoding(p * p - p)
-    hs = set()
-    for y in projective_roots(spec, p, spec.neg_i(top), spec.neg_i(
-            f.poly.coefficient_encoding(p * p - p - 1))):
-        if spec.pow_i(y, p) != top:
-            hs.add(right_component(f, spec.elem(y)))
-        else:
-            hs.update(_components_below_top(f))
-    return [Decomposition(g, h) for h in hs
+    return [Decomposition(g, h) for h in set(_candidates(f, p))
             if (g := left_divide(f, h)) is not None]
+
+
+def _candidates(f: MonicOriginal, r: int) -> Iterator[MonicOriginal]:
+    """The h of degree r read off the roots y of
+    P_f(y) = y^(r+1) - f_(r^2-r) y - f_(r^2-r-1), deg f = r^2: among them
+    is the h of every f = g(h), save those with g_(r-1) = 0 when r != p.
+
+    For f = g(h), f_(r^2-r) = y^r + g_(r-1) and f_(r^2-r-1) = -g_(r-1) y
+    with y = h_(r-1) (``right_component_at``), so y is a root of P_f.  At a
+    root with g_(r-1) = f_(r^2-r) - y^r != 0, h is ``right_component_at``
+    (r-1, g_(r-1)).  The root y^r = f_(r^2-r), where g_(r-1) = 0, exists
+    exactly when f_(r^2-r-1) = 0, since P_f(f_(r^2-r)^(1/r)) =
+    -f_(r^2-r-1); there, for r = p only, ``_components_below_top`` gives h.
+    """
+    spec, enc = f.spec, f.poly.encodings
+    top = enc[r * r - r]
+    for y in projective_roots(spec, r, spec.neg_i(top),
+                              spec.neg_i(enc[r * r - r - 1])):
+        g_top = spec.sub_i(top, spec.pow_i(y, r))
+        if g_top:
+            yield right_component_at(f, r - 1, g_top)
+        elif r == spec.p:
+            yield from _components_below_top(f)
 
 
 def _components_below_top(f: MonicOriginal) -> list[MonicOriginal]:

@@ -883,6 +883,17 @@ class TestVerify:
         r.spectrum_observed[2] += 1
         assert not verify(r)
 
+    def test_perturbed_report_lists_its_mismatches(self, census_reports):
+        r = copy.deepcopy(census_reports[(2, 2)])
+        r.spectrum_observed[2] += 1
+        payload = r.to_json()
+        assert not payload["verified"]
+        pred = r.spectrum_predicted
+        kinds = {(m["kind"], m["where"]): (m["observed"], m["predicted"])
+                 for m in payload["mismatches"]}
+        assert kinds[("spectrum", "k=2")] == (str(pred.c(2) + 1), str(pred.c(2)))
+        assert ("mass", "sum k*c_k") in kinds
+
     @pytest.mark.parametrize("q", [256, 512, 1024, 4096])
     def test_larger_p2_fields(self, q):
         r = run_census(2, q)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from wildcomp import (Collision, Decomposition, DegreeMismatch, MixedFields,
                       original_shift, projective_roots, shift_decomposition,
                       taylor_expansion)
 from wildcomp import polyring
-from wildcomp.decomp_core import right_component
+from wildcomp.decomp_core import right_component_at
 
 from conftest import F, MO, P, random_monic_original
 
@@ -151,6 +152,13 @@ def top_roots(f: MonicOriginal, r: int) -> list:
         spec, r, spec.neg_i(c(r * r - r)), spec.neg_i(c(r * r - r - 1)))]
 
 
+def at_root(f: MonicOriginal, y) -> MonicOriginal:
+    """``right_component_at`` i = r-1 with g_(r-1) = f_(r^2-r) - y^r."""
+    r = isqrt(f.degree)
+    return right_component_at(f, r - 1,
+                              (f.poly.coefficient(r * r - r) - y ** r).val)
+
+
 # (field, r) with a multiply original family: r = p and r = p^2
 M_FIELDS = [(F(5), 5), (F(5, 2), 5), (F(7), 7), (F(2, 3), 8), (F(3, 2), 9)]
 
@@ -177,7 +185,7 @@ class TestRightComponent:
         f, r, pairs = member
         found = {}
         for y in top_roots(f, r):
-            h = right_component(f, y)
+            h = at_root(f, y)
             assert h.poly.coefficient(r - 1) == y
             g = left_divide(f, h)
             if g is not None:
@@ -198,15 +206,15 @@ class TestRightComponent:
 
         g, h = top_nonzero(), top_nonzero()
         f = Decomposition(g, h).compose()
-        assert right_component(f, h.poly.coefficient(r - 1)) == h
+        assert at_root(f, h.poly.coefficient(r - 1)) == h
 
     def test_rejects_zero_g_coefficient(self):
         # g_(r-1) = f_(r^2-r) - y^r = 0, with y != 0 and with y = 0
         spec = F(5)
         with pytest.raises(ValueError):
-            right_component(MO(spec, "x^25+x^20+x"), spec.one)
+            at_root(MO(spec, "x^25+x^20+x"), spec.one)
         with pytest.raises(ValueError):
-            right_component(MO(spec, "x^25+x^19+x"), spec.zero)
+            at_root(MO(spec, "x^25+x^19+x"), spec.zero)
 
     def test_zero_y_gives_h_back(self):
         # h_2 = 0 and g_2 != 0 over F_3^9, so f_5 = -g_2 h_2 = 0
@@ -218,15 +226,13 @@ class TestRightComponent:
             h = MonicOriginal(Poly(spec, (0, rng.randrange(spec.q), 0, 1)))
             f = Decomposition(g, h).compose()
             assert f.poly.coefficient(5).val == 0
-            assert right_component(f, spec.zero) == h
+            assert at_root(f, spec.zero) == h
 
     def test_degree_must_be_a_power_of_p_squared(self):
         with pytest.raises(DegreeMismatch):
-            right_component(MO(F(5), "x^24+x"), F(5).one)
+            at_root(MO(F(5), "x^24+x"), F(5).one)
         with pytest.raises(DegreeMismatch):
-            right_component(MO(F(5), "x^36+x^29"), F(5).one)
-        with pytest.raises(MixedFields):
-            right_component(MO(F(5), "x^25+x^19"), F(7).one)
+            at_root(MO(F(5), "x^36+x^29"), F(5).one)
 
 
 class TestOriginalShift:

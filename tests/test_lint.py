@@ -1,7 +1,8 @@
 """Static checks on the package source: no assert statements, the layering
 of the intra-package imports, one prime-power helper, one field-selected
-fork in polyring, no private function that only tests call, and no
-classification in decomposition enumeration."""
+fork in polyring, no private function that only tests call, no
+classification in decomposition enumeration, and one candidate path for
+the right components."""
 
 import ast
 from pathlib import Path
@@ -115,3 +116,19 @@ def test_enumeration_never_classifies():
                     todo.append(ref)
     assert "_components_below_top" in seen
     assert sorted(named & forbidden) == []
+
+
+def test_one_candidate_path():
+    # M identification and decomposition enumeration read their h off the
+    # roots of P_f in one generator; nothing else builds h from a root
+    defs = [path.relative_to(SRC) for path in SRC.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "right_component"]
+    assert defs == []
+    callers = sorted({fn.name for fn in tree("identify").body
+                      if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "right_component_at"})
+    assert callers == ["_candidates", "_components_below_top"]
