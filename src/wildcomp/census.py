@@ -13,17 +13,20 @@ packed as g_index * q^(p-1) + h_index.
 A composition f is keyed by the F_p digits of its inner coefficients
 (f_1, ..., f_{p^2-1}), one byte per digit: d = log_p q bytes per
 coefficient, lowest digit first, so f_j takes bytes [(j-1)d, jd) of the
-key.  The same layout serves every p and q.  For odd p, the keys of each
-h in a shard are built from multiples m z^k h^i over an F_p basis z^k of
-F_q, and each key is reduced mod p once (``_shard_tables``).
+key.  The same layout serves every p and q.
 
 The pairs fall into q shards keyed by f_{p^2-p}, which equals
 h_{p-1}^p + g_{p-1}: shard s takes g_{p-1} = s - h_{p-1}^p for every h, so
-the shards are disjoint in f and equal in size.  A shard's table maps a key
-to its bare packed pair while f has one decomposition, as most f do, and to
-a list of packed pairs from the second on.  Only the number of distinct f
-and the colliding f with their pairs leave a shard; no table of the
-non-colliding f is kept.
+the shards are disjoint in f and equal in size.  Each enumerated part of a
+shard (below) is counted top down by f's coefficient blocks
+(``_tabulate_shards``): as g_m h^m has degree pm and top coefficient g_m,
+the coefficients f_j, j > p(m-1), of g o h depend only on h and
+g_{p-1}, ..., g_m.  So the pairs are grouped by these coefficients from
+the top block down, one g at a time, and a group of one (h, g_{p-1}, ...,
+g_m) has k = 1 for every way of completing its g: it is counted, and no
+key is built.  Only pairs that share every block above g_1's are keyed,
+in one small table per group.  Only the number of distinct f and the
+colliding f with their pairs leave a part.
 
 Only shards 0 and 1 are enumerated.  For a != 0 the scaling
 (g, h) -> (a^(-p^2) g(a^p y), a^(-p) h(a x)) is a bijection of pairs that
@@ -163,11 +166,11 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import groupby, islice
+from functools import lru_cache, partial
+from itertools import groupby
 from typing import Any, NamedTuple, Optional
 
 from . import counting
@@ -176,11 +179,11 @@ from .decomp_core import (Decomposition, MonicOriginal, mo_index_to_inner,
                           mo_index_to_poly)
 from .gf import FieldSpec, _log_base, field_new
 from .identify import CollisionTag, classify
-from .polyring import Poly, _mul_raw, format_poly
+from .polyring import Poly, _divrem_raw, _mul_raw, format_poly
 
 # Runs that would enumerate more pairs than this (``enumerated_pairs``) are
 # refused outright.  Every field it admits has (p-1)(d(p-2)+2) <= 255, so
-# the digit sums of a key byte never carry (see ``_shard_tables``).
+# the digit sums of a key byte never carry (see ``_tabulate_shards``).
 PAIR_LIMIT = 1 << 24
 
 
@@ -245,7 +248,8 @@ def unpack_pair(spec: FieldSpec, packed: int, p: int) -> Decomposition:
 def poly_of_key(spec: FieldSpec, key: bytes, p: int) -> MonicOriginal:
     """The monic original of degree p^2 whose census key is ``key``."""
     d = spec.d
-    inner = tuple(spec.encode_coeffs(key[i:i + d]) for i in range(0, len(key), d))
+    encoding = _key_digits(spec)
+    inner = tuple(encoding[key[i:i + d]] for i in range(0, len(key), d))
     return MonicOriginal(Poly(spec, (0,) + inner + (1,)))
 
 
@@ -344,6 +348,13 @@ def _digit_table(spec: FieldSpec) -> list[int]:
     return digits
 
 
+@lru_cache(maxsize=4)
+def _key_digits(spec: FieldSpec) -> dict[bytes, int]:
+    """The inverse of ``_digit_table``: a coefficient's d key bytes to its
+    encoding."""
+    return {v.to_bytes(spec.d, "little"): e for e, v in enumerate(_digit_table(spec))}
+
+
 def _parts(spec: FieldSpec
            ) -> list[tuple[Part, list[tuple[Sequence[int], Optional[range]]]]]:
     """The census's enumerated parts, shard 0's first, each with its slices.
@@ -423,164 +434,241 @@ def _coset_fibres(spec: FieldSpec, part: Part,
         yield part._replace(weight=w * part.weight, c_nonzero=c_nonzero), cut
 
 
-def _shard_tables(spec: FieldSpec,
-                  parts: Iterable[tuple[int, Iterable[tuple[Sequence[int],
-                                                            Optional[range]]]]]
-                  ) -> Iterator[tuple[int, dict]]:
-    """Yield ``(s, table)`` for each ``(s, slices)`` in ``parts``, in order.
+def _multiples(spec: FieldSpec, digits: list[int], mod_p: bytes, pw: Sequence[int]
+               ) -> tuple[tuple[int, ...], ...]:
+    """For each F_p basis element z^k of F_q, the p multiples m z^k pw,
+    m in F_p, of the polynomial ``pw`` in the key layout, each byte reduced
+    by the table ``mod_p``; m times a digit is at most (p-1)^2 <= 255, so
+    nothing carries."""
+    p, d, mul_i = spec.p, spec.d, spec.mul_i
+    n, shift = p * p, 8 * spec.d
+    nbytes = (n - 1) * d
+    out = []
+    for k in range(d):
+        base = sum(digits[mul_i(v, p ** k)] << shift * j
+                   for j, v in enumerate(pw[1:n]) if v)
+        out.append(tuple(int.from_bytes((m * base).to_bytes(nbytes, "little")
+                                        .translate(mod_p), "little")
+                         for m in range(p)))
+    return tuple(out)
 
-    The table holds the pairs (g, h) of shard s of each slice ``(hs, gs)``:
-    those whose h index is in ``hs`` and whose g_{p-2} is in the range
-    ``gs`` (None for p = 2, which has no g_{p-2}).  Shard s holds the pairs
-    with h_{p-1}^p + g_{p-1} = s, which is the coefficient f_{p^2-p} of
-    f = g o h, so the shards are key-disjoint and each holds q^(2p-3)
-    pairs, q^(p-2) per h.  A table maps each f key to its packed pair, or
-    to the list of its packed pairs once a second pair composes to it;
-    within a key, pairs come in (h, g) order, h in the order of the slices
-    and their ``hs``.  The inner coefficients f_1..f_{p^2-1} are held as
-    one integer in the key layout, one F_p digit per byte, so adding a
-    piece is one integer add.
 
-    For odd p, the keys of one (s, h) come from h^p + g_{p-1} h^(p-1) by
-    adding, for each level 1 <= i <= p-2 and each F_p basis element z^k
-    of F_q, one of the p reduced multiples m z^k h^i, so they come in g
-    index order.  The top level, g_{p-2} h^(p-2), runs over the digits
-    that ``gs`` uses, and the keys outside ``gs`` are skipped.  Per h, only
-    what its slices use is built, once: h^(p-1) only where some shard s
-    has g_{p-1} = s - h_{p-1}^p != 0, and the top level only where some
-    slice lets g_{p-2} be nonzero.  A key byte sums at most d(p-2) + 2
+def _tabulate_shards(p: int, d: int,
+                     parts: list[tuple[int, list[tuple[Sequence[int], Optional[range]]]]]
+                     ) -> list[tuple[int, dict]]:
+    """Per ``(s, slices)`` part: its number of distinct f, and its colliding
+    f, each key with the tuple of its packed pairs.
+
+    A slice ``(hs, gs)`` holds the pairs (g, h) of shard s whose h index is
+    in ``hs`` and whose g_{p-2} is in the range ``gs`` (None for p = 2,
+    which has no g_{p-2}); g_{p-1} = s - h_{p-1}^p, so f_{p^2-p} = s.
+
+    The f are counted top down by their coefficient blocks.  In f = g o h
+    the term g_m h^m has degree pm and top coefficient g_m, so f_j for
+    p(m-1) < j < pm depends only on h and g_{p-1}, ..., g_m, and
+    f_{p(m-1)} is g_{m-1} plus a function of h and those g.  A pair's
+    level-i state is (h, g_{p-1}, ..., g_{p-i}), and its signature is f_j
+    for j > p(p-i-1), level i's block of p coefficients below level i-1's.
+    The pairs of one f share their signature at every level, so within a
+    part the states are grouped by signature, from level 1, whose block is
+    s and below it g_{p-1} times the top of h^(p-1):
+    - a state alone in its group has k = 1 for each completion of its g
+      that its slice allows, as completions of one h differ in g; their
+      count goes to the distinct f, and no key is built;
+    - a group of two or more states descends: each state takes each
+      allowed next g, g_{p-2} from its slice's ``gs`` and any other g from
+      F_q, which runs over the next block's f_{p(p-i-1)} one to one, and
+      the resulting states are regrouped by that block within the group.
+    At level p - 1 the signature is the whole key, and each group's keys
+    are built and tabulated in one table of its own.  For p = 2 level 1 is
+    already the whole key, and each part is one table of its keys.
+
+    The pairs of one f come in increasing h order, which is the order of
+    the slices and their ``hs``, and the colliding f of a part in
+    increasing order of their first pair's (h, g) indices.  For p = 2 a
+    part's h come in increasing order and each has one pair, so the order
+    in which its keys are first tabulated already is that order.
+
+    The inner coefficients f_1..f_{p^2-1} of a partial sum are one integer
+    in the key layout, one F_p digit per byte, so adding a term is one
+    integer add.  A state's sum is h^p (by Frobenius, h^p = sum h_i^p
+    x^(ip)) plus g_{p-1} h^(p-1), plus, per g_m it has set and per F_p
+    basis element z^k of F_q, one of the p reduced multiples of
+    ``_multiples``; the children of a state are a digit product over
+    those multiples, in g index order.  A byte sums at most d(p-2) + 2
     digits of at most p - 1 each, so it needs (p-1)(d(p-2)+2) <= 255,
     which holds for every field ``PAIR_LIMIT`` admits; one
-    ``bytes.translate`` per key reduces every byte mod p.
+    ``bytes.translate`` reduces every byte of a block or key mod p.  Per h,
+    its data is built once and only as far as its states reach:
+    h^(p-1) = h^p / h where g_{p-1} != 0, the lower powers
+    h^m = h^(m-1) h up to the highest m for which a state of h may take a
+    nonzero g_m, and level m's multiples where one may; a state whose slice
+    fixes g_{p-2} = 0 keeps its sum.
     """
-    p, q, d = spec.p, spec.q, spec.d
+    spec = field_new(p, d)
+    q = spec.q
     n = p * p
     big_q = q ** (p - 1)
     shift = 8 * d
     nbytes = (n - 1) * d
     mul_i = spec.mul_i
     digits = _digit_table(spec)
+    mod_p = bytes(b % p for b in range(256))
+    out = []
+
+    def tabulate(table: dict, keys: list, pairs) -> None:
+        """Add each pair under its key: bare on the first hit, a list after."""
+        setdefault = table.setdefault
+        for key, pair in zip(keys, pairs):
+            old = setdefault(key, pair)
+            if old is not pair:
+                if type(old) is int:
+                    table[key] = [old, pair]
+                else:
+                    old.append(pair)
+
+    def counted(table: dict, colliding: dict) -> int:
+        colliding.update((key, tuple(prs)) for key, prs in table.items()
+                         if type(prs) is list)
+        return len(table)
 
     if p == 2:
-        # g_1 = s - h_1^2 (an XOR of encodings) and f = x^4 + s*x^2 + g_1*h_1*x.
+        # g_1 = s - h_1^2 (an XOR of encodings) and f = x^4 + s*x^2 + g_1*h_1*x
         squares = [mul_i(h, h) for h in range(q)]
         for s, slices in parts:
             hs = [h for part_hs, _ in slices for h in part_hs]
             top = digits[s] << shift
             gs = [s ^ squares[h] for h in hs]
-            keys = [(digits[mul_i(g, h)] | top).to_bytes(nbytes, "little")
-                    for h, g in zip(hs, gs)]
             table: dict = {}
-            _group(table, keys, [g * q + h for h, g in zip(hs, gs)])
-            yield s, table
-        return
+            tabulate(table, [(digits[mul_i(g, h)] | top).to_bytes(nbytes, "little")
+                             for h, g in zip(hs, gs)],
+                     [g * q + h for h, g in zip(hs, gs)])
+            colliding: dict = {}
+            out.append((counted(table, colliding), colliding))
+        return out
 
-    mod_p = bytes(b % p for b in range(256))
     sub_i, pow_i = spec.sub_i, spec.pow_i
-    per_y = q ** (p - 2)  # the h indices, and the g indices, of one h_{p-1}
-    span = per_y * big_q
-    skip = q ** (p - 3)  # the g indices below g_{p-2}
-    lower = (p - 3) * d  # the basis multiples of the levels below the top
+    mask = (1 << shift * p) - 1  # one block of p coefficients
 
-    def multiples(pw: list[int], c: int) -> tuple[int, ...]:
-        """m*c*pw for m in F_p, in the key layout with each byte reduced;
-        m times a digit is at most (p-1)^2 <= 255, so nothing carries."""
-        base = sum(digits[mul_i(v, c)] << shift * j
-                   for j, v in enumerate(pw[1:n]) if v)
-        return tuple(int.from_bytes((m * base).to_bytes(nbytes, "little")
-                                    .translate(mod_p), "little")
-                     for m in range(p))
+    def by_first_pair(colliding: dict) -> dict:
+        """``colliding`` in increasing order of its first pairs' (h, g)."""
+        return dict(sorted(colliding.items(),
+                           key=lambda item: (item[1][0] % big_q, item[1][0])))
 
-    def precompute(hidx: int, levels: int, top: bool) -> tuple:
-        """h^p packed, by Frobenius h^p = sum h_i^p x^(ip); its coefficient
-        h_{p-1}^p at x^(p^2-p); if ``top``, the nonzero coefficients of
-        h^(p-1) with their shifts; and for each level 1 <= i <= ``levels``
-        and each F_p basis element z^k of F_q, the p multiples m*z^k*h^i,
-        m in F_p."""
-        inner = mo_index_to_inner(hidx, q, p)
-        hp = sum(digits[pow_i(v, p)] << shift * (p * i - 1)
-                 for i, v in enumerate(inner, 1))
-        pows = [[0, *inner, 1]]
-        for _ in range((p - 1 if top else levels) - 1):
-            pows.append(_mul_raw(spec, pows[-1], pows[0]))
-        tops = tuple((shift * j, v) for j, v in enumerate(pows[-1][1:n]) if v) \
-            if top else ()
-        basis = tuple(multiples(pw, p ** k)
-                      for pw in pows[:levels] for k in range(spec.d))
-        return hp, pow_i(inner[-1], p), tops, basis
+    per_h: dict[int, list] = {}
 
-    # What each h of this call's parts needs over all of them: its levels,
-    # p-3 where every slice has g_{p-2} = 0 and p-2 elsewhere, and whether
-    # some shard s has g_{p-1} = s - h_{p-1}^p != 0.  It is built once.
-    parts = [(s, list(slices)) for s, slices in parts]
-    frobenius = [pow_i(y, p) for y in range(q)]
-    need: dict[int, tuple[int, bool]] = {}
+    def of_h(hidx: int) -> list:
+        """[h, h^p in the key layout, h_{p-1}^p, powers, multiples] of h."""
+        got = per_h.get(hidx)
+        if got is None:
+            inner = mo_index_to_inner(hidx, q, p)
+            hp = sum(digits[pow_i(v, p)] << shift * (p * i - 1)
+                     for i, v in enumerate(inner, 1))
+            got = per_h[hidx] = [[0, *inner, 1], hp, pow_i(inner[-1], p), {}, {}]
+        return got
+
+    def power(h: list, m: int) -> Sequence[int]:
+        """h^m: h^(p-1) = h^p / h, and below it h^k = h^(k-1) h."""
+        base, powers = h[0], h[3]
+        if m == 1:
+            return base
+        if m not in powers:
+            if m == p - 1:
+                hp = [0] * (n + 1)
+                for i, v in enumerate(base[1:], 1):
+                    hp[p * i] = pow_i(v, p)
+                powers[m] = _divrem_raw(spec, hp, base)[0]
+            else:
+                k = max((k for k in powers if k < m), default=1)
+                pw = powers.get(k, base)
+                for k in range(k + 1, m + 1):
+                    pw = powers[k] = _mul_raw(spec, pw, base)
+        return powers[m]
+
+    def children(state: tuple, m: int, allowed: tuple) -> list:
+        """The sums of ``state`` with each allowed g_m, in g index order."""
+        h, total = state[0], state[1]
+        steps, offset, count, _ = allowed
+        if not steps:  # g_m = 0 only: no multiple is read
+            return [total]
+        mults = h[4].get(m)
+        if mults is None:
+            mults = h[4][m] = _multiples(spec, digits, mod_p, power(h, m))
+        lows = [total]
+        for k, ds in steps:
+            picked = [mults[k][j] for j in ds]
+            lows = [a + b for b in picked for a in lows]
+        return lows[offset:offset + count]
+
+    # the g_m a state may take: g_{p-2} those of its slice, each other g all
+    # of F_q, as (its nonzero F_p digits with their values, the offset and
+    # count of the run it takes in their digit product, its first value)
+    every_g = ([(k, range(p)) for k in range(d)], 0, q, 0)
+
+    def block(total: int, m: int) -> bytes:
+        """f_j for p(m-1) < j <= pm of the sum ``total``, each reduced: the
+        block of the level that sets g_m."""
+        return ((total >> shift * p * (m - 1)) & mask).to_bytes(p * d, "little") \
+            .translate(mod_p)
+
+    def keys(group: list, colliding: dict) -> int:
+        """The distinct f of ``group``, two or more states that share their
+        signature and take g_1 last, tabulated by key; the colliding f go to
+        ``colliding``."""
+        table: dict = {}
+        for state in group:
+            allowed = state[3] if p == 3 else every_g
+            first = state[2] + allowed[3] * big_q
+            tabulate(table, [v.to_bytes(nbytes, "little").translate(mod_p)
+                             for v in children(state, 1, allowed)],
+                     range(first, first + allowed[2] * big_q, big_q))
+        return counted(table, colliding)
+
+    def regroup(group: list, m: int) -> dict:
+        """The states of ``group`` with each allowed g_m, grouped by block."""
+        unit = q ** (m - 1) * big_q  # g_m's step in the packed pair
+        groups: dict = {}
+        for state in group:
+            allowed = state[3] if m == p - 2 else every_g
+            h, first = state[0], state[2] + allowed[3] * unit
+            for i, v in enumerate(children(state, m, allowed)):
+                groups.setdefault(block(v, m), []).append((h, v, first + i * unit))
+        return groups
+
+    # A state is (h's data, its sum, its packed pair so far) and, at level 1,
+    # its slice's allowed g_{p-2}.
     for s, slices in parts:
+        # level 1: each h of each slice with its g_{p-1}, grouped by band
+        groups: dict = {}
         for hs, gs in slices:
-            levels = p - 2 if any(gs) else p - 3
-            for hidx in hs:
-                was, top = need.get(hidx, (0, False))
-                need[hidx] = (max(was, levels),
-                              top or frobenius[hidx // per_y] != s)
-    per_h = {hidx: precompute(hidx, *wants) for hidx, wants in need.items()}
-
-    # Per (s, h), g_{p-1} = s - h_{p-1}^p is fixed and g_1..g_{p-2} run over
-    # F_q digit by digit, g_1's lowest digit fastest, so the sums come in g
-    # index order.
-    for s, slices in parts:
-        table = {}
-        for hs, gs in slices:
-            # g_{p-2}'s F_p digits k that are not 0 throughout gs, and the
-            # values they take, in increasing order; the range gs is one run
-            # of them, and so are its keys
             steps = [(k, ds) for k in range(d)
                      if (ds := sorted({v // p ** k % p for v in gs})) != [0]]
             values = [0]
             for k, ds in steps:
                 values = [a + m * p ** k for m in ds for a in values]
-            start = values.index(gs.start) * skip
+            allowed = (steps, values.index(gs.start), len(gs), gs.start)
             for hidx in hs:
-                hp, lead, top, basis = per_h[hidx]
-                c = sub_i(s, lead)
-                lows = [hp + sum(digits[mul_i(v, c)] << sh for sh, v in top)
-                        if c else hp]
-                for mults in basis[:lower]:
-                    lows = [a + m for m in mults for a in lows]
-                for k, ds in steps:
-                    mults = [basis[lower + k][m] for m in ds]
-                    lows = [a + m for m in mults for a in lows]
-                keys = [v.to_bytes(nbytes, "little").translate(mod_p)
-                        for v in islice(lows, start, start + len(gs) * skip)]
-                first = c * span + gs.start * skip * big_q + hidx
-                _group(table, keys, range(first, first + len(keys) * big_q, big_q))
-        yield s, table
-
-
-def _group(table: dict, keys: list, pairs) -> None:
-    """Add each pair under its key: bare on the first hit, a list after."""
-    setdefault = table.setdefault
-    for key, pair in zip(keys, pairs):
-        old = setdefault(key, pair)
-        if old is not pair:
-            if type(old) is int:
-                table[key] = [old, pair]
-            else:
-                old.append(pair)
-
-
-def _tabulate_shards(p: int, d: int,
-                     parts: list[tuple[int, list[tuple[Sequence[int], Optional[range]]]]]
-                     ) -> list[tuple[int, dict]]:
-    """Per ``(s, slices)`` part: its distinct f count and its colliding f.
-
-    A part's table is dropped once counted, so nothing of a non-colliding
-    f outlives its part.
-    """
-    out = []
-    for _, table in _shard_tables(field_new(p, d), parts):
-        out.append((len(table), {key: tuple(pairs) for key, pairs in table.items()
-                                 if type(pairs) is list}))
-        del table  # before the next part's table is built
+                h = of_h(hidx)
+                c = sub_i(s, h[2])  # g_{p-1}
+                total = h[1]
+                if c:
+                    total += sum(digits[mul_i(v, c)] << shift * j
+                                 for j, v in enumerate(power(h, p - 1)[1:n]) if v)
+                groups.setdefault(block(total, p - 1), []).append(
+                    (h, total, c * q ** (p - 2) * big_q + hidx, allowed))
+        colliding: dict = {}
+        distinct = 0
+        todo = [(groups, p - 2)]  # states grouped by signature that take g_m next
+        while todo:
+            groups, m = todo.pop()
+            for group in groups.values():
+                if len(group) == 1:
+                    distinct += (group[0][3][2] if m == p - 2 else q) * q ** (m - 1)
+                elif m == 1:
+                    distinct += keys(group, colliding)
+                else:
+                    todo.append((regroup(group, m), m - 1))
+        out.append((distinct, by_first_pair(colliding)))
     return out
 
 
@@ -630,11 +718,11 @@ def run_census(p: int, q: int, threads: int = 1) -> CensusReport:
         for key, pairs in shard_colliding.items():
             k = len(pairs)
             spectrum_observed[k] = spectrum_observed.get(k, 0) + w
-            cls = classify(poly_of_key(spec, key, p))
+            f = poly_of_key(spec, key, p)
+            cls = classify(f)
             if cls.tag is CollisionTag.NONE:
                 unclassified.append(Mismatch(
-                    "classification", format_poly(poly_of_key(spec, key, p).poly),
-                    "none", "a collision class"))
+                    "classification", format_poly(f.poly), "none", "a collision class"))
                 continue
             per_k = class_spectrum[cls.tag.value]
             per_k[k] = per_k.get(k, 0) + w

@@ -1,11 +1,13 @@
 import random
+from itertools import islice
 
 import pytest
 
 from wildcomp import (ConstantBase, Poly, ZeroPolynomial, census, classify,
                       divrem, field_new, gcd, parse_poly)
 from wildcomp.decomp_core import (Decomposition, MonicOriginal, left_divide,
-                                  mo_index_to_poly)
+                                  mo_index_to_inner, mo_index_to_poly)
+from wildcomp.polyring import _mul_raw
 
 # the eight feasible census fields from the verification plan
 CENSUS_FIELDS = [(2, 2), (2, 4), (2, 8), (2, 16), (3, 3), (3, 9), (3, 27), (5, 5)]
@@ -95,8 +97,105 @@ def key_of(f) -> bytes:
                  for digit in spec.coeffs_of(c))
 
 
+def shard_tables(spec, parts):
+    """The full-table oracle: yield ``(s, table)`` for each ``(s, slices)``
+    in ``parts``, in order, one flat table of keys per part.
+
+    The table holds the pairs (g, h) of shard s of each slice ``(hs, gs)``:
+    those whose h index is in ``hs`` and whose g_{p-2} is in the range
+    ``gs`` (None for p = 2).  It maps each f key to its packed pair, or to
+    the list of its packed pairs once a second pair composes to it; within
+    a key, pairs come in (h, g) order, h in the order of the slices and
+    their ``hs``.  Every enumerated pair gets its key: for odd p the keys of
+    one (s, h) are h^p + g_{p-1} h^(p-1) plus, for each level
+    1 <= i <= p-2 and each F_p basis element z^k of F_q, one of the p
+    reduced multiples m z^k h^i, in g index order, each reduced mod p by
+    one ``bytes.translate``.  ``test_matches_compose`` pins it against
+    ``reference_table``, which composes every pair.
+    """
+    p, q, d = spec.p, spec.q, spec.d
+    n = p * p
+    big_q = q ** (p - 1)
+    shift = 8 * d
+    nbytes = (n - 1) * d
+    mul_i = spec.mul_i
+    digits = census._digit_table(spec)
+
+    def group(table, keys, pairs):
+        setdefault = table.setdefault
+        for key, pair in zip(keys, pairs):
+            old = setdefault(key, pair)
+            if old is not pair:
+                if type(old) is int:
+                    table[key] = [old, pair]
+                else:
+                    old.append(pair)
+
+    if p == 2:
+        squares = [mul_i(h, h) for h in range(q)]
+        for s, slices in parts:
+            hs = [h for part_hs, _ in slices for h in part_hs]
+            top = digits[s] << shift
+            gs = [s ^ squares[h] for h in hs]
+            table: dict = {}
+            group(table, [(digits[mul_i(g, h)] | top).to_bytes(nbytes, "little")
+                          for h, g in zip(hs, gs)], [g * q + h for h, g in zip(hs, gs)])
+            yield s, table
+        return
+
+    mod_p = bytes(b % p for b in range(256))
+    sub_i, pow_i = spec.sub_i, spec.pow_i
+    span = q ** (p - 2) * big_q
+    skip = q ** (p - 3)  # the g indices below g_{p-2}
+    lower = (p - 3) * d  # the basis multiples of the levels below the top
+
+    def multiples(pw, c):
+        """m*c*pw for m in F_p, in the key layout with each byte reduced."""
+        base = sum(digits[mul_i(v, c)] << shift * j for j, v in enumerate(pw[1:n]) if v)
+        return tuple(int.from_bytes((m * base).to_bytes(nbytes, "little").translate(mod_p),
+                                    "little") for m in range(p))
+
+    def precompute(hidx):
+        inner = mo_index_to_inner(hidx, q, p)
+        hp = sum(digits[pow_i(v, p)] << shift * (p * i - 1)
+                 for i, v in enumerate(inner, 1))
+        pows = [[0, *inner, 1]]
+        for _ in range(p - 2):
+            pows.append(_mul_raw(spec, pows[-1], pows[0]))
+        tops = tuple((shift * j, v) for j, v in enumerate(pows[-1][1:n]) if v)
+        basis = tuple(multiples(pw, p ** k) for pw in pows[:p - 2] for k in range(d))
+        return hp, pow_i(inner[-1], p), tops, basis
+
+    per_h: dict = {}
+    for s, slices in parts:
+        table = {}
+        for hs, gs in slices:
+            steps = [(k, ds) for k in range(d)
+                     if (ds := sorted({v // p ** k % p for v in gs})) != [0]]
+            values = [0]
+            for k, ds in steps:
+                values = [a + m * p ** k for m in ds for a in values]
+            start = values.index(gs.start) * skip
+            for hidx in hs:
+                if hidx not in per_h:
+                    per_h[hidx] = precompute(hidx)
+                hp, lead, top, basis = per_h[hidx]
+                c = sub_i(s, lead)
+                lows = [hp + sum(digits[mul_i(v, c)] << sh for sh, v in top)]
+                for mults in basis[:lower]:
+                    lows = [a + m for m in mults for a in lows]
+                for k, ds in steps:
+                    mults = [basis[lower + k][m] for m in ds]
+                    lows = [a + m for m in mults for a in lows]
+                keys = [v.to_bytes(nbytes, "little").translate(mod_p)
+                        for v in islice(lows, start, start + len(gs) * skip)]
+                first = c * span + gs.start * skip * big_q + hidx
+                group(table, keys, range(first, first + len(keys) * big_q, big_q))
+        yield s, table
+
+
 def every_h(spec, shards) -> list:
-    """``_shard_tables`` parts for the given shards, each with every pair."""
+    """``shard_tables`` parts for the given shards, each with every pair."""
     return [(s, [(range(spec.q ** (spec.p - 1)), range(spec.q))]) for s in shards]
 
 
@@ -106,7 +205,7 @@ def shard_union(spec) -> dict:
     Maps each f key to its bare packed pair or to the list of its pairs.
     """
     table: dict = {}
-    for _, part in census._shard_tables(spec, every_h(spec, range(spec.q))):
+    for _, part in shard_tables(spec, every_h(spec, range(spec.q))):
         assert table.keys().isdisjoint(part)
         table.update(part)
     return table

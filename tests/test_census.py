@@ -1,7 +1,10 @@
 import copy
+import inspect
 import itertools
 import math
 import random
+import sys
+import types
 from collections import Counter
 
 import pytest
@@ -9,15 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildcomp import census, classify, run_census, verify, class_partition_check
-from wildcomp.census import (PAIR_LIMIT, TooLarge, _shard_tables,
-                             enumerated_pairs, mo_index_to_poly, poly_of_key,
-                             unpack_pair)
+from wildcomp.census import (PAIR_LIMIT, TooLarge, enumerated_pairs,
+                             mo_index_to_poly, poly_of_key, unpack_pair)
 from wildcomp.decomp_core import MonicOriginal, original_shift
 from wildcomp.gf import _is_prime
 from wildcomp.identify import CollisionTag, enumerate_decompositions
 from wildcomp.polyring import Poly, compose
 
-from conftest import CENSUS_FIELDS, F, every_h, key_of, pair_count, shard_union
+from conftest import (CENSUS_FIELDS, F, every_h, key_of, pair_count, shard_tables,
+                      shard_union)
 
 # Fields for the shard properties, F_2^9 with nine key bytes per coefficient
 # and F_3^3 with three F_3 basis vectors per level among them.
@@ -92,18 +95,23 @@ def kept(p: int, label: tuple, coeff, reps) -> bool:
         not (c_nonzero and coeff(p * p - 2 * p) not in reps)
 
 
-def part_problems(spec, parts) -> list[str]:
+def part_problems(spec, parts, tabulate=None) -> list[str]:
     """How ``parts`` of shards 0 and 1 differ from the rules, read off the
-    full shard tables.
+    full shard tables of the oracle ``shard_tables``.
 
-    Each part must equal its filter of its shard's full table, every pair
-    included: the f that it stands for (``represented_by``) and holds
-    (``kept``).  The f it stands for must be its weight (over its shard's)
-    times its own f for every pair count k, and the parts must cover each
-    shard once.
+    Each part's slices, tabulated flat by the oracle, must give exactly its
+    filter of its shard's full table, every key and pair included: the f
+    that it stands for (``represented_by``) and holds (``kept``).  The
+    census loop ``tabulate`` (by default ``census._tabulate_shards``) must
+    count that filter exactly: as many distinct f and f with one pair, and
+    every colliding f with every one of its pairs, in the same order.  The f
+    a part stands for must be its weight (over its shard's) times its own f
+    for every pair count k, and the parts must cover each shard once.
     """
     p, q, d = spec.p, spec.q, spec.d
     reps = coset_representatives(spec)
+    tabulate = tabulate or census._tabulate_shards
+    counted = tabulate(p, d, [(part.s, slices) for part, slices in parts])
 
     def at(key):
         return lambda j: spec.encode_coeffs(key[(j - 1) * d:j * d])
@@ -122,14 +130,23 @@ def part_problems(spec, parts) -> list[str]:
 
     problems = []
     shard_weight = {0: 1, 1: q - 1}
-    for s, full in _shard_tables(spec, every_h(spec, [0, 1])):
-        mine = [(part, slices) for part, slices in parts if part.s == s]
+    for s, full in shard_tables(spec, every_h(spec, [0, 1])):
+        mine = [((part, slices), got) for (part, slices), got in zip(parts, counted)
+                if part.s == s]
+        flat = shard_tables(spec, [(s, slices) for (_, slices), _ in mine])
         total = Counter()
-        for (part, slices), (_, table) in zip(mine, _shard_tables(
-                spec, [(s, slices) for _, slices in mine])):
+        for ((part, _), (distinct, colliding)), (_, table) in zip(mine, flat):
             member, represented = rules(part)
             if table != {key: prs for key, prs in full.items() if member(key)}:
                 problems.append(f"{part}: not its filter of shard {s}")
+            singles = sum(type(prs) is int for prs in table.values())
+            if (distinct, distinct - len(colliding)) != (len(table), singles):
+                problems.append(f"{part}: {distinct} distinct f counted, "
+                                f"{len(table)} tabulated")
+            if list(colliding.items()) != sorted(
+                    ((key, tuple(prs)) for key, prs in table.items() if type(prs) is list),
+                    key=lambda item: (item[1][0] % q ** (p - 1), item[1][0])):
+                problems.append(f"{part}: colliding f not those of its table")
             w, rest = divmod(part.weight, shard_weight[s])
             counts = Counter(map(pair_count, table.values()))
             stands_for = Counter(pair_count(prs) for key, prs in full.items()
@@ -303,7 +320,8 @@ class TestTabulation:
             assert pairs == sorted(ref[key], key=lambda pr: (pr % big_q, pr))
         # the report keeps the colliding f of the enumerated parts of shards 0
         # and 1 that each part holds (``represented_by`` and ``kept``), in part
-        # order, and within a part in the order of the full table
+        # order, and within a part in increasing (h, g) order of their first
+        # pairs, each with its pairs in (h, g) order
         n = p * p
         labels = [(part.s, part.t_nonzero, part.fixed, part.c_nonzero)
                   for part in r.parts]
@@ -321,8 +339,9 @@ class TestTabulation:
 
         held = [(part_index(key), key, tuple(prs)) for key, prs in colliding.items()]
         assert list(r.colliding_pairs.items()) == \
-            [(key, prs) for i, key, prs in sorted((x for x in held if x[0] is not None),
-                                                  key=lambda x: x[0])]
+            [(key, prs) for i, key, prs in sorted(
+                (x for x in held if x[0] is not None),
+                key=lambda x: (x[0], x[2][0] % big_q, x[2][0]))]
 
     def test_byte_keys_at_q_256(self):
         spec = F(2, 8)
@@ -337,7 +356,7 @@ class TestTabulation:
 
     def test_keys_decode_at_q_512(self):
         spec = F(2, 9)
-        for s, table in _shard_tables(spec, every_h(spec, range(300, 304))):
+        for s, table in shard_tables(spec, every_h(spec, range(300, 304))):
             for key, pairs in table.items():
                 assert len(key) == 3 * 9
                 f = poly_of_key(spec, key, 2)
@@ -345,6 +364,24 @@ class TestTabulation:
                 assert f.poly.encodings[2] == s
                 for pr in [pairs] if type(pairs) is int else pairs:
                     assert unpack_pair(spec, pr, 2).compose() == f
+
+    @pytest.mark.parametrize("p,q", [(3, 3), (5, 5), (7, 7)])
+    def test_keys_decode_at_d_1(self, p, q):
+        """One key byte per coefficient: poly_of_key inverts key_of on
+        random polynomials, and on the census's colliding f of (5, 5)."""
+        spec = F(p)
+        rng = random.Random(q)
+        for _ in range(50):
+            f = MonicOriginal(Poly(spec, (0, *[rng.randrange(q) for _ in range(p * p - 1)], 1)))
+            key = key_of(f.poly)
+            assert len(key) == p * p - 1
+            assert poly_of_key(spec, key, p) == f
+        if (p, q) == (5, 5):
+            r = run_census(p, q)
+            for key, pairs in r.colliding_pairs.items():
+                assert key_of(r.poly_of_key(key).poly) == key
+                assert {unpack_pair(spec, pr, p).compose() for pr in pairs} == \
+                    {r.poly_of_key(key)}
 
     def test_digit_sums_fit_a_byte_under_pair_limit(self):
         """Every field PAIR_LIMIT admits sums the d(p-2) + 2 F_p digits that
@@ -386,7 +423,7 @@ class TestShards:
         p, q, d = spec.p, spec.q, spec.d
         n = p * p
         big_q = q ** (p - 1)
-        ((got, table),) = _shard_tables(spec, every_h(spec, [s]))
+        ((got, table),) = shard_tables(spec, every_h(spec, [s]))
         assert got == s
         assert sum(map(pair_count, table.values())) == q ** (2 * p - 3)
         # f_{p^2-p} = s in the key layout; decoding all 78k keys of an F_5
@@ -407,6 +444,77 @@ class TestShards:
                     assert unpack_pair(spec, pr, p).compose() == f
 
 
+def mutant_census(monkeypatch, old: str, new: str) -> types.ModuleType:
+    """A copy of the census module, loaded as a module of the package, with
+    its one occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(census)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("wildcomp._census_mutant")
+    module.__package__, module.__file__ = "wildcomp", census.__file__
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), census.__file__, "exec"), module.__dict__)
+    return module
+
+
+# Faults in the census loop, each as (source, its mutant): a group of two
+# states counted as singletons; a signature one coefficient too long, which
+# reaches f_{p(p-i-1)} at level i; and a lone state's completions at level 1
+# taken as q^(p-1-i), every g_{p-2}, in place of its slice's count.
+LOOP_MUTANTS = {
+    "two_as_singletons": (
+        "if len(group) == 1:\n"
+        "                    distinct += (group[0][3][2] if m == p - 2 else q) * q ** (m - 1)",
+        "if len(group) <= 2:\n"
+        "                    distinct += sum(state[3][2] if m == p - 2 else q\n"
+        "                                    for state in group) * q ** (m - 1)"),
+    "signature_too_long": (
+        "return ((total >> shift * p * (m - 1)) & mask).to_bytes(p * d, \"little\")",
+        "return ((total >> shift * (p * (m - 1) - 1)) & ((1 << shift * (p + 1)) - 1))"
+        ".to_bytes((p + 1) * d, \"little\")"),
+    "completions_of_every_g": (
+        "distinct += (group[0][3][2] if m == p - 2 else q) * q ** (m - 1)",
+        "distinct += q * q ** (m - 1)"),
+}
+
+
+class TestCoefficientBlocks:
+    """In f = g o h the term g_m h^m has degree pm and top coefficient g_m,
+    so f_j for j > p(m-1) depends only on h and g_{p-1}, ..., g_m, and
+    f_{p(m-1)} is g_{m-1} plus a function of them: the rule by which the
+    census loop groups its states."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_signature_is_fixed_by_the_state(self, data):
+        spec = data.draw(st.sampled_from([F(3), F(3, 2), F(3, 3), F(5), F(7)]))
+        p, q = spec.p, spec.q
+        elem = st.integers(0, q - 1)
+        inner = st.lists(elem, min_size=p - 1, max_size=p - 1)
+        g, h = data.draw(inner), data.draw(inner)
+        base = compose(Poly(spec, (0, *g, 1)), Poly(spec, (0, *h, 1))).encodings
+        for i in range(1, p - 1):
+            # the level-i state sets g_{p-1}..g_{p-i}; g_{p-i-1} is g[m - 1]
+            m = p - i - 1
+            lower = data.draw(st.lists(elem, min_size=m - 1, max_size=m - 1))
+            delta = data.draw(elem)
+            moved = [*lower, spec.add_i(g[m - 1], delta), *g[m:]]
+            f = compose(Poly(spec, (0, *moved, 1)), Poly(spec, (0, *h, 1))).encodings
+            cut = p * m
+            assert f[cut + 1:] == base[cut + 1:], (i, g, moved)
+            assert f[cut] == spec.add_i(base[cut], delta), (i, g, moved)
+
+    # At (5, 5) every level-1 state whose slice restricts g_{p-2} shares its
+    # band with another, so a lone state's count cannot be wrong there.
+    @pytest.mark.parametrize("mutant,p,q", [
+        (mutant, p, q) for mutant in sorted(LOOP_MUTANTS) for p, q in [(3, 9), (3, 27), (5, 5)]
+        if (mutant, p, q) != ("completions_of_every_g", 5, 5)])
+    def test_loop_mutant_fails_verify_or_the_part_check(self, monkeypatch, mutant, p, q):
+        module = mutant_census(monkeypatch, *LOOP_MUTANTS[mutant])
+        spec = F(p, round(math.log(q, p)))
+        assert not verify(module.run_census(p, q)) or \
+            part_problems(spec, census._parts(spec), module._tabulate_shards)
+
+
 class TestScaling:
     """Shard s != 0 is a copy of shard 1 under f -> a^(-p^2) f(a x), a^p = s."""
 
@@ -423,7 +531,7 @@ class TestScaling:
             return spectrum, cells
 
         profiles = [profile(table) for _, table in
-                    _shard_tables(spec, every_h(spec, range(spec.q)))]
+                    shard_tables(spec, every_h(spec, range(spec.q)))]
         assert profiles[1][1], pq
         for s in range(2, spec.q):
             assert profiles[s] == profiles[1], (pq, s)
@@ -543,50 +651,98 @@ class TestShiftReduction:
 
     def test_workers_precompute_only_their_parts_h(self, monkeypatch):
         """Each worker builds the per-h data of the h of its own parts, once
-        each, and only as far as its slices use: h^(p-1) only where some
-        shard s has g_{p-1} = s - h_{p-1}^p != 0, and h^(p-2), the top level,
-        only where some slice lets g_{p-2} be nonzero.  The powers built
-        are read off the ``_mul_raw`` products that follow each h."""
-        built = []
-        inner, mul_raw = census.mo_index_to_inner, census._mul_raw
+        each, and only as far as its states reach: h^(p-1) = h^p / h exactly
+        where g_{p-1} = s - h_{p-1}^p != 0, below it h^m = h^(m-1) h exactly
+        up to the lowest power whose multiples it builds, and each level's
+        multiples at most once.  The top level's multiples, those of
+        h^(p-2), are built exactly for an h whose state shares its band in
+        a part whose slice lets g_{p-2} be nonzero; so an h alone at level
+        1 in each of its parts builds no multiples and no power below
+        h^(p-1).  Powers are read off the ``_divrem_raw`` and ``_mul_raw``
+        calls, multiples off the ``_multiples`` calls."""
+        inner, divrem_raw, mul_raw, multiples = (
+            census.mo_index_to_inner, census._divrem_raw, census._mul_raw,
+            census._multiples)
+        made, built, multiplied = [], [], []
 
         def recording_inner(hidx, q, p):
-            built.append([hidx, 1])
+            made.append(hidx)
             return inner(hidx, q, p)
 
+        def recording_divrem(spec, a, b):
+            built.append((tuple(b), (len(a) - 1) // spec.p - 1))
+            return divrem_raw(spec, a, b)
+
         def recording_mul(spec, a, b):
-            built[-1][1] += 1
+            built.append((tuple(b), (len(a) - 1) // spec.p + 1))
             return mul_raw(spec, a, b)
 
+        def recording_multiples(spec, digits, mod_p, pw):
+            multiplied.append(tuple(pw))
+            return multiples(spec, digits, mod_p, pw)
+
         monkeypatch.setattr(census, "mo_index_to_inner", recording_inner)
+        monkeypatch.setattr(census, "_divrem_raw", recording_divrem)
         monkeypatch.setattr(census, "_mul_raw", recording_mul)
+        monkeypatch.setattr(census, "_multiples", recording_multiples)
+        kinds = Counter()
         for spec in (F(3, 3), F(5)):
             p, q = spec.p, spec.q
-            per_y = q ** (p - 2)
+            n = p * p
+            monic = {idx: mo_index_to_poly(spec, idx, p).poly for idx in range(q ** (p - 1))}
+            of_base = {h.encodings: idx for idx, h in monic.items()}
+            of_power = {(h ** m).encodings: (idx, m)
+                        for idx, h in monic.items() for m in range(1, p)}
             for s in (0, 1):
                 shard = [(s, slices) for part, slices in census._parts(spec)
                          if part.s == s]
-                built.clear()
+                made.clear(), built.clear(), multiplied.clear()
                 census._tabulate_shards(p, spec.d, shard)
-                want: dict = {}
+                in_parts = {hidx for _, slices in shard for hs, _ in slices for hidx in hs}
+                assert sorted(made) == sorted(in_parts)
+                powers = [(of_base[b], m) for b, m in built]
+                levels = [of_power[pw] for pw in multiplied]
+                assert len(set(powers)) == len(powers) and len(set(levels)) == len(levels)
+
+                def g_top(hidx):
+                    return spec.sub_i(s, spec.pow_i(hidx // q ** (p - 2), p))
+
+                for hidx in in_parts:
+                    mine = {m for idx, m in powers if idx == hidx}
+                    levels_of_h = {m for idx, m in levels if idx == hidx}
+                    assert (p - 1 in mine) == bool(g_top(hidx))
+                    assert mine - {p - 1} == set(range(2, max(levels_of_h, default=1) + 1))
+
+                def band(hidx):
+                    """f_j for j > p(p-2) of g o h with g_{p-1} set, the rest 0."""
+                    g = Poly(spec, (0, *[0] * (p - 2), g_top(hidx), 1))
+                    return compose(g, monic[hidx]).encodings[p * (p - 2) + 1:n]
+
+                grouped, top = set(), set()
                 for _, slices in shard:
+                    bands = Counter(band(hidx) for hs, _ in slices for hidx in hs)
                     for hs, gs in slices:
-                        for hidx in hs:
-                            y = hidx // per_y
-                            top = spec.pow_i(y, p) != s
-                            levels = p - 2 if any(gs) else p - 3
-                            want[hidx] = max(want.get(hidx, 1), p - 1 if top else levels)
-                assert sorted(hidx for hidx, _ in built) == sorted(want)
-                powers = dict(built)
-                assert powers == want
+                        shared = {hidx for hidx in hs if bands[band(hidx)] > 1}
+                        grouped |= shared
+                        top |= shared if any(gs) else set()
+                assert {idx for idx, m in levels if m == p - 2} == top
                 # shard 0's t = 0 h (y = 0) and shard 1's y^p = 1 h build no
-                # h^(p-1); the coset fibres of shard 0 use only some y = 0 h
+                # h^(p-1), grouped or lone
+                per_y = q ** (p - 2)
                 no_top = range(per_y) if s == 0 else range(per_y, 2 * per_y)
-                assert all(powers[hidx] < p - 1 for hidx in no_top if hidx in powers)
+                assert not {idx for idx, m in powers if m == p - 1} & set(no_top)
                 if p == 5 and s == 1:
-                    # nor h^(p-2), but for h_{p-2} = (3/2) y^2 = 4
-                    assert sorted(powers[hidx] for hidx in no_top) == \
-                        [2] * (per_y - q ** (p - 3)) + [3] * q ** (p - 3)
+                    # nor multiples of h^(p-2), but for h_{p-2} = (3/2) y^2 = 4
+                    four = {hidx for hidx in no_top if hidx // q ** (p - 3) % q == 4}
+                    assert {idx for idx, m in levels if m == p - 2} & set(no_top) <= four
+                    kinds["four"] += len(top & four)
+                lone = in_parts - grouped
+                kinds.update({"lone": len(lone), "grouped": len(grouped)})
+                assert not {idx for idx, _ in levels} & lone
+                assert {idx for idx, _ in powers} & lone == \
+                    {hidx for hidx in lone if g_top(hidx)}
+                assert all(m == p - 1 for idx, m in powers if idx in lone)
+        assert kinds["lone"] and kinds["grouped"] and kinds["four"]
 
 
 class TestShiftInShard1:
@@ -658,10 +814,10 @@ class TestShiftInShard1:
         each k as with h_{p-3} = 0; the census is unchanged."""
         spec = F(5)
         n = 25  # one key byte per coefficient: f_j is key[j - 1]
-        (_, table), (_, zero) = _shard_tables(spec, [
+        (_, table), (_, zero) = shard_tables(spec, [
             (1, [([b * 25 + 5 * c + i for b in range(1, 5) for i in range(5)], range(5))]),
             (1, [([b * 25 + i for b in range(1, 5) for i in range(5)], range(5))])])
-        ((_, full),) = _shard_tables(spec, every_h(spec, [1]))
+        ((_, full),) = shard_tables(spec, every_h(spec, [1]))
         assert table == {key: prs for key, prs in full.items()
                          if not key[n - 7] and key[n - 8]
                          and key[n - 9] == spec.neg_i(c)}

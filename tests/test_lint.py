@@ -1,8 +1,8 @@
 """Static checks on the package source: no assert statements, the layering
 of the intra-package imports, one prime-power helper, one field-selected
 fork in polyring, no private function that only tests call, no
-classification in decomposition enumeration, and one candidate path for
-the right components."""
+classification in decomposition enumeration, one candidate path for the
+right components, and one tabulation loop in the census."""
 
 import ast
 from pathlib import Path
@@ -132,3 +132,13 @@ def test_one_candidate_path():
                       and isinstance(node.func, ast.Name)
                       and node.func.id == "right_component_at"})
     assert callers == ["_candidates", "_components_below_top"]
+
+
+def test_one_tabulation_loop():
+    # the census counts each part by coefficient blocks in one loop, which
+    # builds keys only for the states that share a signature; no flat
+    # table of one key per enumerated pair is left
+    defs = {node.name for node in ast.walk(tree("census"))
+            if isinstance(node, ast.FunctionDef)}
+    assert "_tabulate_shards" in defs
+    assert sorted(defs & {"_shard_tables", "_group"}) == []
