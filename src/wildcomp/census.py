@@ -28,6 +28,16 @@ key is built.  Only pairs that share every block above g_1's are keyed,
 in one small table per group.  Only the number of distinct f and the
 colliding f with their pairs leave a part.
 
+The partial sums of f are one integer each in the key layout, and their
+terms g_m h^m come from one chain per h (``_chain_step``):
+Z_m[k] = z^k h^m, reduced, for each F_p basis element z^k of F_q.  Z_1 is
+read off h's coefficients, and Z_m is built from Z_{m-1} as
+z^k h^m = sum_i x^i (h_i z^k) h^(m-1).  A g_m with F_p digits j_k adds
+sum_k j_k Z_m[k], left unreduced; only a block or a key is reduced mod p.
+A chain byte sums at most p d (p-1)^2 before its reduction, and a key
+byte at most (p-1)(1 + d (p-1)^2).  Both are at most 255 for every field
+``PAIR_LIMIT`` admits, so no byte carries.
+
 Only shards 0 and 1 are enumerated.  For a != 0 the scaling
 (g, h) -> (a^(-p^2) g(a^p y), a^(-p) h(a x)) is a bijection of pairs that
 sends f to a^(-p^2) f(a x), so it moves shard s onto shard a^(-p) s and
@@ -179,11 +189,12 @@ from .decomp_core import (Decomposition, MonicOriginal, mo_index_to_inner,
                           mo_index_to_poly)
 from .gf import FieldSpec, _log_base, field_new
 from .identify import CollisionTag, classify
-from .polyring import Poly, _divrem_raw, _mul_raw, format_poly
+from .polyring import Poly, format_poly
 
 # Runs that would enumerate more pairs than this (``enumerated_pairs``) are
-# refused outright.  Every field it admits has (p-1)(d(p-2)+2) <= 255, so
-# the digit sums of a key byte never carry (see ``_tabulate_shards``).
+# refused outright.  Every field it admits has p d (p-1)^2 <= 255 and
+# (p-1)(1 + d (p-1)^2) <= 255, so neither a chain byte nor the sum of a key
+# byte carries (see ``_tabulate_shards``).
 PAIR_LIMIT = 1 << 24
 
 
@@ -434,23 +445,33 @@ def _coset_fibres(spec: FieldSpec, part: Part,
         yield part._replace(weight=w * part.weight, c_nonzero=c_nonzero), cut
 
 
-def _multiples(spec: FieldSpec, digits: list[int], mod_p: bytes, pw: Sequence[int]
-               ) -> tuple[tuple[int, ...], ...]:
-    """For each F_p basis element z^k of F_q, the p multiples m z^k pw,
-    m in F_p, of the polynomial ``pw`` in the key layout, each byte reduced
-    by the table ``mod_p``; m times a digit is at most (p-1)^2 <= 255, so
-    nothing carries."""
-    p, d, mul_i = spec.p, spec.d, spec.mul_i
-    n, shift = p * p, 8 * spec.d
-    nbytes = (n - 1) * d
-    out = []
-    for k in range(d):
-        base = sum(digits[mul_i(v, p ** k)] << shift * j
-                   for j, v in enumerate(pw[1:n]) if v)
-        out.append(tuple(int.from_bytes((m * base).to_bytes(nbytes, "little")
-                                        .translate(mod_p), "little")
-                         for m in range(p)))
-    return tuple(out)
+def _chain_step(spec: FieldSpec, digits: list[int], mod_p: bytes, h: Sequence[int],
+                zs: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The next link Z_m, m = len(zs) + 1, of the chain ``zs`` = Z_1, ...,
+    Z_{m-1} of the monic original ``h`` = [0, h_1, ..., h_{p-1}, 1]:
+    Z_m[k] is z^k h^m, for each F_p basis element z^k of F_q, in the key
+    layout with each byte reduced by the table ``mod_p``.
+
+    Z_1[k] holds ``digits[h_i z^k]`` at block i - 1.  For m >= 2,
+    z^k h^m = sum_i x^i (h_i z^k) h^(m-1), and (h_i z^k) h^(m-1) is
+    sum_l e_l Z_{m-1}[l] over the F_p digits e_l of h_i z^k.  So Z_m[k] is
+    sum_l H_kl Z_{m-1}[l], one integer product per l, where H_kl holds
+    digit l of h_i z^k at block i, read off Z_1[k].  A byte of the sum
+    adds at most p d products of two reduced digits, at most
+    p d (p-1)^2 <= 255 for every field ``PAIR_LIMIT`` admits, so the
+    products do not carry.
+    """
+    p, d = spec.p, spec.d
+    shift = 8 * d
+    if not zs:
+        return tuple(sum(digits[spec.mul_i(v, p ** k)] << shift * (i - 1)
+                         for i, v in enumerate(h[1:], 1)) for k in range(d))
+    nbytes = (p * p - 1) * d
+    # the digit-0 byte of blocks 1..p
+    blocks = int.from_bytes((b"\xff" + bytes(d - 1)) * p, "little") << shift
+    return tuple(int.from_bytes(
+        sum((z1 << shift - 8 * l & blocks) * z for l, z in enumerate(zs[-1]))
+        .to_bytes(nbytes, "little").translate(mod_p), "little") for z1 in zs[0])
 
 
 def _tabulate_shards(p: int, d: int,
@@ -491,19 +512,21 @@ def _tabulate_shards(p: int, d: int,
 
     The inner coefficients f_1..f_{p^2-1} of a partial sum are one integer
     in the key layout, one F_p digit per byte, so adding a term is one
-    integer add.  A state's sum is h^p (by Frobenius, h^p = sum h_i^p
-    x^(ip)) plus g_{p-1} h^(p-1), plus, per g_m it has set and per F_p
-    basis element z^k of F_q, one of the p reduced multiples of
-    ``_multiples``; the children of a state are a digit product over
-    those multiples, in g index order.  A byte sums at most d(p-2) + 2
-    digits of at most p - 1 each, so it needs (p-1)(d(p-2)+2) <= 255,
-    which holds for every field ``PAIR_LIMIT`` admits; one
-    ``bytes.translate`` reduces every byte of a block or key mod p.  Per h,
-    its data is built once and only as far as its states reach:
-    h^(p-1) = h^p / h where g_{p-1} != 0, the lower powers
-    h^m = h^(m-1) h up to the highest m for which a state of h may take a
-    nonzero g_m, and level m's multiples where one may; a state whose slice
-    fixes g_{p-2} = 0 keeps its sum.
+    integer add.  Per h, its chain Z_m[k] = z^k h^m, one reduced integer
+    per F_p basis element z^k of F_q (``_chain_step``), is built once and
+    only as far as its states reach: up to Z_{p-1} where g_{p-1} != 0, and
+    otherwise up to the highest m for which a state of h may take a nonzero
+    g_m; a state whose slice fixes g_{p-2} = 0 keeps its sum.  A state's
+    sum is h^p (by Frobenius, h^p = sum h_i^p x^(ip)) plus
+    sum_l c_l Z_{p-1}[l] over the F_p digits c_l of c = g_{p-1}, plus, per
+    g_m it has set, sum_k j_k Z_m[k] over the digits j_k of g_m; the
+    children of a state are a digit product over those terms, in g index
+    order.  The sum is left unreduced.  A byte of it adds h^p's reduced
+    digit and, per level, d products of two reduced digits, at most
+    (p-1)(1 + d(p-1)^2) in all, and a chain byte sums at most p d (p-1)^2
+    before its reduction.  Both are at most 255 for every field
+    ``PAIR_LIMIT`` admits, and one ``bytes.translate`` reduces every byte
+    of a block or key mod p.
     """
     spec = field_new(p, d)
     q = spec.q
@@ -558,46 +581,32 @@ def _tabulate_shards(p: int, d: int,
     per_h: dict[int, list] = {}
 
     def of_h(hidx: int) -> list:
-        """[h, h^p in the key layout, h_{p-1}^p, powers, multiples] of h."""
+        """[h, h^p in the key layout, h_{p-1}^p, its chain Z_1, Z_2, ...] of h."""
         got = per_h.get(hidx)
         if got is None:
             inner = mo_index_to_inner(hidx, q, p)
             hp = sum(digits[pow_i(v, p)] << shift * (p * i - 1)
                      for i, v in enumerate(inner, 1))
-            got = per_h[hidx] = [[0, *inner, 1], hp, pow_i(inner[-1], p), {}, {}]
+            got = per_h[hidx] = [[0, *inner, 1], hp, pow_i(inner[-1], p), []]
         return got
 
-    def power(h: list, m: int) -> Sequence[int]:
-        """h^m: h^(p-1) = h^p / h, and below it h^k = h^(k-1) h."""
-        base, powers = h[0], h[3]
-        if m == 1:
-            return base
-        if m not in powers:
-            if m == p - 1:
-                hp = [0] * (n + 1)
-                for i, v in enumerate(base[1:], 1):
-                    hp[p * i] = pow_i(v, p)
-                powers[m] = _divrem_raw(spec, hp, base)[0]
-            else:
-                k = max((k for k in powers if k < m), default=1)
-                pw = powers.get(k, base)
-                for k in range(k + 1, m + 1):
-                    pw = powers[k] = _mul_raw(spec, pw, base)
-        return powers[m]
+    def chain(h: list, m: int) -> tuple:
+        """Z_m of h, its chain extended as far as m."""
+        zs = h[3]
+        while len(zs) < m:
+            zs.append(_chain_step(spec, digits, mod_p, h[0], zs))
+        return zs[m - 1]
 
     def children(state: tuple, m: int, allowed: tuple) -> list:
         """The sums of ``state`` with each allowed g_m, in g index order."""
-        h, total = state[0], state[1]
+        total = state[1]
         steps, offset, count, _ = allowed
-        if not steps:  # g_m = 0 only: no multiple is read
+        if not steps:  # g_m = 0 only: the chain is not read
             return [total]
-        mults = h[4].get(m)
-        if mults is None:
-            mults = h[4][m] = _multiples(spec, digits, mod_p, power(h, m))
+        zs = chain(state[0], m)
         lows = [total]
         for k, ds in steps:
-            picked = [mults[k][j] for j in ds]
-            lows = [a + b for b in picked for a in lows]
+            lows = [a + b for b in [j * zs[k] for j in ds] for a in lows]
         return lows[offset:offset + count]
 
     # the g_m a state may take: g_{p-2} those of its slice, each other g all
@@ -652,8 +661,8 @@ def _tabulate_shards(p: int, d: int,
                 c = sub_i(s, h[2])  # g_{p-1}
                 total = h[1]
                 if c:
-                    total += sum(digits[mul_i(v, c)] << shift * j
-                                 for j, v in enumerate(power(h, p - 1)[1:n]) if v)
+                    total += sum(e * z for e, z in zip(digits[c].to_bytes(d, "little"),
+                                                       chain(h, p - 1)))
                 groups.setdefault(block(total, p - 1), []).append(
                     (h, total, c * q ** (p - 2) * big_q + hidx, allowed))
         colliding: dict = {}

@@ -165,6 +165,37 @@ def g_count(p: int, q: int, gs) -> int:
     return q ** (p - 2) if gs is None else q ** (p - 3) * len(gs)
 
 
+def chain_reach(spec, s: int, slices) -> dict[int, int]:
+    """For each h of a part of shard s, the highest m at which a state of h
+    takes a nonzero g_m in the census loop, or 0, found by ``compose``.
+
+    The level-1 states are (h, g_{p-1} = s - h_{p-1}^p).  The states of a
+    level that share their signature, f_j for j > p m of g o h with g_m and
+    the g below it 0, take each allowed g_m: g_{p-2} from the slice, any
+    other g from F_q.
+    """
+    p, q = spec.p, spec.q
+    n = p * p
+    h_of = {hidx: mo_index_to_poly(spec, hidx, p).poly for hs, _ in slices for hidx in hs}
+    states = [(hidx, gs, (spec.sub_i(s, spec.pow_i(hidx // q ** (p - 2), p)),))
+              for hs, gs in slices for hidx in hs]
+    reach = dict.fromkeys(h_of, 0)
+
+    def signature(hidx, top, m):
+        g = Poly(spec, (0, *[0] * m, *reversed(top), 1))
+        return compose(g, h_of[hidx]).encodings[p * m + 1:n]
+
+    for m in range(p - 2, 0, -1):
+        shared = Counter(signature(hidx, top, m) for hidx, _, top in states)
+        states = [(hidx, gs, top + (g,)) for hidx, gs, top in states
+                  if shared[signature(hidx, top, m)] > 1
+                  for g in (gs if m == p - 2 else range(q))]
+        for hidx, _, top in states:
+            if top[-1]:
+                reach[hidx] = max(reach[hidx], m)
+    return reach
+
+
 def replace_slices(monkeypatch, which, slices_of):
     """Give each census part for which ``which(spec, part)`` holds the
     slices ``slices_of(spec, part, slices)`` in place of its own."""
@@ -384,20 +415,28 @@ class TestTabulation:
                     {r.poly_of_key(key)}
 
     def test_digit_sums_fit_a_byte_under_pair_limit(self):
-        """Every field PAIR_LIMIT admits sums the d(p-2) + 2 F_p digits that
-        make up one key byte without a carry, so PAIR_LIMIT is the only
-        bound on a census."""
+        """Every field PAIR_LIMIT admits builds each link of its chains from
+        at most p d products of two reduced F_p digits in a byte, and sums
+        at most (p-1)(1 + d (p-1)^2) in a key byte, without a carry, so
+        PAIR_LIMIT is the only bound on a census.  Both bounds hold for
+        F_25 and F_7 too, and fail for F_49 and F_11."""
+        def fits(p, d):
+            return p * d * (p - 1) ** 2 <= 255 and (p - 1) * (1 + d * (p - 1) ** 2) <= 255
+
         admitted = []
         for p in filter(_is_prime, range(2, PAIR_LIMIT.bit_length() // 2 + 2)):
             d = 1
             while enumerated_pairs(p, p ** d) <= PAIR_LIMIT:
                 admitted.append((p, d))
                 d += 1
-        assert all((p - 1) * (d * (p - 2) + 2) <= 255 for p, d in admitted)
+        assert all(fits(p, d) for p, d in admitted)
         # (p, d): F_27, F_81, F_243, F_729, F_2187, F_5 and F_2^16 among the
         # admitted; F_6561, F_25 and F_7 are not
         assert {(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (5, 1), (2, 16)} <= set(admitted)
         assert not {(3, 8), (5, 2), (7, 1)} & set(admitted)
+        # chain and key bytes: 160 and 132 at F_25, 252 and 222 at F_7
+        assert fits(5, 2) and fits(7, 1)
+        assert not fits(7, 2) and not fits(11, 1)
 
 
 class TestShards:
@@ -510,6 +549,48 @@ class TestCoefficientBlocks:
         if (mutant, p, q) != ("completions_of_every_g", 5, 5)])
     def test_loop_mutant_fails_verify_or_the_part_check(self, monkeypatch, mutant, p, q):
         module = mutant_census(monkeypatch, *LOOP_MUTANTS[mutant])
+        spec = F(p, round(math.log(q, p)))
+        assert not verify(module.run_census(p, q)) or \
+            part_problems(spec, census._parts(spec), module._tabulate_shards)
+
+
+# Faults in the chain of ``census._chain_step``, each as (source, its
+# mutant): each h_i z^k at x^(i-1) in place of x^i; h_i in place of h_i z^k;
+# and a chain started from the coefficients h_i^p of h^p in place of h's.
+CHAIN_MUTANTS = {
+    "shift_by_i_minus_1": ("z1 << shift - 8 * l & blocks", "z1 >> 8 * l & blocks >> shift"),
+    "h_i_for_h_i_z_k": ("digits[spec.mul_i(v, p ** k)]", "digits[v]"),
+    "started_from_h_p": ("digits[spec.mul_i(v, p ** k)]",
+                         "digits[spec.mul_i(spec.pow_i(v, p), p ** k)]"),
+}
+
+
+class TestChain:
+    """Per h the census builds Z_m[k] = z^k h^m, for each F_p basis element
+    z^k of F_q, in the key layout: Z_1 from h's coefficients, then Z_m from
+    Z_{m-1}, as z^k h^m = sum_i x^i (h_i z^k) h^(m-1)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_links_are_z_k_times_powers_of_h(self, data):
+        spec = data.draw(st.sampled_from([F(3), F(3, 2), F(3, 3), F(5), F(7), F(5, 2)]))
+        p, q = spec.p, spec.q
+        h = Poly(spec, (0, *data.draw(st.lists(st.integers(0, q - 1), min_size=p - 1,
+                                               max_size=p - 1)), 1))
+        digits, mod_p = census._digit_table(spec), bytes(b % p for b in range(256))
+        zs = []
+        for m in range(1, p):
+            zs.append(census._chain_step(spec, digits, mod_p, h.encodings, zs))
+            # key_of gives the key-layout bytes of any f of degree below p^2
+            assert zs[-1] == tuple(int.from_bytes(key_of(Poly(spec, (p ** k,)) * h ** m),
+                                                  "little") for k in range(spec.d)), (h, m)
+
+    # Over F_5, z^0 = 1 and h_i^p = h_i, so only the shift can be wrong there.
+    @pytest.mark.parametrize("mutant,p,q", [
+        (mutant, p, q) for mutant in sorted(CHAIN_MUTANTS) for p, q in [(3, 9), (3, 27), (5, 5)]
+        if q != 5 or mutant == "shift_by_i_minus_1"])
+    def test_chain_mutant_fails_verify_or_the_part_check(self, monkeypatch, mutant, p, q):
+        module = mutant_census(monkeypatch, *CHAIN_MUTANTS[mutant])
         spec = F(p, round(math.log(q, p)))
         assert not verify(module.run_census(p, q)) or \
             part_problems(spec, census._parts(spec), module._tabulate_shards)
@@ -651,98 +732,68 @@ class TestShiftReduction:
 
     def test_workers_precompute_only_their_parts_h(self, monkeypatch):
         """Each worker builds the per-h data of the h of its own parts, once
-        each, and only as far as its states reach: h^(p-1) = h^p / h exactly
-        where g_{p-1} = s - h_{p-1}^p != 0, below it h^m = h^(m-1) h exactly
-        up to the lowest power whose multiples it builds, and each level's
-        multiples at most once.  The top level's multiples, those of
-        h^(p-2), are built exactly for an h whose state shares its band in
-        a part whose slice lets g_{p-2} be nonzero; so an h alone at level
-        1 in each of its parts builds no multiples and no power below
-        h^(p-1).  Powers are read off the ``_divrem_raw`` and ``_mul_raw``
-        calls, multiples off the ``_multiples`` calls."""
-        inner, divrem_raw, mul_raw, multiples = (
-            census.mo_index_to_inner, census._divrem_raw, census._mul_raw,
-            census._multiples)
-        made, built, multiplied = [], [], []
+        each, and only as far as its states reach.  The chain Z_1, ..., Z_m
+        of h is built link by link, each link at most once: up to Z_{p-1}
+        exactly where g_{p-1} = s - h_{p-1}^p != 0, and otherwise up to the
+        highest m at which a state of h may take a nonzero g_m, which
+        ``chain_reach`` finds by ``compose``; so an h alone at level 1 with
+        g_{p-1} = 0 builds no link.  Links are read off the ``_chain_step``
+        calls, each decoded as z^0 h^m."""
+        inner, step = census.mo_index_to_inner, census._chain_step
+        made, links = [], []
 
         def recording_inner(hidx, q, p):
             made.append(hidx)
             return inner(hidx, q, p)
 
-        def recording_divrem(spec, a, b):
-            built.append((tuple(b), (len(a) - 1) // spec.p - 1))
-            return divrem_raw(spec, a, b)
-
-        def recording_mul(spec, a, b):
-            built.append((tuple(b), (len(a) - 1) // spec.p + 1))
-            return mul_raw(spec, a, b)
-
-        def recording_multiples(spec, digits, mod_p, pw):
-            multiplied.append(tuple(pw))
-            return multiples(spec, digits, mod_p, pw)
+        def recording_step(spec, digits, mod_p, h, zs):
+            link = step(spec, digits, mod_p, h, zs)
+            links.append(link[0])
+            return link
 
         monkeypatch.setattr(census, "mo_index_to_inner", recording_inner)
-        monkeypatch.setattr(census, "_divrem_raw", recording_divrem)
-        monkeypatch.setattr(census, "_mul_raw", recording_mul)
-        monkeypatch.setattr(census, "_multiples", recording_multiples)
+        monkeypatch.setattr(census, "_chain_step", recording_step)
         kinds = Counter()
         for spec in (F(3, 3), F(5)):
             p, q = spec.p, spec.q
-            n = p * p
             monic = {idx: mo_index_to_poly(spec, idx, p).poly for idx in range(q ** (p - 1))}
-            of_base = {h.encodings: idx for idx, h in monic.items()}
-            of_power = {(h ** m).encodings: (idx, m)
-                        for idx, h in monic.items() for m in range(1, p)}
+            # a link's z^0 part in the key layout, whose bytes key_of gives
+            of_link = {int.from_bytes(key_of(h ** m), "little"): (idx, m)
+                       for idx, h in monic.items() for m in range(1, p)}
             for s in (0, 1):
                 shard = [(s, slices) for part, slices in census._parts(spec)
                          if part.s == s]
-                made.clear(), built.clear(), multiplied.clear()
+                made.clear(), links.clear()
                 census._tabulate_shards(p, spec.d, shard)
                 in_parts = {hidx for _, slices in shard for hs, _ in slices for hidx in hs}
                 assert sorted(made) == sorted(in_parts)
-                powers = [(of_base[b], m) for b, m in built]
-                levels = [of_power[pw] for pw in multiplied]
-                assert len(set(powers)) == len(powers) and len(set(levels)) == len(levels)
+                built = [of_link[link] for link in links]
+                assert len(set(built)) == len(built)
 
                 def g_top(hidx):
                     return spec.sub_i(s, spec.pow_i(hidx // q ** (p - 2), p))
 
-                for hidx in in_parts:
-                    mine = {m for idx, m in powers if idx == hidx}
-                    levels_of_h = {m for idx, m in levels if idx == hidx}
-                    assert (p - 1 in mine) == bool(g_top(hidx))
-                    assert mine - {p - 1} == set(range(2, max(levels_of_h, default=1) + 1))
-
-                def band(hidx):
-                    """f_j for j > p(p-2) of g o h with g_{p-1} set, the rest 0."""
-                    g = Poly(spec, (0, *[0] * (p - 2), g_top(hidx), 1))
-                    return compose(g, monic[hidx]).encodings[p * (p - 2) + 1:n]
-
-                grouped, top = set(), set()
+                reach = Counter()
                 for _, slices in shard:
-                    bands = Counter(band(hidx) for hs, _ in slices for hidx in hs)
-                    for hs, gs in slices:
-                        shared = {hidx for hidx in hs if bands[band(hidx)] > 1}
-                        grouped |= shared
-                        top |= shared if any(gs) else set()
-                assert {idx for idx, m in levels if m == p - 2} == top
+                    for hidx, m in chain_reach(spec, s, slices).items():
+                        reach[hidx] = max(reach[hidx], m)
+                for hidx in in_parts:
+                    top = p - 1 if g_top(hidx) else reach[hidx]
+                    assert {m for idx, m in built if idx == hidx} == set(range(1, top + 1))
+                    kinds["full" if top == p - 1 else "partial" if top else "none"] += 1
+                    kinds["below the top level"] += 0 < top < p - 2
                 # shard 0's t = 0 h (y = 0) and shard 1's y^p = 1 h build no
-                # h^(p-1), grouped or lone
+                # Z_{p-1}, grouped or lone
                 per_y = q ** (p - 2)
                 no_top = range(per_y) if s == 0 else range(per_y, 2 * per_y)
-                assert not {idx for idx, m in powers if m == p - 1} & set(no_top)
+                assert not {idx for idx, m in built if m == p - 1} & set(no_top)
                 if p == 5 and s == 1:
-                    # nor multiples of h^(p-2), but for h_{p-2} = (3/2) y^2 = 4
+                    # nor Z_{p-2}, but for h_{p-2} = (3/2) y^2 = 4
                     four = {hidx for hidx in no_top if hidx // q ** (p - 3) % q == 4}
-                    assert {idx for idx, m in levels if m == p - 2} & set(no_top) <= four
-                    kinds["four"] += len(top & four)
-                lone = in_parts - grouped
-                kinds.update({"lone": len(lone), "grouped": len(grouped)})
-                assert not {idx for idx, _ in levels} & lone
-                assert {idx for idx, _ in powers} & lone == \
-                    {hidx for hidx in lone if g_top(hidx)}
-                assert all(m == p - 1 for idx, m in powers if idx in lone)
-        assert kinds["lone"] and kinds["grouped"] and kinds["four"]
+                    at_top = {idx for idx, m in built if m == p - 2} & set(no_top)
+                    assert at_top and at_top <= four
+        assert kinds["full"] and kinds["partial"] and kinds["none"]
+        assert kinds["below the top level"]
 
 
 class TestShiftInShard1:

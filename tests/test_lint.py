@@ -2,7 +2,8 @@
 of the intra-package imports, one prime-power helper, one field-selected
 fork in polyring, no private function that only tests call, no
 classification in decomposition enumeration, one candidate path for the
-right components, and one tabulation loop in the census."""
+right components, one tabulation loop in the census, and per-h census data
+from one chain."""
 
 import ast
 from pathlib import Path
@@ -142,3 +143,14 @@ def test_one_tabulation_loop():
             if isinstance(node, ast.FunctionDef)}
     assert "_tabulate_shards" in defs
     assert sorted(defs & {"_shard_tables", "_group"}) == []
+
+
+def test_census_builds_per_h_data_by_its_chain():
+    # per h the census extends one chain z^k h^m in the key layout; no
+    # polynomial power, division or multiples table is built for it
+    imported = {alias.name for node in ast.walk(tree("census"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defs = {node.name for node in ast.walk(tree("census"))
+            if isinstance(node, ast.FunctionDef)}
+    assert sorted(imported & {"_divrem_raw", "_mul_raw"}) == []
+    assert "_multiples" not in defs and "_chain_step" in defs
