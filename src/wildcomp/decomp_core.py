@@ -12,7 +12,8 @@ from math import isqrt
 from typing import Iterator, Optional
 
 from .gf import FieldElem, FieldSpec, MixedFields, NotAPower, _log_base
-from .polyring import NotMonic, Poly, _digits_raw, compose, evaluate
+from .polyring import (NotMonic, Poly, _digits_raw, _shift_raw, compose,
+                       evaluate)
 
 
 class NotOriginal(Exception):
@@ -46,9 +47,6 @@ class MonicOriginal:
 
     def __str__(self) -> str:
         return str(self.poly)
-
-    def shifted(self, w: FieldElem) -> "MonicOriginal":
-        return original_shift(self, w)
 
 
 def mo_index_to_inner(idx: int, q: int, degree: int) -> tuple[int, ...]:
@@ -185,14 +183,18 @@ def right_component_at(f: MonicOriginal, i: int, g_i: int) -> MonicOriginal:
 
 
 def original_shift(f: MonicOriginal, w: FieldElem) -> MonicOriginal:
-    """(x - f(w)) o f o (x + w): the additive-group action on monic originals."""
+    """(x - f(w)) o f o (x + w): the additive-group action on monic originals.
+
+    One Taylor shift of f's coefficients (``_shift_raw``) gives f(x + w),
+    whose constant term is f(w); clearing it subtracts f(w).
+    """
     if w.spec != f.spec:
         raise MixedFields("shift amount from a different field")
     if w.val == 0:
         return f
-    t = compose(f.poly, Poly(f.spec, (w.val, 1)))
-    # subtracting t(0) only clears the constant term
-    return MonicOriginal(Poly(f.spec, (0,) + t.encodings[1:]))
+    t = _shift_raw(f.spec, f.poly.encodings, w.val)
+    t[0] = 0
+    return MonicOriginal(Poly(f.spec, t))
 
 
 def shift_decomposition(d: Decomposition, w: FieldElem) -> Decomposition:

@@ -404,15 +404,12 @@ def evaluate(f: Poly, a: FieldElem) -> FieldElem:
 
 
 def compose(g: Poly, h: Poly) -> Poly:
-    """g(h), by Horner in h; linear h goes through the Taylor-shift path."""
+    """g(h), by Horner in h: acc = acc * h + g_i from the top coefficient
+    of g down, for every h, constant and linear ones included."""
     g._same(h)
     spec = g.spec
     if g.is_zero:
         return g
-    if h.degree <= 0:
-        return Poly.constant(evaluate(g, h.coefficient(0)))
-    if h.degree == 1:
-        return _compose_linear(g, h)
     gc = g._c
     acc: Sequence[int] = (gc[-1],)
     for i in range(len(gc) - 2, -1, -1):
@@ -424,23 +421,6 @@ def compose(g: Poly, h: Poly) -> Poly:
             else:
                 acc = [gc[i]]
     return Poly(spec, acc)
-
-
-def _compose_linear(g: Poly, h: Poly) -> Poly:
-    spec = g.spec
-    w, u = h._c[0], h._c[1]
-    gc: Sequence[int] = g._c
-    if u != 1:
-        mul_i = spec.mul_i
-        upow = 1
-        scaled = []
-        for c in gc:
-            scaled.append(mul_i(c, upow) if c else 0)
-            upow = mul_i(upow, u)
-        gc = scaled
-    if w == 0:
-        return Poly(spec, gc)
-    return Poly(spec, _shift_raw(spec, gc, spec.mul_i(w, spec.inv_i(u))))
 
 
 def _shift_raw(spec: FieldSpec, c: Sequence[int], t: int) -> list[int]:
@@ -517,10 +497,17 @@ def poly_pth_root(f: Poly, l: int) -> Optional[Poly]:
 
 
 def second_degree(f: Poly) -> Degree:
-    """deg(f - x^n) for monic f of degree n; NEG_INFINITY for f = x^n."""
-    if f.is_zero or f._c[-1] != 1:
+    """deg(f - x^n) for monic f of degree n; NEG_INFINITY for f = x^n.
+
+    Read off the encodings: the top nonzero index below the leading term.
+    """
+    c = f._c
+    if not c or c[-1] != 1:
         raise NotMonic("second degree requires a monic polynomial")
-    return Poly(f.spec, f._c[:-1]).degree
+    for i in range(len(c) - 2, -1, -1):
+        if c[i]:
+            return i
+    return NEG_INFINITY
 
 
 def is_squarefree(f: Poly) -> bool:

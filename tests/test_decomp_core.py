@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from wildcomp import (Collision, Decomposition, DegreeMismatch, MixedFields,
                       MonicOriginal, MultiplyParams, NotMonic, NotOriginal,
-                      Poly, build_M, compose, derivative, left_divide,
-                      original_shift, projective_roots, shift_decomposition,
-                      taylor_expansion)
+                      Poly, build_M, compose, derivative, evaluate,
+                      left_divide, original_shift, projective_roots,
+                      shift_decomposition, taylor_expansion)
 from wildcomp import polyring
 from wildcomp.decomp_core import right_component_at
 
@@ -258,6 +258,26 @@ class TestOriginalShift:
                 for w2 in spec:
                     assert original_shift(original_shift(f, w1), w2) == \
                         original_shift(f, w1 + w2)
+
+    @pytest.mark.parametrize("spec", [F(2, 4), F(3, 3), F(13), F(2, 10)],
+                             ids=str)
+    def test_shift_by_evaluation(self, spec):
+        # f(x + w) - f(w) at every point (64 sampled ones for F_1024); the
+        # degrees reach both branches of the Taylor shift, up to
+        # SHIFT_SPLIT_LENGTH coefficients and above
+        assert polyring.SHIFT_SPLIT_LENGTH == 16
+        rng = random.Random(spec.q)
+        degrees = [1, 15, 16, 40] + [rng.randrange(1, 41) for _ in range(8)]
+        for deg in degrees:
+            f = random_monic_original(rng, spec, deg)
+            w = spec.elem(rng.randrange(1, spec.q))
+            got = original_shift(f, w)
+            assert got.degree == deg
+            fw = evaluate(f.poly, w)
+            points = (range(spec.q) if spec.q <= 256
+                      else rng.sample(range(spec.q), 64))
+            for a in map(spec.elem, points):
+                assert evaluate(got.poly, a) == evaluate(f.poly, a + w) - fw
 
     @given(mo_with_two_shifts())
     @settings(deadline=None)

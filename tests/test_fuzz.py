@@ -177,7 +177,8 @@ class TestPolyringBoundary:
     @FUZZ
     @given(operands(max_len=20, other_len=4))
     def test_compose(self, ops):
-        # up to 20 coefficients in g, so a linear h reaches the split shift
+        # h of any length, zero, constant and linear included: one Horner
+        # loop serves them all
         (sg, eg), (sh, eh) = ops
         g, h = build(sg, eg), build(sh, eh)
         got = call(compose, g, h) if g is not None and h is not None else None

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wildcomp import (CollisionTag, Decomposition, DegreeMismatch,
@@ -9,7 +9,8 @@ from wildcomp import (CollisionTag, Decomposition, DegreeMismatch,
                       build_M, build_S, classify, decompositions_S,
                       enumerate_decompositions, frobenius_collision,
                       identify_multiply,
-                      identify_simply, original_shift, shift_decomposition)
+                      identify_simply, original_shift, root_set_T,
+                      shift_decomposition)
 from wildcomp import identify
 from wildcomp.decomp_core import MonicOriginal
 from wildcomp.polyring import Poly, derivative
@@ -535,17 +536,21 @@ def _elems(spec, low=0):
 
 
 @st.composite
-def s_members(draw):
-    spec = draw(st.sampled_from(INVARIANCE_FIELDS))
+def simply_params(draw, fields=INVARIANCE_FIELDS):
+    spec = draw(st.sampled_from(fields))
     r = spec.p
     m = draw(st.sampled_from([d for d in range(1, r) if (r - 1) % d == 0]))
-    return build_S(SimplyParams(draw(_elems(spec, 1)), draw(_elems(spec, 1)),
-                                draw(st.integers(0, 1)), m, r))
+    return SimplyParams(draw(_elems(spec, 1)), draw(_elems(spec, 1)),
+                        draw(st.integers(0, 1)), m, r)
+
+
+def s_members():
+    return simply_params().map(build_S)
 
 
 @st.composite
-def m_members(draw):
-    spec = draw(st.sampled_from([s for s in INVARIANCE_FIELDS if s.p >= 5]))
+def m_members(draw, fields=INVARIANCE_FIELDS):
+    spec = draw(st.sampled_from([s for s in fields if s.p >= 5]))
     r = spec.p
     b = draw(_elems(spec, 1))
     a = draw(_elems(spec, 1).filter(lambda a: a != b ** r))
@@ -602,6 +607,56 @@ class TestClassifyInvariance:
         for g in self.check(data, report.poly_of_key(key)):
             moved = key_of(g.poly)
             assert len(colliding[moved]) == len(colliding[key])
+
+
+# Fields beyond the census, 13 <= q <= 256; multiply members need p >= 5.
+EQUIVARIANCE_FIELDS = [F(3, 5), F(2, 8), F(5, 3), F(7, 2), F(13)]
+
+
+class TestShiftEquivariance:
+    """The original shift f -> f^(w) = f(x + w) - f(w) maps the degree-p
+    decompositions of f one to one onto those of f^(w),
+    (g, h) -> (g^(h(w)), h^(w)), and keeps the tag and, for S, k."""
+
+    def check(self, data, f):
+        w = data.draw(_elems(f.spec, 1))
+        fw = original_shift(f, w)
+        pairs = enumerate_decompositions(f).collision
+        assert set(enumerate_decompositions(fw).collision) == \
+            {shift_decomposition(d, w) for d in pairs}, (str(f), w)
+        cls = classify(f)
+        assert tag_and_k(fw) == (cls.tag, cls.simply.k if cls.simply else None)
+        return cls, pairs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(EQUIVARIANCE_FIELDS), st.randoms(), st.data())
+    def test_planted(self, spec, rng, data):
+        # tops at x^p give g or h = x^p; a top of h below x^(p-1) gives
+        # h_(p-1) = 0
+        p = spec.p
+        g, h = planted_with_tops(rng, spec, rng.randrange(p), rng.randrange(p))
+        _, pairs = self.check(data, Decomposition(g, h).compose())
+        assert Decomposition(g, h) in pairs
+
+    @settings(max_examples=40, deadline=None)
+    @given(simply_params(EQUIVARIANCE_FIELDS), st.data())
+    def test_shifted_simply_members(self, params, data):
+        k = len(root_set_T(params))
+        assume(k >= 2)
+        f = original_shift(build_S(params), data.draw(_elems(params.spec, 1)))
+        cls, _ = self.check(data, f)
+        assert cls.tag is CollisionTag.SIMPLY and cls.simply.k == k
+
+    @settings(max_examples=25, deadline=None)
+    @given(m_members(EQUIVARIANCE_FIELDS), st.data())
+    def test_multiply_members(self, f, data):
+        cls, pairs = self.check(data, f)
+        assert cls.tag is CollisionTag.MULTIPLY and len(pairs) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(EQUIVARIANCE_FIELDS), st.randoms(), st.data())
+    def test_random(self, spec, rng, data):
+        self.check(data, random_monic_original(rng, spec, spec.p ** 2))
 
 
 # (field, r): r = p over F_8, F_9, F_5 and F_7, and r = p^2 over F_4 and F_3.

@@ -2,8 +2,8 @@
 of the intra-package imports, one prime-power helper, one field-selected
 fork in polyring, no private function that only tests call, no
 classification in decomposition enumeration, one candidate path for the
-right components, one tabulation loop in the census, and per-h census data
-from one chain."""
+right components, one tabulation loop in the census, per-h census data
+from one chain, and one path for the original shift."""
 
 import ast
 from pathlib import Path
@@ -154,3 +154,26 @@ def test_census_builds_per_h_data_by_its_chain():
             if isinstance(node, ast.FunctionDef)}
     assert sorted(imported & {"_divrem_raw", "_mul_raw"}) == []
     assert "_multiples" not in defs and "_chain_step" in defs
+
+
+def test_one_shift_path():
+    # compose is Horner alone; the original shift is the one caller of the
+    # Taylor shift, whose split branch calls itself
+    defs = {node.name: node for node in tree("polyring").body
+            if isinstance(node, ast.FunctionDef)}
+    assert "_compose_linear" not in defs
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "degree"
+                   for node in ast.walk(defs["compose"]))
+    callers = sorted((path.stem, fn.name) for path in SRC.rglob("*.py")
+                     for fn in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(fn, ast.FunctionDef)
+                     and fn.name != "_shift_raw"
+                     for node in ast.walk(fn) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name)
+                     and node.func.id == "_shift_raw")
+    assert callers == [("decomp_core", "original_shift")]
+    monic_original = next(node for node in tree("decomp_core").body
+                          if isinstance(node, ast.ClassDef)
+                          and node.name == "MonicOriginal")
+    assert "shifted" not in {node.name for node in monic_original.body
+                             if isinstance(node, ast.FunctionDef)}
